@@ -20,7 +20,7 @@ use scal_engine::{
     detected_cpu_features, resolve_word_width, resolved_threads, CompiledCircuit, EvalMode,
 };
 use scal_netlist::synth::{self, SynthKind};
-use scal_obs::json::{escape, JsonObject, JsonValue};
+use scal_obs::json::{JsonObject, JsonValue};
 use scal_obs::{CoverageMap, CoverageObserver, Profile, Profiler};
 use scal_seq::kohavi::kohavi_0101;
 use scal_seq::{code_conversion_machine, dual_ff_machine, SeqBackend};
@@ -252,31 +252,26 @@ impl Snapshot {
         o.str("eval_mode", &self.eval_mode);
         o.str("seq_backend", &self.seq_backend);
         o.num("word_width", self.word_width as u64);
-        let features: Vec<String> = self
-            .cpu_features
-            .iter()
-            .map(|f| format!("\"{}\"", escape(f)))
-            .collect();
-        o.raw("cpu_features", &format!("[{}]", features.join(",")));
+        let mut features = o.array("cpu_features");
+        for f in &self.cpu_features {
+            features.str(f);
+        }
+        features.finish();
         o.str("suite", &self.suite);
-        let mut circuits = String::from("[");
-        for (i, c) in self.circuits.iter().enumerate() {
-            if i > 0 {
-                circuits.push(',');
-            }
-            let mut co = JsonObject::new();
+        let mut circuits = o.array("circuits");
+        for c in &self.circuits {
+            let mut co = circuits.object();
             co.str("name", &c.name);
             co.str("suite", &c.suite);
             co.str("campaign", &c.campaign);
             co.num("faults", c.faults as u64);
             co.num("detected", c.detected as u64);
             co.float("coverage", c.coverage);
-            let undetected: Vec<String> = c
-                .undetected
-                .iter()
-                .map(|l| format!("\"{}\"", escape(l)))
-                .collect();
-            co.raw("undetected", &format!("[{}]", undetected.join(",")));
+            let mut undetected = co.array("undetected");
+            for l in &c.undetected {
+                undetected.str(l);
+            }
+            undetected.finish();
             co.num("pairs", c.pairs);
             if let Some(r) = c.pairs_per_sec {
                 co.float("pairs_per_sec", r);
@@ -298,32 +293,31 @@ impl Snapshot {
                 co.num("collapse_representatives", c.collapse_representatives);
                 co.float("collapse_ratio", r);
             }
-            let mut po = JsonObject::new();
+            let mut po = co.object("phases");
             for (name, micros) in &c.phases {
                 po.num(name, *micros);
             }
-            co.raw("phases", &po.finish());
-            circuits.push_str(&co.finish());
+            po.finish();
+            co.finish();
         }
-        circuits.push(']');
-        o.raw("circuits", &circuits);
+        circuits.finish();
         if let Some(s) = &self.adder8_speedup {
-            let mut so = JsonObject::new();
+            let mut so = o.object("adder8_speedup");
             so.float("full_pairs_per_sec", s.full_pairs_per_sec);
             so.float("cone_pairs_per_sec", s.cone_pairs_per_sec);
             so.float("speedup", s.speedup);
             so.float("ops_skipped_fraction", s.ops_skipped_fraction);
-            o.raw("adder8_speedup", &so.finish());
+            so.finish();
         }
         if let Some(s) = &self.seq_speedup {
-            let mut so = JsonObject::new();
+            let mut so = o.object("seq_speedup");
             so.float("scalar_pairs_per_sec", s.scalar_pairs_per_sec);
             so.float("packed_pairs_per_sec", s.packed_pairs_per_sec);
             so.float("speedup", s.speedup);
-            o.raw("seq_speedup", &so.finish());
+            so.finish();
         }
         if let Some(s) = &self.serve_latency {
-            let mut so = JsonObject::new();
+            let mut so = o.object("serve_latency");
             so.num("jobs", s.jobs);
             so.num("submit_accept_p50_micros", s.submit_accept_p50);
             so.num("submit_accept_p99_micros", s.submit_accept_p99);
@@ -331,7 +325,7 @@ impl Snapshot {
             so.num("queue_wait_p99_micros", s.queue_wait_p99);
             so.num("run_p50_micros", s.run_p50);
             so.num("run_p99_micros", s.run_p99);
-            o.raw("serve_latency", &so.finish());
+            so.finish();
         }
         o.finish()
     }

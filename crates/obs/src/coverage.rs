@@ -152,19 +152,24 @@ impl CoverageMap {
     /// array entry per fault).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`CoverageMap::to_json`]'s text to `out`, every record
+    /// written in place.
+    pub fn write_json(&self, out: &mut String) {
+        let mut o = JsonObject::within(out);
         o.str("campaign", &self.campaign);
         o.num("faults", self.records.len() as u64);
         o.num("total_faults", self.total_faults as u64);
         o.num("detected", self.detected_count() as u64);
         o.float("coverage", self.coverage_fraction());
         o.bool("cancelled", self.cancelled);
-        let mut records = String::from("[");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                records.push(',');
-            }
-            let mut ro = JsonObject::new();
+        let mut records = o.array("records");
+        for r in &self.records {
+            let mut ro = records.object();
             ro.num("fault", r.fault as u64);
             if !r.label.is_empty() {
                 ro.str("label", &r.label);
@@ -197,11 +202,10 @@ impl CoverageMap {
             if let Some(sz) = r.class_size {
                 ro.num("class_size", sz as u64);
             }
-            records.push_str(&ro.finish());
+            ro.finish();
         }
-        records.push(']');
-        o.raw("records", &records);
-        o.finish()
+        records.finish();
+        o.finish();
     }
 
     /// Renders the human-readable undetected-fault report, cross-referencing

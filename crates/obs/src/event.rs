@@ -300,7 +300,14 @@ impl CampaignEvent {
     /// Serializes the event as one JSON object (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`CampaignEvent::to_json`]'s text to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        let mut o = JsonObject::within(out);
         o.str("ev", self.name());
         match *self {
             CampaignEvent::CampaignStart {
@@ -472,7 +479,7 @@ impl CampaignEvent {
                 o.bool("cancelled", cancelled);
             }
         }
-        o.finish()
+        o.finish();
     }
 }
 

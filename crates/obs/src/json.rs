@@ -1,105 +1,256 @@
 //! Minimal JSON emission and validation — just enough for the trace format,
 //! with no external dependencies.
 //!
-//! Emission covers flat objects of strings, integers and booleans (the whole
-//! event vocabulary). [`validate_jsonl`] is a strict syntax checker for
-//! JSON-lines streams, used by the golden tests and the CI smoke job.
+//! Emission appends to one caller-owned `String`: a [`JsonObject`] writes
+//! each field in place, and the nested objects and arrays it opens borrow
+//! the same buffer, so a whole coverage map or frame is serialized without
+//! a per-field or per-record allocation. [`validate_jsonl`] is a strict
+//! syntax checker for JSON-lines streams, used by the golden tests and the
+//! CI smoke job.
 
+use std::borrow::BorrowMut;
 use std::fmt::Write;
 
-/// Incremental builder for one flat JSON object.
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    buf: String,
+/// Incremental writer for one JSON object.
+///
+/// The object either owns its buffer ([`JsonObject::new`]; `finish` returns
+/// the text) or appends to the end of a caller's buffer
+/// ([`JsonObject::within`]; `finish` closes it in place). Nested objects and
+/// arrays ([`JsonObject::object`], [`JsonObject::array`]) borrow the same
+/// buffer and must be finished before the parent writes its next field.
+#[derive(Debug)]
+pub struct JsonObject<B: BorrowMut<String> = String> {
+    buf: B,
+    empty: bool,
 }
 
 impl JsonObject {
-    /// Starts an empty object.
+    /// Starts an empty object in a buffer of its own.
     #[must_use]
     pub fn new() -> Self {
-        JsonObject { buf: String::new() }
+        JsonObject::open(String::new())
     }
 
-    fn key(&mut self, k: &str) {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
+    /// Closes the object and returns its text.
+    #[must_use]
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
+    }
+}
+
+impl Default for JsonObject {
+    fn default() -> Self {
+        JsonObject::new()
+    }
+}
+
+impl<'a> JsonObject<&'a mut String> {
+    /// Starts an object at the end of `out`.
+    pub fn within(out: &'a mut String) -> Self {
+        JsonObject::open(out)
+    }
+
+    /// Closes the object in the caller's buffer.
+    pub fn finish(self) {
+        self.buf.push('}');
+    }
+}
+
+impl<B: BorrowMut<String>> JsonObject<B> {
+    fn open(mut buf: B) -> Self {
+        buf.borrow_mut().push('{');
+        JsonObject { buf, empty: true }
+    }
+
+    /// Writes key `k` and returns the buffer positioned for its value: the
+    /// caller appends exactly one JSON value — the splice point for values
+    /// that serialize themselves (`write_json`).
+    pub fn value(&mut self, k: &str) -> &mut String {
+        let buf = self.buf.borrow_mut();
+        if !self.empty {
+            buf.push(',');
         }
-        let _ = write!(self.buf, "\"{}\":", escape(k));
+        self.empty = false;
+        push_str_value(buf, k);
+        buf.push(':');
+        buf
     }
 
     /// Appends a string field.
     pub fn str(&mut self, k: &str, v: &str) {
-        self.key(k);
-        let _ = write!(self.buf, "\"{}\"", escape(v));
+        push_str_value(self.value(k), v);
     }
 
     /// Appends an unsigned integer field.
     pub fn num(&mut self, k: &str, v: u64) {
-        self.key(k);
-        let _ = write!(self.buf, "{v}");
+        push_u64(self.value(k), v);
     }
 
     /// Appends a finite float field (non-finite values render as `null`,
     /// which JSON has no float spelling for).
     pub fn float(&mut self, k: &str, v: f64) {
-        self.key(k);
+        let buf = self.value(k);
         if v.is_finite() {
-            let _ = write!(self.buf, "{v}");
+            let _ = write!(buf, "{v}");
         } else {
-            self.buf.push_str("null");
+            buf.push_str("null");
         }
     }
 
     /// Appends a boolean field.
     pub fn bool(&mut self, k: &str, v: bool) {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
+        self.value(k).push_str(if v { "true" } else { "false" });
     }
 
-    /// Appends a pre-serialized JSON value verbatim — the splice point for
-    /// nested objects and arrays built elsewhere. The caller is responsible
-    /// for `v` being valid JSON.
+    /// Appends a pre-serialized JSON value verbatim. The caller is
+    /// responsible for `v` being valid JSON.
     pub fn raw(&mut self, k: &str, v: &str) {
-        self.key(k);
-        self.buf.push_str(v);
+        self.value(k).push_str(v);
     }
 
-    /// Closes the object and returns its text.
-    #[must_use]
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
+    /// Opens a nested object under key `k`.
+    pub fn object(&mut self, k: &str) -> JsonObject<&mut String> {
+        JsonObject::within(self.value(k))
+    }
+
+    /// Opens a nested array under key `k`.
+    pub fn array(&mut self, k: &str) -> JsonArray<'_> {
+        JsonArray::within(self.value(k))
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
+/// Incremental writer for one JSON array at the end of a caller's buffer;
+/// the array counterpart of [`JsonObject::within`].
+#[derive(Debug)]
+pub struct JsonArray<'a> {
+    buf: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> JsonArray<'a> {
+    /// Starts an array at the end of `out`.
+    pub fn within(out: &'a mut String) -> Self {
+        out.push('[');
+        JsonArray {
+            buf: out,
+            empty: true,
+        }
+    }
+
+    /// Returns the buffer positioned for the next element: the caller
+    /// appends exactly one JSON value.
+    pub fn value(&mut self) -> &mut String {
+        if !self.empty {
+            self.buf.push(',');
+        }
+        self.empty = false;
+        self.buf
+    }
+
+    /// Appends a string element.
+    pub fn str(&mut self, v: &str) {
+        push_str_value(self.value(), v);
+    }
+
+    /// Appends an unsigned integer element.
+    pub fn num(&mut self, v: u64) {
+        push_u64(self.value(), v);
+    }
+
+    /// Appends a pre-serialized JSON value verbatim.
+    pub fn raw(&mut self, v: &str) {
+        self.value().push_str(v);
+    }
+
+    /// Opens a nested object as the next element.
+    pub fn object(&mut self) -> JsonObject<&mut String> {
+        JsonObject::within(self.value())
+    }
+
+    /// Closes the array in the caller's buffer.
+    pub fn finish(self) {
+        self.buf.push(']');
+    }
+}
+
+/// Appends `v` in decimal, without going through `fmt`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends `s` as a quoted, escaped JSON string literal.
+fn push_str_value(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Appends `s` to `out`, escaped for inclusion in a JSON string literal.
 ///
-/// Beyond the mandatory `"`/`\\`/C0 escapes, the C1 control range
+/// Beyond the mandatory `"`/`\\`/C0 escapes, DEL, the C1 control range
 /// (U+0080–U+009F) and the Unicode line separators U+2028/U+2029 are also
 /// `\u`-escaped: C1 bytes are invisible in most terminals and corrupt naive
 /// line-oriented consumers, and U+2028/U+2029 are line terminators in
 /// JavaScript, so escaping keeps one JSONL event strictly one line
-/// everywhere.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20
-                || (0x7f..=0x9f).contains(&(c as u32))
-                || c == '\u{2028}'
-                || c == '\u{2029}' =>
+/// everywhere. Runs of characters that need no escape are copied as they
+/// are, so a plain label costs one scan and one copy.
+pub fn escape_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
+    // `run` is the start of the pending verbatim run. The loop stops only
+    // at ASCII bytes and at the lead bytes 0xC2/0xE2, all char boundaries,
+    // so every slice below is valid UTF-8.
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        let (cp, width) = match b {
+            b'"' | b'\\' | 0x00..=0x1f | 0x7f => (u32::from(b), 1),
+            // U+0080–U+009F: C2 80 … C2 9F.
+            0xc2 if matches!(bytes.get(i + 1), Some(0x80..=0x9f)) => (u32::from(bytes[i + 1]), 2),
+            // U+2028/U+2029: E2 80 A8 / E2 80 A9.
+            0xe2 if bytes.get(i + 1) == Some(&0x80)
+                && matches!(bytes.get(i + 2), Some(0xa8 | 0xa9)) =>
             {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                (0x2000 | u32::from(bytes[i + 2] & 0x3f), 3)
             }
-            c => out.push(c),
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u");
+                for shift in [12, 8, 4, 0] {
+                    out.push(char::from(
+                        b"0123456789abcdef"[(cp >> shift) as usize & 0xf],
+                    ));
+                }
+            }
         }
+        i += width;
+        run = i;
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 /// Validates a JSON-lines stream: every non-empty line must be one
@@ -209,39 +360,26 @@ impl JsonValue {
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Num(n) if n.is_finite() => {
                 if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
+                    let _ = write!(out, "{}", *n as i64);
                 } else {
-                    out.push_str(&format!("{n}"));
+                    let _ = write!(out, "{n}");
                 }
             }
             JsonValue::Num(_) => out.push_str("null"),
-            JsonValue::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
+            JsonValue::Str(s) => push_str_value(out, s),
             JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
+                let mut a = JsonArray::within(out);
+                for item in items {
+                    item.write(a.value());
                 }
-                out.push(']');
+                a.finish();
             }
             JsonValue::Object(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&escape(k));
-                    out.push_str("\":");
-                    v.write(out);
+                let mut o = JsonObject::within(out);
+                for (k, v) in members {
+                    v.write(o.value(k));
                 }
-                out.push('}');
+                o.finish();
             }
         }
     }
@@ -577,6 +715,12 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn escape(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
+
     #[test]
     fn builder_produces_valid_objects() {
         let mut o = JsonObject::new();
@@ -586,6 +730,42 @@ mod tests {
         let s = o.finish();
         assert_eq!(s, "{\"ev\":\"phase_end\",\"micros\":12,\"ok\":true}");
         assert_eq!(validate_jsonl(&s), Ok(1));
+    }
+
+    #[test]
+    fn integers_match_their_display_form() {
+        for v in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn nested_writers_share_one_buffer() {
+        let mut out = String::from("[");
+        let mut o = JsonObject::within(&mut out);
+        o.num("a", 1);
+        let mut list = o.array("list");
+        list.num(2);
+        list.str("t\"x");
+        let mut inner = list.object();
+        inner.bool("ok", true);
+        inner.finish();
+        list.raw("null");
+        list.finish();
+        let mut empty = o.object("empty");
+        empty.raw("n", "[]");
+        empty.finish();
+        let mut none = o.array("none");
+        none.value().push_str("{}");
+        none.finish();
+        o.finish();
+        assert_eq!(
+            out,
+            "[{\"a\":1,\"list\":[2,\"t\\\"x\",{\"ok\":true},null],\"empty\":{\"n\":[]},\"none\":[{}]}"
+        );
+        assert_eq!(validate_jsonl(&out[1..]), Ok(1));
     }
 
     #[test]

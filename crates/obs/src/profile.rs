@@ -296,42 +296,30 @@ impl Profile {
         if let Some(r) = self.pairs_per_sec() {
             o.float("pairs_per_sec", r);
         }
-        let mut phases = String::from("[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                phases.push(',');
-            }
-            let mut po = JsonObject::new();
+        let mut phases = o.array("phases");
+        for p in &self.phases {
+            let mut po = phases.object();
             po.str("name", &p.name);
             po.num("micros", p.micros);
-            phases.push_str(&po.finish());
+            po.finish();
         }
-        phases.push(']');
-        o.raw("phases", &phases);
-        let mut spans = String::from("[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                spans.push(',');
-            }
-            let mut so = JsonObject::new();
+        phases.finish();
+        let mut spans = o.array("spans");
+        for s in &self.spans {
+            let mut so = spans.object();
             so.str("name", &s.name);
             so.str("parent", &s.parent);
             so.num("micros", s.micros);
             so.num("count", s.count);
             so.num("items", s.items);
-            spans.push_str(&so.finish());
+            so.finish();
         }
-        spans.push(']');
-        o.raw("spans", &spans);
-        let levels = format!(
-            "[{}]",
-            self.levels
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        o.raw("levels", &levels);
+        spans.finish();
+        let mut levels = o.array("levels");
+        for &l in &self.levels {
+            levels.num(l as u64);
+        }
+        levels.finish();
         o.num("gate_evals", self.gate_evals());
         o.finish()
     }

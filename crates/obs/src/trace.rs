@@ -24,6 +24,9 @@ pub struct JsonlTrace<W: Write + Send> {
 struct TraceState<W> {
     /// `None` only after [`JsonlTrace::into_inner`] reclaimed the writer.
     writer: Option<W>,
+    /// One reused line buffer: an event is serialized into it, newline
+    /// included, and written with a single `write_all`.
+    line: String,
     lines: u64,
     error: Option<io::Error>,
 }
@@ -46,6 +49,7 @@ impl<W: Write + Send> JsonlTrace<W> {
         JsonlTrace {
             inner: Mutex::new(TraceState {
                 writer: Some(writer),
+                line: String::new(),
                 lines: 0,
                 error: None,
             }),
@@ -109,18 +113,18 @@ impl<W: Write + Send> JsonlTrace<W> {
 
 impl<W: Write + Send> CampaignObserver for JsonlTrace<W> {
     fn on_event(&self, event: &CampaignEvent) {
-        let mut state = self.inner.lock().expect("trace lock");
+        let mut guard = self.inner.lock().expect("trace lock");
+        let state = &mut *guard;
         if state.error.is_some() {
             return;
         }
         let Some(writer) = state.writer.as_mut() else {
             return;
         };
-        let line = event.to_json();
-        match writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-        {
+        state.line.clear();
+        event.write_json(&mut state.line);
+        state.line.push('\n');
+        match writer.write_all(state.line.as_bytes()) {
             Ok(()) => state.lines += 1,
             Err(e) => state.error = Some(e),
         }

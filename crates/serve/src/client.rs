@@ -28,18 +28,23 @@ impl Iterator for FrameStream {
 
     fn next(&mut self) -> Option<Self::Item> {
         let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) => None,
-            Ok(_) => {
-                let line = line.trim_end();
-                if line.is_empty() {
-                    return self.next();
+        // Blank lines carry no frame; skip them in a loop, so a peer that
+        // sends any number of them cannot exhaust the stack.
+        loop {
+            line.clear();
+            match self.reader.read_line(&mut line) {
+                Ok(0) => return None,
+                Ok(_) if line.trim_end().is_empty() => {}
+                Ok(_) => {
+                    return Some(json::parse(line.trim_end()).map_err(|e| {
+                        std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            format!("bad frame: {e}"),
+                        )
+                    }))
                 }
-                Some(json::parse(line).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad frame: {e}"))
-                }))
+                Err(e) => return Some(Err(e)),
             }
-            Err(e) => Some(Err(e)),
         }
     }
 }
@@ -297,5 +302,40 @@ pub mod demo {
             fault_collapse: None,
             netlist_format: NetlistFormat::ScalText,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn long_runs_of_blank_lines_are_skipped_without_recursion() {
+        // A million blank lines — far past what one stack frame per line
+        // could survive — then one frame, then EOF.
+        const BLANK: usize = 1_000_000;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            // Read the whole request line: closing with unread bytes would
+            // reset the connection under the client.
+            let mut request = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut request)
+                .expect("request");
+            let mut reply = "\n \r\n\t\n".repeat(BLANK / 3).into_bytes();
+            reply.extend_from_slice(b"{\"frame\":\"status\"}\n\n");
+            stream.write_all(&reply).expect("reply");
+        });
+        let mut frames = Client::new(addr).request("{}").expect("request");
+        let frame = frames.next().expect("one frame").expect("valid frame");
+        assert_eq!(
+            frame.get("frame").and_then(JsonValue::as_str),
+            Some("status")
+        );
+        assert!(frames.next().is_none(), "trailing blank line, then EOF");
+        peer.join().expect("peer");
     }
 }

@@ -9,7 +9,7 @@
 use scal_engine::EvalMode;
 use scal_faults::Fault;
 use scal_netlist::{Circuit, NetlistFormat, Site};
-use scal_obs::json::{self, JsonObject, JsonValue};
+use scal_obs::json::{self, JsonArray, JsonObject, JsonValue};
 use scal_obs::{CampaignEvent, CoverageMap};
 use scal_seq::{ScalMachine, SeqBackend};
 use scal_system::campaign::CpuUnit;
@@ -575,24 +575,17 @@ impl Request {
     }
 }
 
-/// Serializes a driven word list as a JSON array of 0/1 digits.
-fn words_json(words: &[Vec<bool>]) -> String {
-    let mut out = String::from("[");
-    for (i, w) in words.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Appends a driven word list as a JSON array of arrays of 0/1 digits.
+fn write_words(out: &mut String, words: &[Vec<bool>]) {
+    let mut arr = JsonArray::within(out);
+    for w in words {
+        let mut bits = JsonArray::within(arr.value());
+        for &b in w {
+            bits.num(u64::from(b));
         }
-        out.push('[');
-        for (j, &b) in w.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push(if b { '1' } else { '0' });
-        }
-        out.push(']');
+        bits.finish();
     }
-    out.push(']');
-    out
+    arr.finish();
 }
 
 impl JobSpec {
@@ -628,12 +621,9 @@ impl JobSpec {
                 match faults {
                     FaultSpec::All => o.str("faults", "all"),
                     FaultSpec::List(list) => {
-                        let mut arr = String::from("[");
-                        for (i, f) in list.iter().enumerate() {
-                            if i > 0 {
-                                arr.push(',');
-                            }
-                            let mut fo = JsonObject::new();
+                        let mut arr = o.array("faults");
+                        for f in list {
+                            let mut fo = arr.object();
                             match f.site {
                                 Site::Stem(n) => {
                                     fo.str("site", "stem");
@@ -646,10 +636,9 @@ impl JobSpec {
                                 }
                             }
                             fo.bool("stuck", f.stuck);
-                            arr.push_str(&fo.finish());
+                            fo.finish();
                         }
-                        arr.push(']');
-                        o.raw("faults", &arr);
+                        arr.finish();
                     }
                 }
                 o.bool("drop", *drop_after_detection);
@@ -672,10 +661,13 @@ impl JobSpec {
                 o.num("z", machine.z_count as u64);
                 o.num("y", machine.y_count as u64);
                 if let Some((f, g)) = machine.code_pair {
-                    o.raw("code_pair", &format!("[{f},{g}]"));
+                    let mut pair = o.array("code_pair");
+                    pair.num(f as u64);
+                    pair.num(g as u64);
+                    pair.finish();
                 }
                 o.str("design", &machine.design);
-                o.raw("words", &words_json(words));
+                write_words(o.value("words"), words);
                 o.str("seq_backend", backend.name());
                 o.str("eval_mode", eval_mode.name());
             }
@@ -693,17 +685,11 @@ impl JobSpec {
                 );
                 o.num("budget", *budget);
                 if let Some(names) = workloads {
-                    let mut arr = String::from("[");
-                    for (i, n) in names.iter().enumerate() {
-                        if i > 0 {
-                            arr.push(',');
-                        }
-                        arr.push('"');
-                        arr.push_str(&json::escape(n));
-                        arr.push('"');
+                    let mut arr = o.array("workloads");
+                    for n in names {
+                        arr.str(n);
                     }
-                    arr.push(']');
-                    o.raw("workloads", &arr);
+                    arr.finish();
                 }
             }
         }
@@ -725,7 +711,7 @@ pub fn frame_accepted(id: u64, trace: u64, kind: &str, priority: u8, queued: usi
     o.finish()
 }
 
-/// `{"frame":"event",...}` — one campaign event, spliced verbatim into an
+/// `{"frame":"event",...}` — one campaign event, written in place into an
 /// envelope carrying the job's id and trace.
 #[must_use]
 pub fn frame_event(id: u64, trace: u64, event: &CampaignEvent) -> String {
@@ -733,7 +719,7 @@ pub fn frame_event(id: u64, trace: u64, event: &CampaignEvent) -> String {
     o.str("frame", "event");
     o.num("id", id);
     o.num("trace", trace);
-    o.raw("event", &event.to_json());
+    event.write_json(o.value("event"));
     o.finish()
 }
 
@@ -754,7 +740,7 @@ pub fn frame_result(
     o.num("id", id);
     o.num("trace", trace);
     o.raw("report", report);
-    o.raw("coverage", &coverage.to_json());
+    coverage.write_json(o.value("coverage"));
     o.num("micros", micros);
     o.finish()
 }
@@ -830,15 +816,18 @@ pub fn frame_status(info: &StatusInfo) -> String {
     o.num("done", info.done);
     o.bool("shutting_down", info.shutting_down);
     o.num("uptime_ms", info.uptime_ms);
-    let depths: Vec<String> = info.queue_depths.iter().map(u64::to_string).collect();
-    o.raw("queue_depths", &format!("[{}]", depths.join(",")));
-    let mut jobs = JsonObject::new();
+    let mut depths = o.array("queue_depths");
+    for &d in &info.queue_depths {
+        depths.num(d);
+    }
+    depths.finish();
+    let mut jobs = o.object("jobs");
     jobs.num("accepted", info.jobs_accepted);
     jobs.num("finished", info.jobs_finished);
     jobs.num("cancelled", info.jobs_cancelled);
     jobs.num("timed_out", info.jobs_timed_out);
     jobs.num("panicked", info.jobs_panicked);
-    o.raw("jobs", &jobs.finish());
+    jobs.finish();
     o.finish()
 }
 
@@ -848,7 +837,11 @@ pub fn frame_status(info: &StatusInfo) -> String {
 pub fn frame_dump(events: &[String]) -> String {
     let mut o = JsonObject::new();
     o.str("frame", "dump");
-    o.raw("events", &format!("[{}]", events.join(",")));
+    let mut arr = o.array("events");
+    for e in events {
+        arr.raw(e);
+    }
+    arr.finish();
     o.finish()
 }
 
@@ -1055,10 +1048,9 @@ mod tests {
     #[test]
     fn fault_entries_name_real_pins() {
         let c = xor3();
-        let line = format!(
-            "{{\"cmd\":\"submit\",\"kind\":\"pair\",\"netlist\":\"{}\",\"faults\":[{{\"site\":\"branch\",\"node\":3,\"pin\":9,\"stuck\":true}}]}}",
-            json::escape(&c.write_string(NetlistFormat::ScalText))
-        );
+        let mut line = String::from("{\"cmd\":\"submit\",\"kind\":\"pair\",\"netlist\":\"");
+        json::escape_into(&mut line, &c.write_string(NetlistFormat::ScalText));
+        line.push_str("\",\"faults\":[{\"site\":\"branch\",\"node\":3,\"pin\":9,\"stuck\":true}]}");
         assert_eq!(Request::parse(&line).unwrap_err().code, "bad_faults");
     }
 

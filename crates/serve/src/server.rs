@@ -7,6 +7,10 @@
 //! ack frame). Campaigns themselves run on the shared [`Scheduler`] pool,
 //! so a thousand connections never mean a thousand campaigns at once.
 //!
+//! Each socket write carries every frame of the job already queued (up to
+//! [`FRAME_COALESCE`]), so one read may return several frames; every frame
+//! is still one newline-terminated line.
+//!
 //! Client death is detected at the first failed frame write: the handler
 //! cancels the job's token and then *drains* the job's channel (discarding
 //! frames) so a worker blocked on the bounded channel's backpressure can
@@ -37,6 +41,11 @@ use std::time::{Duration, Instant};
 /// campaign worker and a slow client before backpressure throttles the
 /// campaign.
 pub const FRAME_BUFFER: usize = 256;
+
+/// Most frames one socket write carries: after each blocking receive the
+/// connection handler also takes the job's frames already queued, up to
+/// this many in all, and sends them with one `write_all`.
+pub const FRAME_COALESCE: usize = 64;
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -342,18 +351,21 @@ fn serve_metrics_request(stream: &mut TcpStream, telemetry: &Telemetry) {
     let _ = stream.flush();
 }
 
-/// Writes one frame line, counting it; `false` on failure (client gone).
-fn send_line(stream: &mut TcpStream, frame: &str, stats: &ConnStats) -> bool {
-    let ok = stream
-        .write_all(frame.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .is_ok();
+/// Writes `lines` — `frames` whole newline-terminated frames — with one
+/// `write_all`, counting them; `false` on failure (client gone).
+fn send_lines(stream: &mut TcpStream, lines: &str, frames: u64, stats: &ConnStats) -> bool {
+    let ok = stream.write_all(lines.as_bytes()).is_ok();
     if ok {
-        stats.frames_sent.inc();
-        stats.bytes_sent.add(frame.len() as u64 + 1);
+        stats.frames_sent.add(frames);
+        stats.bytes_sent.add(lines.len() as u64);
     }
     ok
+}
+
+/// Writes one frame line, counting it; `false` on failure (client gone).
+fn send_line(stream: &mut TcpStream, mut frame: String, stats: &ConnStats) -> bool {
+    frame.push('\n');
+    send_lines(stream, &frame, 1, stats)
 }
 
 fn handle_connection(
@@ -387,7 +399,7 @@ fn handle_connection(
         Err(e) => {
             let _ = send_line(
                 &mut stream,
-                &frame_error(None, None, e.code, &e.message),
+                frame_error(None, None, e.code, &e.message),
                 stats,
             );
             return;
@@ -403,7 +415,7 @@ fn handle_connection(
                 Some(Ok((id, trace, queued))) => {
                     let mut client_alive = send_line(
                         &mut stream,
-                        &frame_accepted(id, trace, kind, priority, queued),
+                        frame_accepted(id, trace, kind, priority, queued),
                         stats,
                     );
                     stats
@@ -412,25 +424,40 @@ fn handle_connection(
                     if !client_alive {
                         let _ = cell.with(|s| s.cancel(id));
                     }
-                    // Stream frames until the worker drops its sender. On a
-                    // failed write, cancel the job but KEEP draining the
-                    // channel: a worker blocked on the bounded channel's
-                    // backpressure must be released to reach its next
-                    // cancellation checkpoint.
+                    // Stream frames until the worker drops its sender, each
+                    // write carrying every frame already queued (up to
+                    // FRAME_COALESCE). On a failed write, cancel the job but
+                    // KEEP draining the channel: a worker blocked on the
+                    // bounded channel's backpressure must be released to
+                    // reach its next cancellation checkpoint.
+                    let mut lines = String::new();
                     while let Ok(frame) = rx.recv() {
-                        if client_alive && !send_line(&mut stream, &frame, stats) {
+                        if !client_alive {
+                            continue;
+                        }
+                        lines.clear();
+                        lines.push_str(&frame);
+                        lines.push('\n');
+                        let mut frames = 1;
+                        while frames < FRAME_COALESCE {
+                            let Ok(frame) = rx.try_recv() else { break };
+                            lines.push_str(&frame);
+                            lines.push('\n');
+                            frames += 1;
+                        }
+                        if !send_lines(&mut stream, &lines, frames as u64, stats) {
                             client_alive = false;
                             let _ = cell.with(|s| s.cancel(id));
                         }
                     }
                 }
                 Some(Err((code, message))) => {
-                    let _ = send_line(&mut stream, &frame_error(None, None, code, &message), stats);
+                    let _ = send_line(&mut stream, frame_error(None, None, code, &message), stats);
                 }
                 None => {
                     let _ = send_line(
                         &mut stream,
-                        &frame_error(None, None, "shutting_down", "server is draining"),
+                        frame_error(None, None, "shutting_down", "server is draining"),
                         stats,
                     );
                 }
@@ -438,7 +465,7 @@ fn handle_connection(
         }
         Request::Cancel { id } => {
             let found = cell.with(|s| s.cancel(id)).unwrap_or(false);
-            let _ = send_line(&mut stream, &frame_cancel_ack(id, found), stats);
+            let _ = send_line(&mut stream, frame_cancel_ack(id, found), stats);
         }
         Request::Status => {
             let frame = cell.with(|s| frame_status(&s.status())).unwrap_or_else(|| {
@@ -447,18 +474,18 @@ fn handle_connection(
                     ..StatusInfo::default()
                 })
             });
-            let _ = send_line(&mut stream, &frame, stats);
+            let _ = send_line(&mut stream, frame, stats);
         }
         Request::Dump => {
             let frame = cell
                 .with(|s| frame_dump(&s.telemetry().recorder().dump_jsonl()))
                 .unwrap_or_else(|| frame_dump(&[]));
-            let _ = send_line(&mut stream, &frame, stats);
+            let _ = send_line(&mut stream, frame, stats);
         }
         Request::Shutdown => {
             let _ = cell.with(Scheduler::shutdown);
             shutdown.store(true, Ordering::SeqCst);
-            let _ = send_line(&mut stream, &frame_shutdown_ack(), stats);
+            let _ = send_line(&mut stream, frame_shutdown_ack(), stats);
             // Self-connect to pop the accept loop out of `incoming()`.
             if let Ok(addr) = stream.local_addr() {
                 let _ = TcpStream::connect(addr);

@@ -49,7 +49,14 @@ impl FlightEvent {
     /// One JSON line for the `dump` frame / stderr dump.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`FlightEvent::to_json`]'s text to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        let mut o = JsonObject::within(out);
         o.num("ms", self.ms);
         o.num("id", self.id);
         o.num("trace", self.trace);
@@ -57,7 +64,7 @@ impl FlightEvent {
         if !self.detail.is_empty() {
             o.str("detail", &self.detail);
         }
-        o.finish()
+        o.finish();
     }
 }
 
@@ -221,7 +228,7 @@ impl Telemetry {
         if self.log_transitions {
             let mut o = JsonObject::new();
             o.str("log", "scal_serve");
-            o.raw("job", &ev.to_json());
+            ev.write_json(o.value("job"));
             eprintln!("{}", o.finish());
         }
         self.recorder.record(ev);

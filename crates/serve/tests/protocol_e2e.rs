@@ -1,10 +1,16 @@
 //! End-to-end protocol tests over a real TCP server: error frames for
 //! hostile input, cancel acks, status counters, non-streaming submits,
-//! deadline timeouts, and clean shutdown.
+//! deadline timeouts, exact frame/byte counters, slow-reader backpressure,
+//! and clean shutdown.
 
-use scal_obs::json::JsonValue;
+use scal_engine::EvalMode;
+use scal_netlist::NetlistFormat;
+use scal_obs::json::{self, JsonValue};
+use scal_obs::CollectObserver;
 use scal_serve::client::demo;
-use scal_serve::{serve, Client, SchedConfig, ServeConfig};
+use scal_serve::{run_job, serve, Client, FaultSpec, JobKind, JobSpec, SchedConfig, ServeConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn start() -> (scal_serve::ServerHandle, Client) {
@@ -305,4 +311,138 @@ fn shutdown_acks_then_stops_accepting() {
     // The listener is gone: either the connection is refused or the probe
     // times out — it must not succeed.
     assert!(client.status().is_err());
+}
+
+/// A streamed single-thread pair campaign over the `bits`-bit ripple
+/// adder.
+fn adder_stream(bits: usize, drop: bool) -> JobSpec {
+    JobSpec {
+        kind: JobKind::Pair {
+            circuit: scal_core::paper::ripple_adder(bits),
+            faults: FaultSpec::All,
+            drop_after_detection: drop,
+            eval_mode: EvalMode::Cone,
+            scalar: false,
+        },
+        priority: 4,
+        timeout_ms: None,
+        threads: 1,
+        stream: true,
+        fault_collapse: None,
+        netlist_format: NetlistFormat::ScalText,
+    }
+}
+
+/// Submits `spec` on a raw connection and returns the response lines as
+/// read (newlines stripped), calling `pace` before each read.
+fn read_raw_lines(addr: &str, spec: &JobSpec, mut pace: impl FnMut(usize)) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut request = spec.to_request_line();
+    request.push('\n');
+    stream.write_all(request.as_bytes()).expect("request");
+    let mut reader = BufReader::new(stream);
+    let mut lines = Vec::new();
+    loop {
+        pace(lines.len());
+        let mut line = String::new();
+        if reader.read_line(&mut line).expect("read") == 0 {
+            return lines;
+        }
+        assert_eq!(line.pop(), Some('\n'), "every frame ends in a newline");
+        lines.push(line);
+    }
+}
+
+/// Drops the wall-clock and worker-attribution fields, the only
+/// nondeterministic values in the event schema.
+fn strip(v: &JsonValue) -> JsonValue {
+    match v {
+        JsonValue::Object(members) => JsonValue::Object(
+            members
+                .iter()
+                .filter(|(k, _)| k != "micros" && k != "worker")
+                .map(|(k, val)| (k.clone(), strip(val)))
+                .collect(),
+        ),
+        JsonValue::Array(items) => JsonValue::Array(items.iter().map(strip).collect()),
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn frame_and_byte_counters_equal_what_the_client_read() {
+    let (server, _client) = start();
+    let metrics = server.telemetry().metrics();
+    let frames_sent = metrics.counter("scal_serve_frames_sent_total");
+    let bytes_sent = metrics.counter("scal_serve_bytes_sent_total");
+    let (frames_before, bytes_before) = (frames_sent.get(), bytes_sent.get());
+
+    let lines = read_raw_lines(&server.addr().to_string(), &adder_stream(8, true), |_| {});
+    assert!(lines.len() > 1000, "a streamed job: {} frames", lines.len());
+    assert_eq!(
+        json::parse(lines.last().expect("result"))
+            .expect("frame")
+            .get("frame"),
+        Some(&JsonValue::Str("result".to_owned()))
+    );
+    // The handler counts a write before it closes the connection, so at
+    // EOF the counters are final.
+    let read_bytes: usize = lines.iter().map(|l| l.len() + 1).sum();
+    assert_eq!(frames_sent.get() - frames_before, lines.len() as u64);
+    assert_eq!(bytes_sent.get() - bytes_before, read_bytes as u64);
+    server.shutdown_and_join();
+}
+
+#[test]
+fn a_slow_reader_throttles_the_worker_and_loses_no_frame() {
+    let (server, _client) = start();
+    // The 7-bit adder without fault dropping streams ~67,000 event frames,
+    // ~7 MB: more than loopback socket buffers hold (Linux grows a send
+    // buffer to 4 MiB), so a slow reader must hold the worker back.
+    let spec = adder_stream(7, false);
+    // Sleep before the first event, then keep reading slowly.
+    let lines = read_raw_lines(&server.addr().to_string(), &spec, |n| {
+        if n == 1 {
+            std::thread::sleep(Duration::from_millis(300));
+        } else if n % 500 == 0 {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+    let frame = |l: &str| json::parse(l).expect("frame");
+    assert_eq!(field(&frame(&lines[0]), "frame"), "accepted");
+    let result = frame(lines.last().expect("result"));
+    assert_eq!(field(&result, "frame"), "result");
+
+    // Every event of a local run of the same campaign arrived, in order.
+    let collect = CollectObserver::new();
+    let local = run_job(&spec.kind, 1, None, &collect, None).expect("local run");
+    let expected = collect.events();
+    let events = &lines[1..lines.len() - 1];
+    assert_eq!(events.len(), expected.len());
+    for (i, (line, want)) in events.iter().zip(expected.iter()).enumerate() {
+        let got = frame(line);
+        assert_eq!(field(&got, "frame"), "event");
+        assert_eq!(
+            strip(got.get("event").expect("event")),
+            strip(&json::parse(&want.to_json()).expect("event")),
+            "event {i}"
+        );
+    }
+    assert_eq!(
+        result.get("coverage"),
+        Some(&json::parse(&local.coverage.to_json()).expect("coverage"))
+    );
+
+    // The worker blocked on the full frame channel while the reader
+    // lagged: the stream was throttled, not cut.
+    let stall = server
+        .telemetry()
+        .metrics()
+        .histogram("scal_serve_frame_stall_micros");
+    assert!(
+        stall.sum() >= 50_000,
+        "worker stalled only {} us in total",
+        stall.sum()
+    );
+    server.shutdown_and_join();
 }
