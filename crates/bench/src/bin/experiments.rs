@@ -19,7 +19,7 @@ use std::process::ExitCode;
 fn usage() {
     eprintln!(
         "usage: experiments [--trace FILE] [--metrics] [--coverage-out FILE] [--profile] \
-         [--eval-mode full|cone] [--seq-backend packed|scalar|graph] <id>... | all | list"
+         [--eval-mode full|cone] <id>... | all | list"
     );
     eprintln!("ids:");
     for (id, _) in scal_bench::EXPERIMENTS {
@@ -62,19 +62,6 @@ fn main() -> ExitCode {
                     Ok(mode) => ctx.set_eval_mode(mode),
                     Err(_) => {
                         eprintln!("bad --eval-mode value {raw:?} (want full|cone)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--seq-backend" => {
-                let Some(raw) = iter.next() else {
-                    eprintln!("--seq-backend needs an argument (packed|scalar|graph)");
-                    return ExitCode::FAILURE;
-                };
-                match raw.parse() {
-                    Ok(backend) => ctx.set_seq_backend(backend),
-                    Err(_) => {
-                        eprintln!("bad --seq-backend value {raw:?} (want packed|scalar|graph)");
                         return ExitCode::FAILURE;
                     }
                 }

@@ -15,14 +15,12 @@
 
 use scal_bench::report::{compare, run_large_suite, run_suite, Snapshot, DEFAULT_MAX_PERF_DROP};
 use scal_engine::EvalMode;
-use scal_seq::SeqBackend;
 use std::process::ExitCode;
 
 fn usage() {
     eprintln!(
         "usage: scal_report [--out FILE] [--baseline FILE] [--max-perf-drop PCT] \
-         [--threads N] [--eval-mode full|cone] [--seq-backend packed|scalar|graph] \
-         [--word-width 0|1|4|8] [--fault-collapse on|off|auto] [--suite standard|large] \
+         [--threads N] [--eval-mode full|cone] [--word-width 0|1|4|8] [--fault-collapse on|off|auto] [--suite standard|large] \
          [--large-gates N] [--quiet]"
     );
     eprintln!("  --out FILE           snapshot path (default BENCH_<date>.json)");
@@ -30,7 +28,6 @@ fn usage() {
     eprintln!("  --max-perf-drop PCT  tolerated throughput drop, percent (default 20)");
     eprintln!("  --threads N          engine worker threads (default 0 = auto)");
     eprintln!("  --eval-mode MODE     engine faulty-sweep strategy (default cone)");
-    eprintln!("  --seq-backend NAME   sequential-campaign backend (default packed)");
     eprintln!(
         "  --word-width W       evaluation word width in 64-bit sub-words (default 0 = auto)"
     );
@@ -48,8 +45,8 @@ struct Options {
     max_perf_drop: f64,
     threads: usize,
     eval_mode: EvalMode,
-    seq_backend: SeqBackend,
     word_width: usize,
+    fault_collapse: bool,
     large: bool,
     large_gates: usize,
     quiet: bool,
@@ -62,8 +59,8 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         max_perf_drop: DEFAULT_MAX_PERF_DROP,
         threads: 0,
         eval_mode: EvalMode::default(),
-        seq_backend: SeqBackend::default(),
         word_width: 0,
+        fault_collapse: true,
         large: false,
         large_gates: 100_000,
         quiet: false,
@@ -96,12 +93,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| format!("bad --eval-mode value {raw:?} (want full|cone)"))?;
             }
-            "--seq-backend" => {
-                let raw = value("--seq-backend")?;
-                opts.seq_backend = raw.parse().map_err(|_| {
-                    format!("bad --seq-backend value {raw:?} (want packed|scalar|graph)")
-                })?;
-            }
             "--word-width" => {
                 let raw = value("--word-width")?;
                 opts.word_width = raw
@@ -113,19 +104,18 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                     ))?;
             }
             "--fault-collapse" => {
-                // Routed through the engine's environment override so every
-                // suite campaign (pair, sequential, large tier) honors it
-                // without a per-builder knob.
+                // Applied to every suite campaign (pair, sequential, CPU,
+                // large tier); `auto` is the engine default, on.
                 let raw = value("--fault-collapse")?;
-                match raw.as_str() {
-                    "on" | "off" => std::env::set_var(scal_engine::SCAL_FAULT_COLLAPSE_ENV, &raw),
-                    "auto" => std::env::remove_var(scal_engine::SCAL_FAULT_COLLAPSE_ENV),
+                opts.fault_collapse = match raw.as_str() {
+                    "on" | "auto" => true,
+                    "off" => false,
                     _ => {
                         return Err(format!(
                             "bad --fault-collapse value {raw:?} (want on|off|auto)"
                         ))
                     }
-                }
+                };
             }
             "--suite" => {
                 let raw = value("--suite")?;
@@ -157,13 +147,14 @@ fn report(opts: &Options) -> Result<ExitCode, String> {
             opts.eval_mode,
             opts.large_gates,
             opts.word_width,
+            opts.fault_collapse,
         )
     } else {
         run_suite(
             opts.threads,
             opts.eval_mode,
-            opts.seq_backend,
             opts.word_width,
+            opts.fault_collapse,
         )
     };
     if !opts.quiet {

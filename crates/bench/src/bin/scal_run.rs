@@ -152,8 +152,7 @@ fn run(args: &[String]) -> ExitCode {
     let mut max_faults = None;
     let mut eval_mode = EvalMode::default();
     let mut word_width = 0usize;
-    // `None` leaves the engine's Auto heuristics (and the
-    // SCAL_FAULT_COLLAPSE environment override) in charge.
+    // `None` leaves the engine's Auto defaults in charge.
     let mut fault_packing: Option<bool> = None;
     let mut fault_collapse: Option<bool> = None;
     let mut it = args[1..].iter();

@@ -48,8 +48,6 @@ pub fn fig4_2(ctx: &crate::ExperimentCtx) -> String {
     // through the sequential Campaign builder (forwards the observer).
     let words: Vec<Vec<bool>> = stream.iter().map(|&x| vec![x == 1]).collect();
     let campaign = scal_seq::Campaign::new(&machine, &words)
-        .backend(ctx.seq_backend())
-        .eval_mode(ctx.eval_mode())
         .observer(ctx)
         .run()
         .expect("dual-FF machine simulates");

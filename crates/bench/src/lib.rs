@@ -17,7 +17,6 @@
 
 use scal_engine::EvalMode;
 use scal_obs::{CampaignEvent, CampaignObserver, CoverageObserver, JsonlTrace, Metrics, Profiler};
-use scal_seq::SeqBackend;
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
@@ -48,7 +47,6 @@ pub struct ExperimentCtx {
     coverage: Option<(PathBuf, CoverageObserver)>,
     profiler: Option<Profiler>,
     eval_mode: EvalMode,
-    seq_backend: SeqBackend,
 }
 
 impl ExperimentCtx {
@@ -97,18 +95,6 @@ impl ExperimentCtx {
     #[must_use]
     pub fn eval_mode(&self) -> EvalMode {
         self.eval_mode
-    }
-
-    /// Selects the sequential-campaign backend (`--seq-backend`) experiments
-    /// forward to their `scal_seq::Campaign` runs.
-    pub fn set_seq_backend(&mut self, backend: SeqBackend) {
-        self.seq_backend = backend;
-    }
-
-    /// The sequential-campaign backend experiments should run with.
-    #[must_use]
-    pub fn seq_backend(&self) -> SeqBackend {
-        self.seq_backend
     }
 
     /// The metrics registry, when `--metrics` is on.

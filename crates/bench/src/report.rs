@@ -23,7 +23,7 @@ use scal_netlist::synth::{self, SynthKind};
 use scal_obs::json::{JsonObject, JsonValue};
 use scal_obs::{CoverageMap, CoverageObserver, Profile, Profiler};
 use scal_seq::kohavi::kohavi_0101;
-use scal_seq::{code_conversion_machine, dual_ff_machine, SeqBackend};
+use scal_seq::{code_conversion_machine, dual_ff_machine};
 use scal_system::campaign::{Campaign as CpuCampaign, CpuUnit};
 use std::fmt::Write as _;
 
@@ -191,18 +191,6 @@ pub struct ServeLatency {
     pub run_p99: u64,
 }
 
-/// Scalar-vs-packed throughput measurement on the kohavi_codeconv
-/// sequential campaign — the headline number of the fault-per-lane backend.
-#[derive(Debug, Clone)]
-pub struct SeqSpeedup {
-    /// Eval-phase pair throughput on [`SeqBackend::Scalar`].
-    pub scalar_pairs_per_sec: f64,
-    /// Eval-phase pair throughput on [`SeqBackend::Packed`].
-    pub packed_pairs_per_sec: f64,
-    /// `packed_pairs_per_sec / scalar_pairs_per_sec`.
-    pub speedup: f64,
-}
-
 /// A full BENCH snapshot: the suite results plus provenance.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -216,12 +204,9 @@ pub struct Snapshot {
     pub threads: usize,
     /// Faulty-sweep evaluation strategy the engine entries ran with.
     pub eval_mode: String,
-    /// Backend the sequential entries ran on (`"packed"`, `"scalar"`,
-    /// `"graph"`).
-    pub seq_backend: String,
     /// Resolved evaluation word width in 64-bit sub-words (a `0` request is
-    /// resolved through `SCAL_WORD_WIDTH` and CPU-feature detection before
-    /// recording, so snapshots document what actually ran).
+    /// resolved through CPU-feature detection before recording, so
+    /// snapshots document what actually ran).
     pub word_width: usize,
     /// Wide-word CPU features detected on the suite machine (`"avx2"`,
     /// `"avx512f"`); empty on other architectures.
@@ -232,9 +217,6 @@ pub struct Snapshot {
     pub circuits: Vec<CircuitBench>,
     /// Measured full-vs-cone throughput on the adder8 full-fault campaign.
     pub adder8_speedup: Option<ConeSpeedup>,
-    /// Measured scalar-vs-packed throughput on the kohavi_codeconv
-    /// sequential campaign.
-    pub seq_speedup: Option<SeqSpeedup>,
     /// Serve-path latency quantiles from an in-process service burst.
     pub serve_latency: Option<ServeLatency>,
 }
@@ -250,7 +232,6 @@ impl Snapshot {
         o.str("git_rev", &self.git_rev);
         o.num("threads", self.threads as u64);
         o.str("eval_mode", &self.eval_mode);
-        o.str("seq_backend", &self.seq_backend);
         o.num("word_width", self.word_width as u64);
         let mut features = o.array("cpu_features");
         for f in &self.cpu_features {
@@ -309,13 +290,6 @@ impl Snapshot {
             so.float("ops_skipped_fraction", s.ops_skipped_fraction);
             so.finish();
         }
-        if let Some(s) = &self.seq_speedup {
-            let mut so = o.object("seq_speedup");
-            so.float("scalar_pairs_per_sec", s.scalar_pairs_per_sec);
-            so.float("packed_pairs_per_sec", s.packed_pairs_per_sec);
-            so.float("speedup", s.speedup);
-            so.finish();
-        }
         if let Some(s) = &self.serve_latency {
             let mut so = o.object("serve_latency");
             so.num("jobs", s.jobs);
@@ -337,14 +311,12 @@ impl Snapshot {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "BENCH snapshot {} @ {} ({} suite, threads {}, {} eval, {} seq backend, \
-             W={} [{}])",
+            "BENCH snapshot {} @ {} ({} suite, threads {}, {} eval, W={} [{}])",
             self.date,
             self.git_rev,
             self.suite,
             self.threads,
             self.eval_mode,
-            self.seq_backend,
             self.word_width,
             if self.cpu_features.is_empty() {
                 "no wide-word features".to_string()
@@ -395,14 +367,6 @@ impl Snapshot {
                 s.cone_pairs_per_sec,
                 s.speedup,
                 100.0 * s.ops_skipped_fraction
-            );
-        }
-        if let Some(s) = &self.seq_speedup {
-            let _ = writeln!(
-                out,
-                "  kohavi_codeconv seq eval: {:.0} pairs/s scalar -> {:.0} pairs/s packed \
-                 ({:.1}x)",
-                s.scalar_pairs_per_sec, s.packed_pairs_per_sec, s.speedup
             );
         }
         if let Some(s) = &self.serve_latency {
@@ -467,35 +431,6 @@ fn measure_adder8_speedup(threads: usize) -> Option<ConeSpeedup> {
     })
 }
 
-/// Measures eval-phase throughput of the kohavi_codeconv sequential
-/// campaign on the per-fault scalar backend and the fault-per-lane packed
-/// backend, under the suite's standard drive.
-fn measure_seq_speedup(threads: usize) -> Option<SeqSpeedup> {
-    let m = kohavi_0101();
-    let machine = code_conversion_machine(&m);
-    let words = suite_words();
-    let mut rates = [0.0f64; 2];
-    for (i, backend) in [SeqBackend::Scalar, SeqBackend::Packed]
-        .into_iter()
-        .enumerate()
-    {
-        let prof = Profiler::new();
-        rates[i] = aggregate_rate(&prof, || {
-            scal_seq::Campaign::new(&machine, &words)
-                .threads(threads)
-                .backend(backend)
-                .observer(&prof)
-                .run()
-                .expect("suite machines are engine-compatible");
-        })?;
-    }
-    (rates[0] > 0.0).then(|| SeqSpeedup {
-        scalar_pairs_per_sec: rates[0],
-        packed_pairs_per_sec: rates[1],
-        speedup: rates[1] / rates[0],
-    })
-}
-
 /// Jobs in the serve-latency burst: enough samples for a meaningful p99
 /// on small loopback latencies without stretching the suite run.
 const SERVE_LATENCY_JOBS: usize = 32;
@@ -556,8 +491,7 @@ fn measure_serve_latency() -> Option<ServeLatency> {
     })
 }
 
-/// The fixed drive the sequential suite entries (and the seq speedup
-/// measurement) replay.
+/// The fixed drive the sequential suite entries replay.
 fn suite_words() -> Vec<Vec<bool>> {
     [0u32, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1]
         .iter()
@@ -569,25 +503,25 @@ fn suite_words() -> Vec<Vec<bool>> {
 ///
 /// `threads` is the engine worker count (`0` = auto, resolved before
 /// recording); the CPU entry is unaffected by it. `eval_mode` selects the
-/// faulty-sweep strategy of the engine entries and `seq_backend` the
-/// sequential-campaign backend; the adder8 full-vs-cone and the seq
-/// scalar-vs-packed speedups are measured in both respective configurations
-/// regardless. `word_width` is the evaluation word width in 64-bit
-/// sub-words (`0` = resolve through `SCAL_WORD_WIDTH` and CPU-feature
+/// faulty-sweep strategy of the engine entries; the adder8 full-vs-cone
+/// speedup is measured in both modes regardless. `word_width` is the
+/// evaluation word width in 64-bit sub-words (`0` = CPU-feature
 /// detection); the small Ch. 3 networks additionally enable fault-per-lane
 /// packing, which is where wide words pay off on short pattern spaces.
+/// `fault_collapse` switches compile-time fault collapsing on every suite
+/// campaign, the CPU entry included.
 ///
 /// # Panics
 ///
 /// Panics if a suite circuit fails to compile or simulate — the suite is
 /// fixed and known-good, so that is a build break, not a report outcome —
-/// or if `word_width` (or `SCAL_WORD_WIDTH`) names an unusable width.
+/// or if `word_width` names an unusable width.
 #[must_use]
 pub fn run_suite(
     threads: usize,
     eval_mode: EvalMode,
-    seq_backend: SeqBackend,
     word_width: usize,
+    fault_collapse: bool,
 ) -> Snapshot {
     let mut circuits = Vec::new();
 
@@ -609,6 +543,7 @@ pub fn run_suite(
                 .eval_mode(eval_mode)
                 .word_width(word_width)
                 .fault_packing(pack)
+                .fault_collapse(fault_collapse)
                 .observer(&prof)
                 .coverage(&cov)
                 .run()
@@ -632,9 +567,8 @@ pub fn run_suite(
         let rate = aggregate_rate(&prof, || {
             scal_seq::Campaign::new(&machine, &words)
                 .threads(threads)
-                .backend(seq_backend)
-                .eval_mode(eval_mode)
                 .word_width(word_width)
+                .fault_collapse(fault_collapse)
                 .observer(&prof)
                 .coverage(&cov)
                 .run()
@@ -651,6 +585,7 @@ pub fn run_suite(
     let prof = Profiler::new();
     let rate = aggregate_rate(&prof, || {
         let _ = CpuCampaign::new(CpuUnit::Adder)
+            .fault_collapse(fault_collapse)
             .observer(&prof)
             .coverage(&cov)
             .run();
@@ -664,7 +599,6 @@ pub fn run_suite(
         git_rev: git_rev(),
         threads: resolved_threads(threads),
         eval_mode: eval_mode.name().to_string(),
-        seq_backend: seq_backend.name().to_string(),
         word_width: resolve_word_width(word_width).expect("suite word width is usable"),
         cpu_features: detected_cpu_features()
             .iter()
@@ -673,7 +607,6 @@ pub fn run_suite(
         suite: "standard".to_string(),
         circuits,
         adder8_speedup: measure_adder8_speedup(threads),
-        seq_speedup: measure_seq_speedup(threads),
         serve_latency: measure_serve_latency(),
     }
 }
@@ -722,7 +655,8 @@ fn compile_only_row(name: &str, kind: SynthKind, target_gates: usize) -> Circuit
 /// `target_gates` sizes every generated design (gate counts land within a
 /// constructive rounding of the target). One row — the self-dualized random
 /// network, whose 13 inputs keep the pair sweep tractable — runs a real
-/// engine campaign over the first [`LARGE_SUITE_FAULTS`] collapsed faults;
+/// engine campaign over the first 256 enumerated faults (the private
+/// `LARGE_SUITE_FAULTS` budget, collapsed per `fault_collapse`);
 /// the remaining generators produce compile-only scaling rows (compile wall
 /// time + schedule footprint), since their input counts exceed the engine's
 /// exhaustive-sweep domain.
@@ -731,13 +665,14 @@ fn compile_only_row(name: &str, kind: SynthKind, target_gates: usize) -> Circuit
 ///
 /// Panics if a generated circuit fails to compile or simulate — the
 /// generators are deterministic and tested, so that is a build break — or
-/// if `word_width` (or `SCAL_WORD_WIDTH`) names an unusable width.
+/// if `word_width` names an unusable width.
 #[must_use]
 pub fn run_large_suite(
     threads: usize,
     eval_mode: EvalMode,
     target_gates: usize,
     word_width: usize,
+    fault_collapse: bool,
 ) -> Snapshot {
     let mut circuits = Vec::new();
 
@@ -754,6 +689,7 @@ pub fn run_large_suite(
         .threads(threads)
         .eval_mode(eval_mode)
         .word_width(word_width)
+        .fault_collapse(fault_collapse)
         .observer(&prof)
         .coverage(&cov)
         .run()
@@ -779,7 +715,6 @@ pub fn run_large_suite(
         git_rev: git_rev(),
         threads: resolved_threads(threads),
         eval_mode: eval_mode.name().to_string(),
-        seq_backend: "n/a".to_string(),
         word_width: resolve_word_width(word_width).expect("suite word width is usable"),
         cpu_features: detected_cpu_features()
             .iter()
@@ -788,7 +723,6 @@ pub fn run_large_suite(
         suite: "large".to_string(),
         circuits,
         adder8_speedup: None,
-        seq_speedup: None,
         serve_latency: None,
     }
 }
@@ -907,9 +841,8 @@ mod tests {
 
     #[test]
     fn suite_snapshot_is_complete_and_json_valid() {
-        let snap = run_suite(1, EvalMode::Cone, SeqBackend::Packed, 1);
+        let snap = run_suite(1, EvalMode::Cone, 1, true);
         assert_eq!(snap.threads, 1);
-        assert_eq!(snap.seq_backend, "packed");
         assert_eq!(snap.word_width, 1);
         let names: Vec<&str> = snap.circuits.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(
@@ -946,10 +879,6 @@ mod tests {
         assert_eq!(validate_jsonl(&json), Ok(1));
         let v = parse(&json).expect("snapshot parses");
         assert_eq!(v.get("eval_mode").and_then(JsonValue::as_str), Some("cone"));
-        assert_eq!(
-            v.get("seq_backend").and_then(JsonValue::as_str),
-            Some("packed")
-        );
         assert_eq!(v.get("word_width").and_then(JsonValue::as_f64), Some(1.0));
         assert!(
             v.get("cpu_features")
@@ -982,16 +911,6 @@ mod tests {
                 .is_some(),
             "{json}"
         );
-        let seq = snap.seq_speedup.as_ref().expect("seq speedup measurement");
-        assert!(seq.scalar_pairs_per_sec > 0.0);
-        assert!(seq.packed_pairs_per_sec > 0.0);
-        assert!(
-            v.get("seq_speedup")
-                .and_then(|s| s.get("speedup"))
-                .and_then(JsonValue::as_f64)
-                .is_some(),
-            "{json}"
-        );
         let circuits = v.get("circuits").and_then(JsonValue::as_array).unwrap();
         assert_eq!(circuits.len(), snap.circuits.len());
         let parsed_cov = circuits[0]
@@ -1010,7 +929,7 @@ mod tests {
 
     #[test]
     fn large_suite_snapshot_records_compile_scaling() {
-        let snap = run_large_suite(1, EvalMode::Cone, 4_000, 1);
+        let snap = run_large_suite(1, EvalMode::Cone, 4_000, 1, true);
         assert_eq!(snap.suite, "large");
         let names: Vec<&str> = snap.circuits.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(
@@ -1047,7 +966,7 @@ mod tests {
 
     #[test]
     fn doctored_baselines_trigger_regressions() {
-        let snap = run_suite(1, EvalMode::Cone, SeqBackend::Packed, 1);
+        let snap = run_suite(1, EvalMode::Cone, 1, true);
         // A baseline claiming impossible coverage and throughput.
         let baseline = parse(
             r#"{"circuits": [

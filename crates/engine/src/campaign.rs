@@ -17,8 +17,7 @@
 //! still happens per 64-pair sub-batch in scalar batch order, so reports,
 //! buffered events and work counters are bit-identical at every width —
 //! width only changes throughput. [`EngineConfig::word_width`] selects `W`
-//! (`0` = auto-detected from CPU features, overridable via the
-//! `SCAL_WORD_WIDTH` environment variable).
+//! (`0` = auto-detected from CPU features).
 //!
 //! [`EngineConfig::fault_packing`] turns the sweep two-dimensional: up to 63
 //! faults are broadcast into the bit lanes of every sub-word (lane 0 stays
@@ -59,9 +58,9 @@ use std::time::{Duration, Instant};
 /// sensible fan-out; requests beyond it are configuration mistakes.
 pub const MAX_THREADS: usize = 1024;
 
-/// Default budget for the golden slot cache in cone mode: 256 MiB. Beyond it
-/// the campaign falls back to streaming golden re-evaluation per batch.
-const DEFAULT_GOLDEN_CACHE_BYTES: usize = 256 << 20;
+/// Budget for the golden slot cache in cone mode: 256 MiB. A campaign whose
+/// cache would not fit runs as [`EvalMode::Full`] instead.
+const GOLDEN_CACHE_BYTES: usize = 256 << 20;
 
 /// How faulty sweeps are evaluated.
 ///
@@ -113,9 +112,8 @@ impl std::str::FromStr for EvalMode {
 /// A three-state switch for features the engine can decide on its own.
 ///
 /// `Auto` lets the campaign pick (packing: the lane-geometry heuristic;
-/// collapsing: on unless the `SCAL_FAULT_COLLAPSE` environment variable says
-/// otherwise); `On` / `Off` force the choice. `From<bool>` maps the forcing
-/// states so the builders keep their plain-`bool` signatures.
+/// collapsing: on); `On` / `Off` force the choice. `From<bool>` maps the
+/// forcing states so the builders keep their plain-`bool` signatures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Toggle {
     /// Let the engine decide.
@@ -155,19 +153,15 @@ pub struct EngineConfig {
     /// keeps exact parity with the scalar reference implementation.
     pub drop_after_detection: bool,
     /// How faulty sweeps are evaluated; defaults to [`EvalMode::Cone`].
+    /// Cone mode caches every golden slot word (`groups × 2 × num_slots ×
+    /// 8 × W` bytes); a campaign whose cache would exceed 256 MiB runs as
+    /// [`EvalMode::Full`] instead and reports `full` as its mode.
     pub eval_mode: EvalMode,
-    /// Byte budget for the cone-mode golden slot cache
-    /// (`num_slots × batches × 2 × 8` bytes when it fits); `0` = the 256 MiB
-    /// default. When the cache would exceed the budget, cone workers stream
-    /// golden re-evaluations per batch instead — still bit-identical, but
-    /// slower than [`EvalMode::Full`]. Ignored in full mode.
-    pub golden_cache_bytes: usize,
     /// Wide-word width `W`: 64-lane sub-words per evaluation word. Valid
-    /// values are `1`, `4`, `8`, or `0` = auto (the `SCAL_WORD_WIDTH`
-    /// environment variable if set, else the widest width the detected CPU
-    /// features profit from — see [`crate::resolve_word_width`]). Every
-    /// width produces bit-identical reports, events and counters; only
-    /// throughput changes.
+    /// values are `1`, `4`, `8`, or `0` = auto (the widest width the
+    /// detected CPU features profit from — see
+    /// [`crate::resolve_word_width`]). Every width produces bit-identical
+    /// reports, events and counters; only throughput changes.
     pub word_width: usize,
     /// Whether up to 63 faults are packed into the bit lanes of every
     /// pattern sub-word (lane 0 golden), evaluating `63 × W` fault-pattern
@@ -186,8 +180,7 @@ pub struct EngineConfig {
     /// class at merge time, so reports, coverage maps and per-fault trace
     /// events are bit-identical to an uncollapsed run — collapsing only
     /// changes how much work the fault-sim phase does. [`Toggle::Auto`]
-    /// (the default) means *on*, unless the `SCAL_FAULT_COLLAPSE`
-    /// environment variable (`0`/`off`/`false`) vetoes it.
+    /// (the default) means *on*.
     pub fault_collapse: Toggle,
 }
 
@@ -207,7 +200,6 @@ pub struct EngineConfigBuilder {
     threads: usize,
     drop_after_detection: bool,
     eval_mode: EvalMode,
-    golden_cache_bytes: usize,
     word_width: usize,
     fault_packing: Toggle,
     fault_collapse: Toggle,
@@ -236,14 +228,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Byte budget for the cone-mode golden slot cache; `0` = default (see
-    /// [`EngineConfig::golden_cache_bytes`]).
-    #[must_use]
-    pub fn golden_cache_bytes(mut self, bytes: usize) -> Self {
-        self.golden_cache_bytes = bytes;
-        self
-    }
-
     /// Wide-word width; `0` = auto (see [`EngineConfig::word_width`]).
     #[must_use]
     pub fn word_width(mut self, width: usize) -> Self {
@@ -262,7 +246,7 @@ impl EngineConfigBuilder {
 
     /// Forces compile-time fault collapsing on or off (see
     /// [`EngineConfig::fault_collapse`]; the unset default is
-    /// [`Toggle::Auto`] = on unless `SCAL_FAULT_COLLAPSE` vetoes).
+    /// [`Toggle::Auto`] = on).
     #[must_use]
     pub fn fault_collapse(mut self, on: bool) -> Self {
         self.fault_collapse = on.into();
@@ -297,7 +281,6 @@ impl EngineConfigBuilder {
             threads: self.threads,
             drop_after_detection: self.drop_after_detection,
             eval_mode: self.eval_mode,
-            golden_cache_bytes: self.golden_cache_bytes,
             word_width: self.word_width,
             fault_packing: self.fault_packing,
             fault_collapse: self.fault_collapse,
@@ -458,24 +441,35 @@ struct Sweep<const W: usize> {
     /// Slot count of the compiled circuit (slot-cache row width).
     num_slots: usize,
     /// Every golden slot word, `[group][period][slot]` flattened — the seed
-    /// store for cone-restricted evaluation. Empty in full mode or when the
-    /// cache would blow the configured byte budget (cone workers then stream
-    /// golden re-evaluations per group).
+    /// store for cone-restricted evaluation. Empty in full mode.
     slot_cache: Vec<Word<W>>,
 }
 
+/// Wide sweep groups of an `n`-input pair campaign at width `W`: one per
+/// `W` consecutive 64-pair batches.
+fn sweep_groups<const W: usize>(n: usize) -> usize {
+    (1usize << (n - 1)).div_ceil(64).div_ceil(W)
+}
+
+/// Whether a cone-mode golden slot cache fits `budget` bytes: one `Word<W>`
+/// (`8 × width` bytes) per slot, per period, per group.
+fn slot_cache_fits(groups: usize, num_slots: usize, width: usize, budget: usize) -> bool {
+    groups * 2 * num_slots * 8 * width <= budget
+}
+
 impl<const W: usize> Sweep<W> {
+    /// Builds the pair sweep and evaluates its golden responses, caching
+    /// every golden slot word when `cache` is set (cone mode).
     fn try_build(
         compiled: &CompiledCircuit,
         ev: &mut WideEvaluator<W>,
-        cache_bytes: Option<usize>,
+        cache: bool,
     ) -> Result<(Self, u64), EngineError> {
         let n = compiled.num_inputs();
         let n_out = compiled.num_outputs();
         let total_pairs = 1u32 << (n - 1);
         let batches = (total_pairs as usize).div_ceil(64);
-        let groups = batches.div_ceil(W);
-        let cache = cache_bytes.is_some_and(|cap| groups * 2 * compiled.num_slots * 8 * W <= cap);
+        let groups = sweep_groups::<W>(n);
         let mut sweep = Sweep {
             n_inputs: n,
             n_outputs: n_out,
@@ -600,10 +594,6 @@ impl<const W: usize> Sweep<W> {
         Word::from_fn(|s| if s < real { self.masks[g * W + s] } else { 0 })
     }
 
-    fn has_slot_cache(&self) -> bool {
-        !self.slot_cache.is_empty()
-    }
-
     /// Cached golden slot words for one group period.
     fn group_slots(&self, g: usize, period: usize) -> &[Word<W>] {
         let start = (g * 2 + period) * self.num_slots;
@@ -634,44 +624,32 @@ impl<const W: usize> Scratch<W> {
     }
 }
 
-/// Extra per-worker state for cone-restricted evaluation.
-struct ConeWorker<const W: usize> {
-    /// Liveness-expiry scratch for [`WideEvaluator::eval_cone_w`], sized for
-    /// the whole schedule (every cone is a subset); kept all-zero between
-    /// calls.
-    expire: Vec<u64>,
-    /// Streaming golden evaluator, present only when the slot cache did not
-    /// fit its byte budget: re-runs the fault-free sweep per group so cone
-    /// seeds still have golden words to read.
-    stream: Option<WideEvaluator<W>>,
-}
-
 /// Everything one worker thread owns across faults.
 struct WorkerState<const W: usize> {
     ev: WideEvaluator<W>,
     scratch: Scratch<W>,
-    cone: Option<ConeWorker<W>>,
+    /// Cone mode only: liveness-expiry scratch for
+    /// [`WideEvaluator::eval_cone_w`], sized for the whole schedule (every
+    /// cone is a subset); kept all-zero between calls.
+    cone_expire: Option<Vec<u64>>,
 }
 
 impl<const W: usize> WorkerState<W> {
-    fn new(compiled: &CompiledCircuit, sweep: &Sweep<W>, config: &EngineConfig) -> Self {
-        WorkerState::with_evaluator(WideEvaluator::new(compiled), compiled, sweep, config)
+    fn new(compiled: &CompiledCircuit, sweep: &Sweep<W>, mode: EvalMode) -> Self {
+        WorkerState::with_evaluator(WideEvaluator::new(compiled), compiled, sweep, mode)
     }
 
     fn with_evaluator(
         ev: WideEvaluator<W>,
         compiled: &CompiledCircuit,
         sweep: &Sweep<W>,
-        config: &EngineConfig,
+        mode: EvalMode,
     ) -> Self {
-        let cone = (config.eval_mode == EvalMode::Cone).then(|| ConeWorker {
-            expire: vec![0; compiled.num_ops()],
-            stream: (!sweep.has_slot_cache()).then(|| WideEvaluator::new(compiled)),
-        });
+        let cone_expire = (mode == EvalMode::Cone).then(|| vec![0; compiled.num_ops()]);
         WorkerState {
             ev,
             scratch: Scratch::new(sweep.n_outputs),
-            cone,
+            cone_expire,
         }
     }
 }
@@ -751,8 +729,12 @@ fn sim_fault<const W: usize>(
             worker,
         });
     }
-    let WorkerState { ev, scratch, cone } = ws;
-    let fault_cone = cone
+    let WorkerState {
+        ev,
+        scratch,
+        cone_expire,
+    } = ws;
+    let fault_cone = cone_expire
         .as_ref()
         .map(|_| compiled.cone_for(std::slice::from_ref(&fault)));
     let mut ops_evaluated = 0u64;
@@ -766,7 +748,7 @@ fn sim_fault<const W: usize>(
         }
         let real = sweep.group_real(g);
         let wide_mask = sweep.group_mask(g);
-        if let (Some(fc), Some(cw)) = (&fault_cone, cone.as_mut()) {
+        if let (Some(fc), Some(expire)) = (&fault_cone, cone_expire.as_mut()) {
             // Cone path: evaluate only the fault's fanout cone, seeded from
             // golden slot words, and classify only the reachable outputs —
             // every other output provably equals golden, contributing
@@ -774,17 +756,8 @@ fn sim_fault<const W: usize>(
             // sub-words are masked out of the frontier-death dirtiness
             // check, so they can neither keep a cone alive nor kill it
             // early.
-            let e1 = if sweep.has_slot_cache() {
-                let cached = sweep.group_slots(g, 0);
-                ev.eval_cone_w(compiled, fc, |s| cached[s], &[], wide_mask, &mut cw.expire)
-            } else {
-                let stream = cw.stream.as_mut().expect("streaming golden evaluator");
-                stream
-                    .try_eval_w(compiled, sweep.group_words1(g), &[])
-                    .expect("golden sweep arity");
-                let slots = stream.slots_w();
-                ev.eval_cone_w(compiled, fc, |s| slots[s], &[], wide_mask, &mut cw.expire)
-            };
+            let cached = sweep.group_slots(g, 0);
+            let e1 = ev.eval_cone_w(compiled, fc, |s| cached[s], wide_mask, expire);
             for &(k, ord) in &fc.outputs {
                 let k = k as usize;
                 scratch.out1[k] = if ord == CONE_SEED || ord < e1 {
@@ -793,17 +766,8 @@ fn sim_fault<const W: usize>(
                     sweep.golden_wide(g, 0, k)
                 };
             }
-            let e2 = if sweep.has_slot_cache() {
-                let cached = sweep.group_slots(g, 1);
-                ev.eval_cone_w(compiled, fc, |s| cached[s], &[], wide_mask, &mut cw.expire)
-            } else {
-                let stream = cw.stream.as_mut().expect("streaming golden evaluator");
-                stream
-                    .try_eval_w(compiled, sweep.group_words2(g), &[])
-                    .expect("golden sweep arity");
-                let slots = stream.slots_w();
-                ev.eval_cone_w(compiled, fc, |s| slots[s], &[], wide_mask, &mut cw.expire)
-            };
+            let cached = sweep.group_slots(g, 1);
+            let e2 = ev.eval_cone_w(compiled, fc, |s| cached[s], wide_mask, expire);
             ops_evaluated += u64::from(e1) + u64::from(e2);
             note_death(&mut died_min, fc, e1);
             note_death(&mut died_min, fc, e2);
@@ -1193,10 +1157,10 @@ pub fn run_pair_campaign(
 ///
 /// [`EngineError::Sequential`] for sequential circuits,
 /// [`EngineError::UnsupportedInputs`] outside `1..=24` inputs,
-/// [`EngineError::InvalidConfig`] for an unusable word width (including an
-/// unparsable `SCAL_WORD_WIDTH` environment override), compile errors from
-/// [`CompiledCircuit::try_compile`], and [`EngineError::NotAlternating`] if
-/// a fault-free output fails to alternate.
+/// [`EngineError::InvalidConfig`] for an unusable word width, compile
+/// errors from [`CompiledCircuit::try_compile`], and
+/// [`EngineError::NotAlternating`] if a fault-free output fails to
+/// alternate.
 pub fn try_run_pair_campaign(
     circuit: &Circuit,
     faults: &[Override],
@@ -1241,8 +1205,7 @@ fn run_campaign<const W: usize>(
     // timed here and its events are emitted below.
     let t = Instant::now();
     let (compiled, cspans) = CompiledCircuit::try_compile_timed(circuit)?;
-    let collapse_on = resolve_fault_collapse(config.fault_collapse)?;
-    let collapsed = if collapse_on {
+    let collapsed = if resolve_fault_collapse(config.fault_collapse) {
         Some(collapse_overrides(&compiled, faults))
     } else {
         None
@@ -1277,6 +1240,21 @@ fn run_campaign<const W: usize>(
         sim_faults.len()
     };
     let threads = effective_threads(config.threads, units);
+    // Fault packing forces full-schedule evaluation: cone restriction does
+    // not compose with 63 distinct fanout cones per word. Cone mode also
+    // falls back to full when its golden slot cache would not fit the
+    // fixed budget.
+    let mode = if packing
+        || !slot_cache_fits(
+            sweep_groups::<W>(n),
+            compiled.num_slots,
+            W,
+            GOLDEN_CACHE_BYTES,
+        ) {
+        EvalMode::Full
+    } else {
+        config.eval_mode
+    };
     if obs {
         observer.on_event(&CampaignEvent::CampaignStart {
             campaign: "pair",
@@ -1285,16 +1263,7 @@ fn run_campaign<const W: usize>(
             outputs: circuit.outputs().len(),
             threads,
         });
-        observer.on_event(&CampaignEvent::EvalMode {
-            // Fault packing forces full-schedule evaluation: cone
-            // restriction does not compose with 63 distinct fanout cones
-            // per word.
-            mode: if packing {
-                EvalMode::Full.name()
-            } else {
-                config.eval_mode.name()
-            },
-        });
+        observer.on_event(&CampaignEvent::EvalMode { mode: mode.name() });
         let (fault_lanes, pattern_lanes, geometry) = if packing {
             (63, W, "fault")
         } else {
@@ -1363,20 +1332,9 @@ fn run_campaign<const W: usize>(
             phase: Phase::Golden,
         });
     }
-    let cache_bytes = if packing {
-        None
-    } else {
-        match config.eval_mode {
-            EvalMode::Full => None,
-            EvalMode::Cone => Some(if config.golden_cache_bytes == 0 {
-                DEFAULT_GOLDEN_CACHE_BYTES
-            } else {
-                config.golden_cache_bytes
-            }),
-        }
-    };
     let mut golden_ev = WideEvaluator::<W>::new(&compiled);
-    let (sweep, golden_words) = Sweep::<W>::try_build(&compiled, &mut golden_ev, cache_bytes)?;
+    let (sweep, golden_words) =
+        Sweep::<W>::try_build(&compiled, &mut golden_ev, mode == EvalMode::Cone)?;
     stats.golden_time = t.elapsed();
     stats.words_evaluated = golden_words;
     if obs {
@@ -1471,7 +1429,7 @@ fn run_campaign<const W: usize>(
         }
     } else if threads <= 1 {
         // Reuse the warm golden evaluator's scratch.
-        let mut ws = WorkerState::with_evaluator(golden_ev, &compiled, &sweep, config);
+        let mut ws = WorkerState::with_evaluator(golden_ev, &compiled, &sweep, mode);
         for (i, &fault) in sim_faults.iter().enumerate() {
             let Some(outcome) =
                 sim_fault(&compiled, &sweep, config, &mut ws, fault, i, 0, obs, cancel)
@@ -1495,7 +1453,7 @@ fn run_campaign<const W: usize>(
                     let (compiled, sweep, config) = (&compiled, &sweep, config);
                     let (sim_faults, cursor, done) = (&sim_faults, &cursor, &done);
                     scope.spawn(move || {
-                        let mut ws = WorkerState::new(compiled, sweep, config);
+                        let mut ws = WorkerState::new(compiled, sweep, mode);
                         let mut local = Vec::new();
                         loop {
                             if cancel.is_some_and(CancelToken::is_cancelled) {
@@ -1872,7 +1830,7 @@ mod tests {
         }
     }
 
-    /// Cone-restricted evaluation — cached and streaming alike — must be
+    /// Cone-restricted evaluation must be
     /// bit-identical to the full-schedule oracle on every report field and
     /// every work counter, with and without fault dropping.
     #[test]
@@ -1892,25 +1850,20 @@ mod tests {
                         ..EngineConfig::default()
                     },
                 );
-                // golden_cache_bytes: 1 cannot hold any batch, forcing the
-                // streaming fallback.
-                for golden_cache_bytes in [0, 1] {
-                    let cone = run_pair_campaign(
-                        &circuit,
-                        &faults,
-                        &EngineConfig {
-                            drop_after_detection,
-                            eval_mode: EvalMode::Cone,
-                            golden_cache_bytes,
-                            fault_packing: Toggle::Off,
-                            ..EngineConfig::default()
-                        },
-                    );
-                    assert_eq!(full.0, cone.0, "cache budget {golden_cache_bytes}");
-                    assert_eq!(full.1.pairs_evaluated, cone.1.pairs_evaluated);
-                    assert_eq!(full.1.words_evaluated, cone.1.words_evaluated);
-                    assert_eq!(full.1.faults_dropped, cone.1.faults_dropped);
-                }
+                let cone = run_pair_campaign(
+                    &circuit,
+                    &faults,
+                    &EngineConfig {
+                        drop_after_detection,
+                        eval_mode: EvalMode::Cone,
+                        fault_packing: Toggle::Off,
+                        ..EngineConfig::default()
+                    },
+                );
+                assert_eq!(full.0, cone.0);
+                assert_eq!(full.1.pairs_evaluated, cone.1.pairs_evaluated);
+                assert_eq!(full.1.words_evaluated, cone.1.words_evaluated);
+                assert_eq!(full.1.faults_dropped, cone.1.faults_dropped);
             }
         }
     }
@@ -1984,19 +1937,35 @@ mod tests {
         );
     }
 
+    /// The cone/full decision reads only this check: a cache of exactly the
+    /// budget fits, one byte more does not.
+    #[test]
+    fn slot_cache_fit_is_exact_at_the_budget() {
+        for (groups, num_slots, width) in [(1, 1, 1), (3, 17, 4), (2048, 5000, 8)] {
+            let need = groups * 2 * num_slots * 8 * width;
+            assert!(slot_cache_fits(groups, num_slots, width, need));
+            assert!(!slot_cache_fits(groups, num_slots, width, need - 1));
+        }
+        assert!(slot_cache_fits(0, 100, 8, 0), "an empty sweep always fits");
+        // A 24-input campaign at W = 8 has 16 384 groups: 128 slots fill the
+        // 256 MiB budget exactly, and a 129-slot circuit runs full.
+        let groups = sweep_groups::<8>(24);
+        assert_eq!(groups, 16_384);
+        assert!(slot_cache_fits(groups, 128, 8, GOLDEN_CACHE_BYTES));
+        assert!(!slot_cache_fits(groups, 129, 8, GOLDEN_CACHE_BYTES));
+    }
+
     #[test]
     fn config_builder_validates() {
         let cfg = EngineConfig::builder()
             .threads(2)
             .drop_after_detection(true)
             .eval_mode(EvalMode::Full)
-            .golden_cache_bytes(1 << 20)
             .build()
             .unwrap();
         assert_eq!(cfg.threads, 2);
         assert!(cfg.drop_after_detection);
         assert_eq!(cfg.eval_mode, EvalMode::Full);
-        assert_eq!(cfg.golden_cache_bytes, 1 << 20);
         match EngineConfig::builder().threads(MAX_THREADS + 1).build() {
             Err(EngineError::InvalidConfig { reason }) => {
                 assert!(reason.contains("threads"));

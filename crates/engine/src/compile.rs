@@ -325,42 +325,25 @@ impl CompiledCircuit {
     }
 
     /// Extracts the transitive fanout cone of a fault site set — everything
-    /// [`crate::Evaluator::eval_cone`] needs to re-evaluate only the ops the
-    /// fault can perturb, seeded from cached golden slot values.
+    /// [`crate::WideEvaluator::eval_cone_w`] needs to re-evaluate only the
+    /// ops the fault can perturb, seeded from cached golden slot values.
     ///
     /// Mirrors [`crate::Evaluator::try_install`] site semantics exactly
     /// (first override per site wins; sites the circuit does not have are
     /// ignored): a stem force seeds the node's slot and dirties its readers;
     /// a branch fault on a gate pin makes that gate a cone root (a
     /// conservative superset — the gate re-evaluates even at patterns where
-    /// the stuck pin happens to match); a branch fault on a flip-flop's D
-    /// pin marks the flip-flop's next state dirty. For sequential circuits
-    /// the cone is widened across the D→Q arc to a fixed point: whenever a
-    /// flip-flop's D value can differ from golden, its Q slot becomes a
-    /// state seed and the Q fanout joins the cone, until no new flip-flop is
-    /// affected.
+    /// the stuck pin happens to match). Only combinational circuits have
+    /// cones: the pair campaign rejects sequential ones before asking.
     #[must_use]
     pub(crate) fn cone_for(&self, overrides: &[Override]) -> FaultCone {
-        let n_dffs = self.dff_slots.len();
         let mut in_cone = vec![false; self.ops.len()];
         let mut dirty = vec![false; self.num_slots];
         let mut is_seed = vec![false; self.num_slots];
         let mut seed_slots: Vec<u32> = Vec::new();
         let mut root_ops: Vec<u32> = Vec::new();
-        let mut dff_d_patched = vec![false; n_dffs];
         let mut fanin_patched: Vec<usize> = Vec::new();
         let mut queue: Vec<u32> = Vec::new();
-
-        let seed = |slot: usize,
-                    dirty: &mut Vec<bool>,
-                    is_seed: &mut Vec<bool>,
-                    seed_slots: &mut Vec<u32>,
-                    queue: &mut Vec<u32>| {
-            dirty[slot] = true;
-            is_seed[slot] = true;
-            seed_slots.push(slot as u32);
-            queue.extend_from_slice(self.readers(slot));
-        };
 
         for o in overrides {
             match o.site {
@@ -369,15 +352,12 @@ impl CompiledCircuit {
                     if slot >= self.num_slots - 2 || is_seed[slot] {
                         continue;
                     }
-                    seed(slot, &mut dirty, &mut is_seed, &mut seed_slots, &mut queue);
+                    dirty[slot] = true;
+                    is_seed[slot] = true;
+                    seed_slots.push(slot as u32);
+                    queue.extend_from_slice(self.readers(slot));
                 }
                 Site::Branch { node, pin } => {
-                    if let Some(i) = self.dff_position(node) {
-                        if pin == 0 {
-                            dff_d_patched[i] = true;
-                        }
-                        continue;
-                    }
                     let op_idx = match self
                         .op_of_node
                         .get(node.index())
@@ -404,33 +384,16 @@ impl CompiledCircuit {
             }
         }
 
-        // Transitive fanout propagation, then the D→Q widening to a fixed
-        // point (combinational circuits skip the loop body entirely).
-        loop {
-            while let Some(op_idx) = queue.pop() {
-                if in_cone[op_idx as usize] {
-                    continue;
-                }
-                in_cone[op_idx as usize] = true;
-                let out = self.ops[op_idx as usize].out as usize;
-                if !dirty[out] {
-                    dirty[out] = true;
-                    queue.extend_from_slice(self.readers(out));
-                }
+        // Transitive fanout propagation.
+        while let Some(op_idx) = queue.pop() {
+            if in_cone[op_idx as usize] {
+                continue;
             }
-            let mut changed = false;
-            for i in 0..n_dffs {
-                let q = self.dff_slots[i] as usize;
-                if dirty[q] {
-                    continue;
-                }
-                if dff_d_patched[i] || dirty[self.dff_d_slots[i] as usize] {
-                    seed(q, &mut dirty, &mut is_seed, &mut seed_slots, &mut queue);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
+            in_cone[op_idx as usize] = true;
+            let out = self.ops[op_idx as usize].out as usize;
+            if !dirty[out] {
+                dirty[out] = true;
+                queue.extend_from_slice(self.readers(out));
             }
         }
 
@@ -501,18 +464,6 @@ impl CompiledCircuit {
             .filter(|&(_, &s)| dirty[s as usize])
             .map(|(k, &s)| (k as u32, produced_ordinal(s as usize)))
             .collect();
-        let mut dffs = Vec::new();
-        for (i, &patched) in dff_d_patched.iter().enumerate().take(n_dffs) {
-            let d = self.dff_d_slots[i] as usize;
-            if patched {
-                // The evaluator's patched D index points at a constant slot,
-                // which eval_cone always sets — read the evaluator.
-                dffs.push((i as u32, CONE_SEED));
-            } else if dirty[d] {
-                dffs.push((i as u32, produced_ordinal(d)));
-            }
-        }
-
         FaultCone {
             ops: cone_ops,
             levels,
@@ -521,7 +472,6 @@ impl CompiledCircuit {
             seeds,
             support,
             outputs,
-            dffs,
         }
     }
 }
@@ -530,8 +480,8 @@ impl CompiledCircuit {
 /// campaign can evaluate only the ops the fault can perturb.
 ///
 /// Produced by [`CompiledCircuit::cone_for`]; consumed by
-/// [`crate::Evaluator::eval_cone`] and the cone-mode campaign/simulator
-/// paths. All ordinals index into [`FaultCone::ops`].
+/// [`crate::WideEvaluator::eval_cone_w`] in the cone-mode pair campaign.
+/// All ordinals index into [`FaultCone::ops`].
 #[derive(Debug, Clone)]
 pub(crate) struct FaultCone {
     /// Op indices in the cone, sorted by (schedule level, op index).
@@ -545,8 +495,8 @@ pub(crate) struct FaultCone {
     /// They inject dirtiness at their own ordinal rather than through a
     /// seed, so the evaluator pre-charges their liveness.
     pub(crate) roots: Vec<u32>,
-    /// Seed slots the evaluator sets itself (stem forces, faulty flip-flop
-    /// state), paired with their last reading cone ordinal or [`CONE_NONE`].
+    /// Seed slots the evaluator sets itself (stem forces), paired with their
+    /// last reading cone ordinal or [`CONE_NONE`].
     pub(crate) seeds: Vec<(u32, u32)>,
     /// Distinct slots cone ops read that are neither produced in-cone nor
     /// seeded — loaded from the golden slot values before each cone run.
@@ -554,9 +504,6 @@ pub(crate) struct FaultCone {
     /// Reachable primary outputs as `(output index, producing cone ordinal
     /// or CONE_SEED)`; outputs not listed are provably golden.
     pub(crate) outputs: Vec<(u32, u32)>,
-    /// Reachable flip-flops as `(dff index, D-producing cone ordinal or
-    /// CONE_SEED)`; flip-flops not listed latch their golden next state.
-    pub(crate) dffs: Vec<(u32, u32)>,
 }
 
 /// One per-lane branch-fault injection of a packed fault batch.

@@ -244,8 +244,6 @@ impl<const W: usize> WideEvaluator<W> {
     /// faulty value iff `j < returned count` (seeds marked
     /// [`crate::compile::CONE_SEED`] are always readable).
     ///
-    /// `state_seeds` injects faulty flip-flop state `(slot, word)` on top of
-    /// the golden state (sequential cone stepping); pair campaigns pass `&[]`.
     /// `mask` selects the valid lanes for dirtiness checks per sub-word;
     /// `expire` is a caller-owned all-zero scratch of at least
     /// `cone.ops.len()` words, and is returned all-zero.
@@ -254,15 +252,14 @@ impl<const W: usize> WideEvaluator<W> {
     /// every cone reader of an op sits at a later ordinal. Each dirty value
     /// increments a live counter until its last reading ordinal; when the
     /// counter hits zero every remaining op reads only golden-identical
-    /// values, so all downstream slots — outputs and D inputs included —
-    /// already hold their golden words and the sweep can stop. A wide word
-    /// is dirty while *any* valid sub-word lane differs from golden.
+    /// values, so all downstream slots — outputs included — already hold
+    /// their golden words and the sweep can stop. A wide word is dirty
+    /// while *any* valid sub-word lane differs from golden.
     pub(crate) fn eval_cone_w(
         &mut self,
         compiled: &CompiledCircuit,
         cone: &FaultCone,
         golden_at: impl Fn(usize) -> Word<W>,
-        state_seeds: &[(u32, Word<W>)],
         mask: Word<W>,
         expire: &mut [u64],
     ) -> u32 {
@@ -276,9 +273,6 @@ impl<const W: usize> WideEvaluator<W> {
         } = self;
         slots[compiled.zero_slot as usize] = Word::ZERO;
         slots[compiled.one_slot as usize] = Word::ones();
-        for &(s, w) in state_seeds {
-            slots[s as usize] = w;
-        }
         for &(s, m, w) in stems.iter() {
             let slot = &mut slots[s as usize];
             *slot = slot.blend(w, m);
@@ -472,33 +466,6 @@ impl Evaluator {
             |i| Word::from_u64(state[i]),
         );
         Ok(())
-    }
-
-    /// Scalar cone-restricted sweep over a `&[u64]` golden slot array — see
-    /// [`WideEvaluator::eval_cone_w`] for the semantics.
-    pub(crate) fn eval_cone(
-        &mut self,
-        compiled: &CompiledCircuit,
-        cone: &FaultCone,
-        golden: &[u64],
-        state_seeds: &[(u32, u64)],
-        mask: u64,
-        expire: &mut [u64],
-    ) -> u32 {
-        // Seed lists are tiny (affected flip-flops only); the conversion
-        // stays outside the op loop.
-        let seeds: Vec<(u32, Word<1>)> = state_seeds
-            .iter()
-            .map(|&(s, w)| (s, Word::from_u64(w)))
-            .collect();
-        self.eval_cone_w(
-            compiled,
-            cone,
-            |s| Word::from_u64(golden[s]),
-            &seeds,
-            Word::from_u64(mask),
-            expire,
-        )
     }
 
     /// Word of primary output `k` after the last [`Evaluator::eval`].

@@ -36,14 +36,12 @@
 //! reachable outputs only, with an early exit as soon as the faulty frontier
 //! converges back to golden. [`EvalMode::Full`] re-evaluates the whole
 //! schedule and is kept as the differential oracle; both modes are
-//! bit-identical in everything but speed. Sequential replays get the same
-//! treatment through [`GoldenTrace`] and [`ConeSim`], with the cone widened
-//! across the D→Q arc to a fixed point. On top of that, sequential
-//! campaigns can pack up to 63 faults into the lanes of one word
-//! ([`PackedSeqSim`]): lane 0 replays the golden machine, every other lane
-//! one fault (masked per-lane stem forces, auxiliary branch slots, masked
-//! D-latch blends), so a whole batch replays the driven sequence in a
-//! single pass over the schedule per period.
+//! bit-identical in everything but speed. Sequential campaigns pack up to
+//! 63 faults into the lanes of one word ([`PackedSeqSim`]): lane 0 replays
+//! the golden machine, every other lane one fault (masked per-lane stem
+//! forces, auxiliary branch slots, masked D-latch blends), so a whole batch
+//! replays the driven sequence in a single pass over the schedule per
+//! period.
 //!
 //! The fallible entry points ([`try_run_pair_campaign`],
 //! [`CompiledCircuit::try_compile`], [`Evaluator::try_eval`]) return
@@ -75,19 +73,11 @@ pub use campaign::{
     run_pair_campaign, try_run_pair_campaign, EngineConfig, EngineConfigBuilder, EngineStats,
     EvalMode, PairCampaign, PairReport, Toggle, MAX_THREADS,
 };
-pub use collapse::{
-    collapse_overrides, resolve_fault_collapse, CollapsedFaultList, SCAL_FAULT_COLLAPSE_ENV,
-};
+pub use collapse::{collapse_overrides, resolve_fault_collapse, CollapsedFaultList};
 pub use compile::{CompileSpans, CompiledCircuit};
 pub use error::EngineError;
 pub use eval::{Evaluator, WideEvaluator};
 pub use pool::{effective_threads, par_map, par_map_cancellable, resolved_threads};
-pub use sim::{
-    CompiledSim, ConeSim, ConeSimStats, GoldenTrace, PackedBatchPlan, PackedSeqSim,
-    WidePackedBatchPlan, WidePackedSeqSim,
-};
+pub use sim::{CompiledSim, PackedBatchPlan, PackedSeqSim, WidePackedBatchPlan, WidePackedSeqSim};
 pub use tables::{all_node_tables, node_table, output_tables};
-pub use word::{
-    auto_word_width, detected_cpu_features, resolve_word_width, Word, SCAL_WORD_WIDTH_ENV,
-    WORD_WIDTHS,
-};
+pub use word::{auto_word_width, detected_cpu_features, resolve_word_width, Word, WORD_WIDTHS};

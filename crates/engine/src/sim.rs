@@ -1,9 +1,7 @@
 //! Sequential stepping over a compiled schedule — the engine counterpart of
-//! [`scal_netlist::Sim`] — plus the cone-restricted fault stepper that
-//! replays a recorded golden trace instead of re-evaluating the whole
-//! schedule per fault.
+//! [`scal_netlist::Sim`] — plus the fault-per-lane packed stepper.
 
-use crate::compile::{AuxInject, CompiledCircuit, FaultCone, LanePlan, CONE_SEED};
+use crate::compile::{AuxInject, CompiledCircuit, LanePlan};
 use crate::eval::{Evaluator, WideEvaluator};
 use crate::word::Word;
 use scal_netlist::Override;
@@ -112,242 +110,6 @@ impl<'c> CompiledSim<'c> {
             *w = if b { u64::MAX } else { 0 };
         }
         self.steps = 0;
-    }
-}
-
-/// A recorded fault-free run: per clock period, the full slot array, every
-/// flip-flop's next-state word, and the primary-output values.
-///
-/// Captured once from power-up over a fixed input sequence; any number of
-/// [`ConeSim`]s can then replay faults against it without re-evaluating the
-/// out-of-cone schedule. Memory cost is `num_slots × steps × 8` bytes.
-#[derive(Debug, Clone)]
-pub struct GoldenTrace {
-    num_slots: usize,
-    n_dffs: usize,
-    n_outputs: usize,
-    steps: usize,
-    /// `[step][slot]` flattened: slot words right after the step's sweep.
-    slots: Vec<u64>,
-    /// `[step][dff]` flattened: D words latched at the end of each step.
-    next_state: Vec<u64>,
-    /// `[step][output]` flattened: lane-0 output values.
-    outputs: Vec<bool>,
-}
-
-impl GoldenTrace {
-    /// Runs `compiled` from power-up over `steps` (one input vector per
-    /// clock period) and records everything a cone replay needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a step's input width mismatches the circuit.
-    #[must_use]
-    pub fn capture(compiled: &CompiledCircuit, steps: &[Vec<bool>]) -> Self {
-        let n_dffs = compiled.num_dffs();
-        let n_outputs = compiled.num_outputs();
-        let mut trace = GoldenTrace {
-            num_slots: compiled.num_slots,
-            n_dffs,
-            n_outputs,
-            steps: steps.len(),
-            slots: Vec::with_capacity(steps.len() * compiled.num_slots),
-            next_state: Vec::with_capacity(steps.len() * n_dffs),
-            outputs: Vec::with_capacity(steps.len() * n_outputs),
-        };
-        let mut ev = Evaluator::new(compiled);
-        let mut state: Vec<u64> = compiled
-            .dff_init
-            .iter()
-            .map(|&b| if b { u64::MAX } else { 0 })
-            .collect();
-        let mut inputs = vec![0u64; compiled.num_inputs()];
-        for step in steps {
-            assert_eq!(step.len(), inputs.len(), "input arity mismatch");
-            for (w, &b) in inputs.iter_mut().zip(step) {
-                *w = if b { u64::MAX } else { 0 };
-            }
-            ev.eval(compiled, &inputs, &state);
-            trace.slots.extend(ev.slots_w().iter().map(|w| w.first()));
-            for (i, s) in state.iter_mut().enumerate().take(n_dffs) {
-                let w = ev.next_state(compiled, i);
-                trace.next_state.push(w);
-                *s = w;
-            }
-            for k in 0..n_outputs {
-                trace.outputs.push(ev.output(compiled, k) & 1 == 1);
-            }
-        }
-        trace
-    }
-
-    /// Clock periods recorded.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.steps
-    }
-
-    /// `true` iff no periods were recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.steps == 0
-    }
-
-    /// Fault-free primary-output values of one period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is out of range.
-    #[must_use]
-    pub fn outputs(&self, step: usize) -> &[bool] {
-        &self.outputs[step * self.n_outputs..(step + 1) * self.n_outputs]
-    }
-
-    fn step_slots(&self, step: usize) -> &[u64] {
-        &self.slots[step * self.num_slots..(step + 1) * self.num_slots]
-    }
-
-    fn step_next_state(&self, step: usize, i: usize) -> u64 {
-        self.next_state[step * self.n_dffs + i]
-    }
-}
-
-/// Cone-restricted evaluation statistics of a [`ConeSim`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConeSimStats {
-    /// Ops in the fault's fanout cone (per sweep).
-    pub cone_ops: u64,
-    /// Cone ops actually evaluated across all steps so far.
-    pub ops_evaluated: u64,
-    /// Op evaluations a full-schedule run would have performed but the cone
-    /// replay skipped.
-    pub ops_skipped: u64,
-    /// Shallowest schedule level at which the faulty frontier converged back
-    /// to golden (`None` if every step ran the cone to completion).
-    pub frontier_died_at_level: Option<u32>,
-}
-
-/// A faulty sequential replay against a [`GoldenTrace`]: each step evaluates
-/// only the fault's fanout cone — widened across the D→Q arc to a fixed
-/// point at construction — seeded from the trace's slot words and the
-/// tracked faulty flip-flop state.
-///
-/// The input sequence is implied by the trace; stepping past its end panics.
-/// Semantics match [`CompiledSim`] with the same overrides attached,
-/// bit-exactly.
-#[derive(Debug)]
-pub struct ConeSim<'c> {
-    compiled: &'c CompiledCircuit,
-    ev: Evaluator,
-    cone: FaultCone,
-    /// Liveness-expiry scratch for the frontier-death exit.
-    expire: Vec<u64>,
-    /// Faulty flip-flop state words (lane-replicated).
-    state: Vec<u64>,
-    /// Reusable `(slot, word)` seed list for the affected flip-flops.
-    seed_buf: Vec<(u32, u64)>,
-    step: usize,
-    ops_evaluated: u64,
-    died_min: Option<u32>,
-}
-
-impl<'c> ConeSim<'c> {
-    /// Creates a faulty replayer with `overrides` installed and every
-    /// flip-flop at its power-up value.
-    #[must_use]
-    pub fn new(compiled: &'c CompiledCircuit, overrides: &[Override]) -> Self {
-        let cone = compiled.cone_for(overrides);
-        let mut ev = Evaluator::new(compiled);
-        ev.install(compiled, overrides);
-        let state = compiled
-            .dff_init
-            .iter()
-            .map(|&b| if b { u64::MAX } else { 0 })
-            .collect();
-        ConeSim {
-            compiled,
-            expire: vec![0; cone.ops.len()],
-            seed_buf: Vec::with_capacity(compiled.num_dffs()),
-            cone,
-            ev,
-            state,
-            step: 0,
-            ops_evaluated: 0,
-            died_min: None,
-        }
-    }
-
-    /// Simulates one clock period against the trace's next recorded step:
-    /// samples the (possibly faulty) primary outputs, then latches every
-    /// flip-flop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is exhausted or was captured from a different
-    /// circuit.
-    pub fn step(&mut self, trace: &GoldenTrace) -> Vec<bool> {
-        assert!(self.step < trace.len(), "golden trace exhausted");
-        assert_eq!(
-            trace.num_slots, self.compiled.num_slots,
-            "trace/circuit mismatch"
-        );
-        let golden = trace.step_slots(self.step);
-        // Seed the faulty state only on flip-flops the cone can affect; the
-        // rest provably latched golden values, and cone support reloads
-        // their Q slots from the trace.
-        self.seed_buf.clear();
-        for &(s, _) in &self.cone.seeds {
-            if let Some(i) = self.compiled.dff_slots.iter().position(|&q| q == s) {
-                self.seed_buf.push((s, self.state[i]));
-            }
-        }
-        let evaluated = self.ev.eval_cone(
-            self.compiled,
-            &self.cone,
-            golden,
-            &self.seed_buf,
-            u64::MAX,
-            &mut self.expire,
-        );
-        self.ops_evaluated += u64::from(evaluated);
-        if (evaluated as usize) < self.cone.ops.len() {
-            let lvl = self.cone.levels[evaluated as usize];
-            self.died_min = Some(self.died_min.map_or(lvl, |d| d.min(lvl)));
-        }
-        let readable = |ord: u32| ord == CONE_SEED || ord < evaluated;
-        let mut out = trace.outputs(self.step).to_vec();
-        for &(k, ord) in &self.cone.outputs {
-            if readable(ord) {
-                out[k as usize] = self.ev.output(self.compiled, k as usize) & 1 == 1;
-            }
-        }
-        for i in 0..self.state.len() {
-            self.state[i] = trace.step_next_state(self.step, i);
-        }
-        for &(i, ord) in &self.cone.dffs {
-            if readable(ord) {
-                self.state[i as usize] = self.ev.next_state(self.compiled, i as usize);
-            }
-        }
-        self.step += 1;
-        out
-    }
-
-    /// Clock periods simulated so far.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.step as u64
-    }
-
-    /// Cumulative cone statistics over the steps simulated so far.
-    #[must_use]
-    pub fn stats(&self) -> ConeSimStats {
-        ConeSimStats {
-            cone_ops: self.cone.ops.len() as u64,
-            ops_evaluated: self.ops_evaluated,
-            ops_skipped: self.compiled.num_ops() as u64 * self.step as u64 - self.ops_evaluated,
-            frontier_died_at_level: self.died_min,
-        }
     }
 }
 
@@ -629,66 +391,6 @@ mod tests {
         for _ in 0..6 {
             assert_eq!(fast.step(&[]), slow.step(&[]));
         }
-    }
-
-    /// Every single stuck-at fault of the 2-bit counter replays identically
-    /// through the cone-restricted stepper and the full compiled simulator —
-    /// the D→Q widening must carry faulty state across clock edges exactly.
-    #[test]
-    fn cone_sim_matches_compiled_sim_under_every_fault() {
-        let c = counter2();
-        let cc = CompiledCircuit::compile(&c);
-        let steps: Vec<Vec<bool>> = (0..12).map(|_| Vec::new()).collect();
-        let trace = GoldenTrace::capture(&cc, &steps);
-        let mut sites = Vec::new();
-        for id in c.node_ids() {
-            sites.push(Site::Stem(id));
-            for pin in 0..c.fanins(id).len() {
-                sites.push(Site::Branch { node: id, pin });
-            }
-        }
-        for site in sites {
-            for value in [false, true] {
-                let ov = [Override { site, value }];
-                let mut full = CompiledSim::new(&cc);
-                full.attach(&ov);
-                let mut cone = ConeSim::new(&cc, &ov);
-                for (t, step) in steps.iter().enumerate() {
-                    assert_eq!(
-                        cone.step(&trace),
-                        full.step(step),
-                        "site {site:?} value {value} step {t}"
-                    );
-                }
-                let stats = cone.stats();
-                assert_eq!(
-                    stats.ops_evaluated + stats.ops_skipped,
-                    cc.num_ops() as u64 * steps.len() as u64,
-                    "accounting must balance for {site:?}"
-                );
-            }
-        }
-    }
-
-    /// A fault-free replay (empty cone) skips every op and returns the
-    /// golden outputs verbatim.
-    #[test]
-    fn cone_sim_with_no_overrides_is_all_skip() {
-        let c = counter2();
-        let cc = CompiledCircuit::compile(&c);
-        let steps: Vec<Vec<bool>> = (0..5).map(|_| Vec::new()).collect();
-        let trace = GoldenTrace::capture(&cc, &steps);
-        assert_eq!(trace.len(), 5);
-        let mut cone = ConeSim::new(&cc, &[]);
-        let mut full = CompiledSim::new(&cc);
-        for step in &steps {
-            assert_eq!(cone.step(&trace), full.step(step));
-        }
-        assert_eq!(cone.stats().ops_evaluated, 0);
-        assert_eq!(
-            cone.stats().ops_skipped,
-            cc.num_ops() as u64 * steps.len() as u64
-        );
     }
 
     /// Every stuck-at fault of the 2-bit counter packed into one batch:

@@ -4,8 +4,8 @@
 //! AVX-512 (`W = 8`) registers when the target supports them.
 //!
 //! Width selection is runtime-configurable: [`resolve_word_width`] combines
-//! the `EngineConfig::word_width` knob, the `SCAL_WORD_WIDTH` environment
-//! variable, and [`auto_word_width`] CPU-feature detection. Campaign drivers
+//! the `EngineConfig::word_width` knob with [`auto_word_width`] CPU-feature
+//! detection. Campaign drivers
 //! monomorphize their hot loops per supported width and dispatch once per
 //! run, so the inner sweeps stay branch-free.
 
@@ -15,11 +15,6 @@ use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, N
 /// The word widths the engine monomorphizes: scalar, AVX2-sized (4 × u64 =
 /// 256 bits), and AVX-512-sized (8 × u64 = 512 bits).
 pub const WORD_WIDTHS: [usize; 3] = [1, 4, 8];
-
-/// Environment variable overriding the automatic word-width selection
-/// (accepted values: `1`, `4`, `8`). `EngineConfig::word_width` takes
-/// precedence when non-zero.
-pub const SCAL_WORD_WIDTH_ENV: &str = "SCAL_WORD_WIDTH";
 
 /// A wide evaluation word: `W` independent 64-lane sub-words.
 ///
@@ -212,38 +207,20 @@ pub fn auto_word_width() -> usize {
     1
 }
 
-/// Resolves the effective word width from, in precedence order: the
-/// `requested` config value (`0` = unset), the [`SCAL_WORD_WIDTH_ENV`]
-/// environment variable, and [`auto_word_width`] detection.
+/// Resolves the effective word width: the `requested` config value, or
+/// [`auto_word_width`] detection when it is `0`.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::InvalidConfig`] when the requested or
-/// environment value is not one of [`WORD_WIDTHS`].
+/// Returns [`EngineError::InvalidConfig`] when the requested value is
+/// neither `0` nor one of [`WORD_WIDTHS`].
 pub fn resolve_word_width(requested: usize) -> Result<usize, EngineError> {
-    fn validate(width: usize, origin: &str) -> Result<usize, EngineError> {
-        if WORD_WIDTHS.contains(&width) {
-            Ok(width)
-        } else {
-            Err(EngineError::InvalidConfig {
-                reason: format!("{origin} word width must be one of {WORD_WIDTHS:?}, got {width}"),
-            })
-        }
-    }
-    if requested != 0 {
-        return validate(requested, "configured");
-    }
-    match std::env::var(SCAL_WORD_WIDTH_ENV) {
-        Ok(raw) => {
-            let width = raw
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| EngineError::InvalidConfig {
-                    reason: format!("{SCAL_WORD_WIDTH_ENV} must be an integer, got {raw:?}"),
-                })?;
-            validate(width, SCAL_WORD_WIDTH_ENV)
-        }
-        Err(_) => Ok(auto_word_width()),
+    match requested {
+        0 => Ok(auto_word_width()),
+        w if WORD_WIDTHS.contains(&w) => Ok(w),
+        w => Err(EngineError::InvalidConfig {
+            reason: format!("configured word width must be one of {WORD_WIDTHS:?}, got {w}"),
+        }),
     }
 }
 
@@ -300,8 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn resolve_prefers_config_then_env_then_auto() {
-        // Explicit config values validate and win without consulting the env.
+    fn resolve_prefers_config_then_auto() {
+        // Explicit config values validate and win.
         assert_eq!(resolve_word_width(1).unwrap(), 1);
         assert_eq!(resolve_word_width(4).unwrap(), 4);
         assert_eq!(resolve_word_width(8).unwrap(), 8);
@@ -311,6 +288,7 @@ mod tests {
         }
         // Auto always lands on a supported width.
         assert!(WORD_WIDTHS.contains(&auto_word_width()));
+        assert_eq!(resolve_word_width(0).unwrap(), auto_word_width());
         // Detected features are from the known set.
         for f in detected_cpu_features() {
             assert!(["avx2", "avx512f"].contains(&f));

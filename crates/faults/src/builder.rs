@@ -126,8 +126,7 @@ impl<'a> Campaign<'a> {
     }
 
     /// Evaluation word width in 64-bit sub-words (`1`, `4` or `8`); `0`
-    /// (the default) resolves through the `SCAL_WORD_WIDTH` environment
-    /// variable and then CPU-feature detection. Shorthand for the
+    /// (the default) picks it by CPU-feature detection. Shorthand for the
     /// corresponding [`EngineConfig`] field; all widths are bit-identical
     /// in every report. The scalar backend ignores this knob.
     #[must_use]
@@ -148,8 +147,7 @@ impl<'a> Campaign<'a> {
     }
 
     /// Forces compile-time fault collapsing on or off (see
-    /// [`EngineConfig::fault_collapse`]; the default resolves through the
-    /// `SCAL_FAULT_COLLAPSE` environment variable and is otherwise on).
+    /// [`EngineConfig::fault_collapse`]; the default is on).
     /// Only class representatives are simulated; verdicts are expanded back
     /// over every original fault at merge time, so reports and coverage
     /// maps stay bit-identical. The scalar backend ignores this knob.

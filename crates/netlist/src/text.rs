@@ -90,31 +90,6 @@ fn kind_from_name(s: &str) -> Option<GateKind> {
     })
 }
 
-impl Circuit {
-    /// Serializes the netlist to the v1 text format.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Circuit::write_string(NetlistFormat::ScalText)` instead"
-    )]
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        emit(self)
-    }
-
-    /// Parses the v1 text format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TextError`] describing the first problem.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Circuit::read(src, NetlistFormat::ScalText)` instead"
-    )]
-    pub fn from_text(text: &str) -> Result<Circuit, TextError> {
-        parse(text)
-    }
-}
-
 /// Serializes the netlist to the v1 text format (the implementation behind
 /// [`crate::NetlistFormat::ScalText`]).
 pub(crate) fn emit(c: &Circuit) -> String {

@@ -25,19 +25,16 @@
 //! across periods, every lane is classified against the golden lane with
 //! word-wide masks, and a classified lane *retires* (drops out of the
 //! batch's activity mask), so the batch early-exits once every lane is
-//! classified. [`SeqBackend::Scalar`] keeps the per-fault compiled path —
-//! cone-restricted replay ([`EvalMode::Cone`]) against a cached
-//! [`GoldenTrace`] via [`ConeSim`], or whole-machine re-simulation
-//! ([`EvalMode::Full`]) — as the packed backend's differential oracle, and
-//! [`SeqBackend::Graph`] the original graph-walking driver. All backends
-//! produce bit-identical outcomes, `first_detected` words, and coverage
-//! records (the scalar cone path additionally annotates cone statistics).
+//! classified. [`SeqBackend::Graph`] keeps the original graph-walking
+//! driver as the packed backend's independent differential oracle. Both
+//! backends produce bit-identical outcomes, `first_detected` words, and
+//! coverage records.
 
 use crate::dual_ff::{AltSeqDriver, ScalMachine};
 use scal_engine::{
     collapse_overrides, effective_threads, par_map_cancellable, resolve_fault_collapse,
-    resolve_word_width, CompiledCircuit, CompiledSim, ConeSim, ConeSimStats, EngineError, EvalMode,
-    GoldenTrace, Toggle, WidePackedBatchPlan, WidePackedSeqSim, Word,
+    resolve_word_width, CompiledCircuit, EngineError, Toggle, WidePackedBatchPlan,
+    WidePackedSeqSim, Word,
 };
 use scal_faults::Fault;
 use scal_netlist::Override;
@@ -148,22 +145,6 @@ fn alt_periods(word: &[bool], p1: &mut Vec<bool>, p2: &mut Vec<bool>) {
     p2.push(true); // φ = 1
 }
 
-/// Applies one information word over two alternating periods of a compiled
-/// simulator (`(X‖0, X̄‖1)`), mirroring [`AltSeqDriver::apply`]. `p1`/`p2`
-/// are caller-owned scratch buffers reused across words, so the scalar path
-/// allocates nothing per driven word beyond the returned output vectors.
-fn apply_compiled(
-    sim: &mut CompiledSim<'_>,
-    word: &[bool],
-    p1: &mut Vec<bool>,
-    p2: &mut Vec<bool>,
-) -> (Vec<bool>, Vec<bool>) {
-    alt_periods(word, p1, p2);
-    let o1 = sim.step(p1);
-    let o2 = sim.step(p2);
-    (o1, o2)
-}
-
 /// Which simulation backend a sequential [`Campaign`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SeqBackend {
@@ -173,21 +154,17 @@ pub enum SeqBackend {
     /// classified.
     #[default]
     Packed,
-    /// Per-fault compiled replay — cone-restricted or full per
-    /// [`Campaign::eval_mode`] — the packed backend's differential oracle.
-    Scalar,
-    /// The original graph-walking [`AltSeqDriver`] oracle, single-threaded.
+    /// The original graph-walking [`AltSeqDriver`], single-threaded: the
+    /// packed backend's independent differential oracle.
     Graph,
 }
 
 impl SeqBackend {
-    /// Stable lowercase name (`"packed"`, `"scalar"`, `"graph"`), as used by
-    /// the `--seq-backend` bench flag.
+    /// Stable lowercase name (`"packed"`, `"graph"`), as used on the wire.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SeqBackend::Packed => "packed",
-            SeqBackend::Scalar => "scalar",
             SeqBackend::Graph => "graph",
         }
     }
@@ -205,12 +182,9 @@ impl std::str::FromStr for SeqBackend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "packed" => Ok(SeqBackend::Packed),
-            "scalar" => Ok(SeqBackend::Scalar),
             "graph" => Ok(SeqBackend::Graph),
             other => Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "seq backend must be \"packed\", \"scalar\" or \"graph\", got {other:?}"
-                ),
+                reason: format!("seq backend must be \"packed\" or \"graph\", got {other:?}"),
             }),
         }
     }
@@ -226,7 +200,6 @@ pub struct Campaign<'a> {
     coverage: Option<&'a CoverageObserver>,
     cancel: Option<&'a CancelToken>,
     backend: SeqBackend,
-    eval_mode: EvalMode,
     word_width: usize,
     fault_collapse: Toggle,
 }
@@ -241,7 +214,6 @@ impl std::fmt::Debug for Campaign<'_> {
             .field("coverage", &self.coverage.is_some())
             .field("cancel", &self.cancel.is_some())
             .field("backend", &self.backend)
-            .field("eval_mode", &self.eval_mode)
             .field("word_width", &self.word_width)
             .field("fault_collapse", &self.fault_collapse)
             .finish_non_exhaustive()
@@ -262,13 +234,12 @@ impl<'a> Campaign<'a> {
             coverage: None,
             cancel: None,
             backend: SeqBackend::default(),
-            eval_mode: EvalMode::default(),
             word_width: 0,
             fault_collapse: Toggle::default(),
         }
     }
 
-    /// Worker-thread count; `0` = auto. The scalar backend is always
+    /// Worker-thread count; `0` = auto. The graph backend is always
     /// single-threaded.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
@@ -318,24 +289,11 @@ impl<'a> Campaign<'a> {
         self.backend(SeqBackend::Graph)
     }
 
-    /// Selects the per-fault replay strategy on the [`SeqBackend::Scalar`]
-    /// backend: cone-restricted incremental replay ([`EvalMode::Cone`], the
-    /// default) or full re-simulation ([`EvalMode::Full`], the differential
-    /// oracle). Both produce identical outcomes; the packed and graph
-    /// backends ignore this knob.
-    #[must_use]
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
-        self
-    }
-
     /// Evaluation word width for the packed backend, in 64-bit sub-words
-    /// (`1`, `4` or `8`); `0` (the default) resolves through the
-    /// `SCAL_WORD_WIDTH` environment variable and then CPU-feature
+    /// (`1`, `4` or `8`); `0` (the default) picks it by CPU-feature
     /// detection. At width `W` one packed batch carries `63 × W` faults, so
     /// wider words cut the number of driven-sequence replays; outcomes are
-    /// bit-identical at every width. The scalar and graph backends ignore
-    /// this knob.
+    /// bit-identical at every width. The graph backend ignores this knob.
     #[must_use]
     pub fn word_width(mut self, width: usize) -> Self {
         self.word_width = width;
@@ -348,9 +306,8 @@ impl<'a> Campaign<'a> {
     /// lanes; each representative's outcome is expanded over its class at
     /// merge time, so outcomes and coverage stay per-original-fault and
     /// bit-identical to an uncollapsed run. Left untouched, collapsing
-    /// defaults to on (overridable through `SCAL_FAULT_COLLAPSE`). The
-    /// scalar and graph backends never collapse — they are the packed
-    /// backend's differential oracles.
+    /// defaults to on. The graph backend never collapses — it is the packed
+    /// backend's differential oracle.
     #[must_use]
     pub fn fault_collapse(mut self, on: bool) -> Self {
         self.fault_collapse = on.into();
@@ -380,11 +337,10 @@ impl<'a> Campaign<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`CompiledCircuit::try_compile`] errors on the compiled
-    /// backends (the graph oracle never compiles, so it only errors on
+    /// Propagates [`CompiledCircuit::try_compile`] errors on the packed
+    /// backend (the graph oracle never compiles, so it only errors on
     /// future validations), and `InvalidConfig` when
-    /// [`Campaign::word_width`] (or `SCAL_WORD_WIDTH`) names an unusable
-    /// width.
+    /// [`Campaign::word_width`] names an unusable width.
     ///
     /// # Panics
     ///
@@ -399,7 +355,7 @@ impl<'a> Campaign<'a> {
                     reason: format!("unsupported word width {other}"),
                 }),
             },
-            SeqBackend::Scalar | SeqBackend::Graph => self.run_per_fault(),
+            SeqBackend::Graph => self.run_graph(),
         }
     }
 
@@ -422,7 +378,7 @@ impl<'a> Campaign<'a> {
         // preamble depends on how many representatives survive collapsing.
         let compile_t = Instant::now();
         let compiled = CompiledCircuit::try_compile(&self.machine.circuit)?;
-        let collapsed = if resolve_fault_collapse(self.fault_collapse)? {
+        let collapsed = if resolve_fault_collapse(self.fault_collapse) {
             let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
             Some(collapse_overrides(&compiled, &overrides))
         } else {
@@ -773,58 +729,23 @@ impl<'a> Campaign<'a> {
         })
     }
 
-    /// The per-fault replay path: [`SeqBackend::Scalar`] (compiled, one
-    /// fault at a time, cone-restricted or full) and [`SeqBackend::Graph`]
-    /// (the original graph-walking driver).
-    fn run_per_fault(self) -> Result<SeqCampaign, EngineError> {
+    /// The [`SeqBackend::Graph`] oracle: one fault at a time through the
+    /// original graph-walking driver, single-threaded.
+    fn run_graph(self) -> Result<SeqCampaign, EngineError> {
         let total_t = Instant::now();
         let faults = self.machine.checkable_faults();
         let fan = self.fan_out(&faults);
         let observer: &dyn CampaignObserver = &fan;
         let obs = observer.enabled();
-        let compiled_backend = self.backend == SeqBackend::Scalar;
         if obs {
             observer.on_event(&CampaignEvent::CampaignStart {
-                campaign: if compiled_backend {
-                    "seq"
-                } else {
-                    "seq_scalar"
-                },
+                campaign: "seq_scalar",
                 faults: faults.len(),
                 inputs: self.machine.circuit.inputs().len(),
                 outputs: self.machine.circuit.outputs().len(),
-                threads: if compiled_backend {
-                    effective_threads(self.threads, faults.len())
-                } else {
-                    1
-                },
+                threads: 1,
             });
-            if compiled_backend {
-                observer.on_event(&CampaignEvent::EvalMode {
-                    mode: self.eval_mode.name(),
-                });
-            }
         }
-
-        // Compile phase (compiled backend only).
-        let compiled = if compiled_backend {
-            let t = Instant::now();
-            if obs {
-                observer.on_event(&CampaignEvent::PhaseStart {
-                    phase: Phase::Compile,
-                });
-            }
-            let compiled = CompiledCircuit::try_compile(&self.machine.circuit)?;
-            if obs {
-                observer.on_event(&CampaignEvent::PhaseEnd {
-                    phase: Phase::Compile,
-                    micros: duration_micros(t.elapsed()),
-                });
-            }
-            Some(compiled)
-        } else {
-            None
-        };
 
         // Golden trace.
         let t = Instant::now();
@@ -833,46 +754,9 @@ impl<'a> Campaign<'a> {
                 phase: Phase::Golden,
             });
         }
-        // In cone mode the golden run is captured once with every slot value
-        // cached; faulty replays seed their cones from it.
-        let cone_trace: Option<GoldenTrace> = match (&compiled, self.eval_mode) {
-            (Some(compiled), EvalMode::Cone) => {
-                let steps: Vec<Vec<bool>> = self
-                    .words
-                    .iter()
-                    .flat_map(|w| {
-                        let mut p1 = w.clone();
-                        p1.push(false); // φ = 0
-                        let mut p2: Vec<bool> = w.iter().map(|&b| !b).collect();
-                        p2.push(true); // φ = 1
-                        [p1, p2]
-                    })
-                    .collect();
-                Some(GoldenTrace::capture(compiled, &steps))
-            }
-            _ => None,
-        };
-        let golden: Vec<(Vec<bool>, Vec<bool>)> = match (&cone_trace, &compiled) {
-            (Some(trace), _) => (0..self.words.len())
-                .map(|i| {
-                    (
-                        trace.outputs(2 * i).to_vec(),
-                        trace.outputs(2 * i + 1).to_vec(),
-                    )
-                })
-                .collect(),
-            (None, Some(compiled)) => {
-                let mut sim = CompiledSim::new(compiled);
-                let (mut p1, mut p2) = (Vec::new(), Vec::new());
-                self.words
-                    .iter()
-                    .map(|w| apply_compiled(&mut sim, w, &mut p1, &mut p2))
-                    .collect()
-            }
-            (None, None) => {
-                let mut drv = AltSeqDriver::new(self.machine);
-                self.words.iter().map(|w| drv.apply(w)).collect()
-            }
+        let golden: Vec<(Vec<bool>, Vec<bool>)> = {
+            let mut drv = AltSeqDriver::new(self.machine);
+            self.words.iter().map(|w| drv.apply(w)).collect()
         };
         if obs {
             observer.on_event(&CampaignEvent::PhaseEnd {
@@ -881,80 +765,33 @@ impl<'a> Campaign<'a> {
             });
         }
 
-        // Fault simulation, cancellable at fault boundaries. Each worker
-        // reports which worker id simulated the fault so the merge replay
-        // stays worker-attributed.
+        // Fault simulation, cancellable at fault boundaries.
         let t = Instant::now();
         if obs {
             observer.on_event(&CampaignEvent::PhaseStart {
                 phase: Phase::FaultSim,
             });
         }
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let sim_one = |worker: usize, fault: &Fault| -> (usize, SeqOutcome, Option<ConeSimStats>) {
-            let (outcome, cone_stats) = match (&compiled, &cone_trace) {
-                (Some(compiled), Some(trace)) => {
-                    // Cone replay: only the fault's fanout cone is
-                    // re-evaluated per step, seeded from the cached golden
-                    // slots of the trace.
-                    let mut sim = ConeSim::new(compiled, &[fault.to_override()]);
-                    let outcome = classify_trace(
-                        self.machine,
-                        &golden,
-                        |_w| {
-                            let o1 = sim.step(trace);
-                            let o2 = sim.step(trace);
-                            (o1, o2)
-                        },
-                        self.words,
-                    );
-                    let stats = sim.stats();
-                    (outcome, Some(stats))
-                }
-                (Some(compiled), None) => {
-                    let mut sim = CompiledSim::new(compiled);
-                    sim.attach(&[fault.to_override()]);
-                    let (mut p1, mut p2) = (Vec::new(), Vec::new());
-                    let outcome = classify_trace(
-                        self.machine,
-                        &golden,
-                        |w| apply_compiled(&mut sim, w, &mut p1, &mut p2),
-                        self.words,
-                    );
-                    (outcome, None)
-                }
-                (None, _) => {
-                    let mut drv = AltSeqDriver::new(self.machine);
-                    drv.attach(fault.to_override());
-                    let outcome =
-                        classify_trace(self.machine, &golden, |w| drv.apply(w), self.words);
-                    (outcome, None)
-                }
-            };
+        let mut outcomes_sim: Vec<SeqOutcome> = Vec::with_capacity(faults.len());
+        for fault in &faults {
+            if self.cancel.is_some_and(CancelToken::is_cancelled) {
+                break;
+            }
+            let mut drv = AltSeqDriver::new(self.machine);
+            drv.attach(fault.to_override());
+            outcomes_sim.push(classify_trace(
+                self.machine,
+                &golden,
+                |w| drv.apply(w),
+                self.words,
+            ));
             if obs {
                 observer.on_event(&CampaignEvent::Progress {
-                    done: done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1,
+                    done: outcomes_sim.len(),
                     total: faults.len(),
                 });
             }
-            (worker, outcome, cone_stats)
-        };
-        let slots: Vec<Option<(usize, SeqOutcome, Option<ConeSimStats>)>> = if compiled_backend {
-            par_map_cancellable(&faults, self.threads, self.cancel, |worker, _, fault| {
-                sim_one(worker, fault)
-            })
-        } else {
-            faults
-                .iter()
-                .map(|fault| {
-                    if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                        None
-                    } else {
-                        Some(sim_one(0, fault))
-                    }
-                })
-                .collect()
-        };
+        }
         if obs {
             observer.on_event(&CampaignEvent::PhaseEnd {
                 phase: Phase::FaultSim,
@@ -962,36 +799,28 @@ impl<'a> Campaign<'a> {
             });
         }
 
-        // Merge: deterministic fault-ordered prefix with event replay.
+        // Merge: the fault-ordered prefix with event replay.
         let merge_t = Instant::now();
         if obs {
             observer.on_event(&CampaignEvent::PhaseStart {
                 phase: Phase::Merge,
             });
         }
-        let completed = slots.iter().take_while(|s| s.is_some()).count();
+        let completed = outcomes_sim.len();
         let cancelled = completed < faults.len();
         let mut outcomes = Vec::with_capacity(completed);
         let mut pairs_total = 0u64;
-        for (i, (fault, slot)) in faults.into_iter().zip(slots).take(completed).enumerate() {
-            let (worker, outcome, cone_stats) = slot.expect("prefix is complete");
+        for (i, (fault, outcome)) in faults.into_iter().zip(outcomes_sim).enumerate() {
             let pairs = words_consumed(&outcome, self.words.len()) as u64;
             pairs_total += pairs;
             if obs {
-                observer.on_event(&CampaignEvent::FaultStart { fault: i, worker });
-                if let Some(s) = &cone_stats {
-                    observer.on_event(&CampaignEvent::ConeStats {
-                        fault: i,
-                        worker,
-                        cone_ops: s.cone_ops,
-                        ops_evaluated: s.ops_evaluated,
-                        ops_skipped: s.ops_skipped,
-                        frontier_died_at_level: s.frontier_died_at_level,
-                    });
-                }
+                observer.on_event(&CampaignEvent::FaultStart {
+                    fault: i,
+                    worker: 0,
+                });
                 observer.on_event(&CampaignEvent::FaultFinish {
                     fault: i,
-                    worker,
+                    worker: 0,
                     detected: usize::from(matches!(outcome, SeqOutcome::Detected { .. })),
                     violations: usize::from(matches!(outcome, SeqOutcome::Violation { .. })),
                     observable: !matches!(outcome, SeqOutcome::Dormant),
@@ -1081,87 +910,30 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_agree() {
+    fn packed_matches_graph_oracle() {
         let m = kohavi_0101();
         let words = bit_words(&[0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0]);
         for machine in [dual_ff_machine(&m), code_conversion_machine(&m)] {
             let packed = Campaign::new(&machine, &words).run().unwrap();
-            for backend in [SeqBackend::Scalar, SeqBackend::Graph] {
-                assert_eq!(
-                    packed,
-                    Campaign::new(&machine, &words)
-                        .backend(backend)
-                        .run()
-                        .unwrap(),
-                    "{} vs {backend}",
-                    machine.design
+            let graph = Campaign::new(&machine, &words).scalar().run().unwrap();
+            assert_eq!(packed, graph, "{}", machine.design);
+        }
+    }
+
+    #[test]
+    fn backend_names_round_trip_and_reject_scalar() {
+        for backend in [SeqBackend::Packed, SeqBackend::Graph] {
+            assert_eq!(backend.name().parse::<SeqBackend>().unwrap(), backend);
+        }
+        match "scalar".parse::<SeqBackend>() {
+            Err(EngineError::InvalidConfig { reason }) => {
+                assert!(
+                    reason.contains("packed") && reason.contains("graph"),
+                    "{reason}"
                 );
             }
+            other => panic!("expected InvalidConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn cone_and_full_eval_modes_agree() {
-        let m = kohavi_0101();
-        let words = bit_words(&[0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0]);
-        for machine in [dual_ff_machine(&m), code_conversion_machine(&m)] {
-            let cone = Campaign::new(&machine, &words)
-                .backend(SeqBackend::Scalar)
-                .run()
-                .unwrap();
-            let full = Campaign::new(&machine, &words)
-                .backend(SeqBackend::Scalar)
-                .eval_mode(EvalMode::Full)
-                .run()
-                .unwrap();
-            assert_eq!(cone, full, "{}", machine.design);
-        }
-    }
-
-    #[test]
-    fn cone_mode_emits_mode_and_stats_events() {
-        let m = kohavi_0101();
-        let words = bit_words(&[0, 1, 0, 1]);
-        let machine = dual_ff_machine(&m);
-        let collect = CollectObserver::default();
-        let campaign = Campaign::new(&machine, &words)
-            .backend(SeqBackend::Scalar)
-            .threads(1)
-            .observer(&collect)
-            .run()
-            .unwrap();
-        let events = collect.events();
-        assert!(matches!(
-            events.get(1),
-            Some(CampaignEvent::EvalMode { mode: "cone" })
-        ));
-        let stat_faults: Vec<usize> = events
-            .iter()
-            .filter_map(|e| match e {
-                CampaignEvent::ConeStats { fault, .. } => Some(*fault),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            stat_faults,
-            (0..campaign.outcomes.len()).collect::<Vec<_>>()
-        );
-
-        let collect2 = CollectObserver::default();
-        let _ = Campaign::new(&machine, &words)
-            .backend(SeqBackend::Scalar)
-            .eval_mode(EvalMode::Full)
-            .observer(&collect2)
-            .run()
-            .unwrap();
-        let events2 = collect2.events();
-        assert!(matches!(
-            events2.get(1),
-            Some(CampaignEvent::EvalMode { mode: "full" })
-        ));
-        assert!(!events2
-            .iter()
-            .any(|e| matches!(e, CampaignEvent::ConeStats { .. })));
     }
 
     #[test]
@@ -1182,7 +954,7 @@ mod tests {
         let machine = dual_ff_machine(&m);
         let cov = scal_obs::CoverageObserver::new();
         let campaign = Campaign::new(&machine, &words)
-            .backend(SeqBackend::Scalar)
+            .scalar()
             .coverage(&cov)
             .run()
             .unwrap();
@@ -1197,30 +969,20 @@ mod tests {
                 _ => assert_eq!(record.first_detected, None),
             }
         }
-        // Cone mode annotates every record; the graph oracle and the packed
-        // backend yield the identical verdicts modulo annotations (cone
-        // stats here, class membership on the collapsed packed backend).
-        assert!(map.records.iter().all(|r| r.cone_ops.is_some()));
-        let stripped: Vec<_> = map
+        // The packed backend yields the identical verdicts modulo its class
+        // membership annotations.
+        let cov2 = scal_obs::CoverageObserver::new();
+        let _ = Campaign::new(&machine, &words)
+            .coverage(&cov2)
+            .run()
+            .unwrap();
+        let map2 = cov2.latest().expect("coverage map");
+        let stripped2: Vec<_> = map2
             .records
             .iter()
             .map(scal_obs::FaultRecord::without_annotations)
             .collect();
-        for backend in [SeqBackend::Packed, SeqBackend::Graph] {
-            let cov2 = scal_obs::CoverageObserver::new();
-            let _ = Campaign::new(&machine, &words)
-                .backend(backend)
-                .coverage(&cov2)
-                .run()
-                .unwrap();
-            let map2 = cov2.latest().expect("coverage map");
-            let stripped2: Vec<_> = map2
-                .records
-                .iter()
-                .map(scal_obs::FaultRecord::without_annotations)
-                .collect();
-            assert_eq!(stripped2, stripped, "{backend}");
-        }
+        assert_eq!(stripped2, map.records);
     }
 
     #[test]

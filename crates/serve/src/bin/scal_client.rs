@@ -27,7 +27,7 @@ fn usage() -> ! {
          commands:\n\
          \x20 submit (pair|seq|cpu) [--priority 0..9] [--threads N]\n\
          \x20        [--timeout-ms T] [--no-stream] [--scalar]\n\
-         \x20        [--seq-backend packed|scalar|graph] [--words N]\n\
+         \x20        [--seq-backend packed|graph] [--words N]\n\
          \x20        [--format text|verilog|bench]\n\
          \x20 batch --jobs N [--cancel-one]\n\
          \x20 raw            read one request line from stdin, stream frames\n\
@@ -69,11 +69,11 @@ fn follow(client: &Client, spec: &JobSpec) -> bool {
 }
 
 /// The deterministic mixed workload used by `batch`: index 0 is a slow
-/// scalar seq job (the `--cancel-one` target), the rest round-robin over
-/// the three campaign kinds.
+/// graph-oracle seq job (the `--cancel-one` target), the rest round-robin
+/// over the three campaign kinds.
 fn batch_spec(i: usize) -> JobSpec {
     if i == 0 {
-        return demo::seq_spec(2, scal_seq::SeqBackend::Scalar, 4096);
+        return demo::seq_spec(2, scal_seq::SeqBackend::Graph, 4096);
     }
     match i % 3 {
         0 => demo::pair_spec((i % 10) as u8, i % 6 == 0),
@@ -175,7 +175,6 @@ fn main() -> ExitCode {
                     "--seq-backend" => {
                         let backend = match value() {
                             "packed" => scal_seq::SeqBackend::Packed,
-                            "scalar" => scal_seq::SeqBackend::Scalar,
                             "graph" => scal_seq::SeqBackend::Graph,
                             _ => usage(),
                         };

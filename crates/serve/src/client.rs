@@ -274,7 +274,6 @@ pub mod demo {
                 machine: scal_seq::kohavi::reynolds_circuit(),
                 words: demo_words(words),
                 backend,
-                eval_mode: EvalMode::Cone,
             },
             priority,
             timeout_ms: None,

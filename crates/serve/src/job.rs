@@ -70,8 +70,7 @@ pub struct JobOutput {
 /// Runs one job to completion, streaming events to `observer`.
 ///
 /// `fault_collapse` is the submit knob: `None` leaves the backend's default
-/// (collapsing on, subject to `SCAL_FAULT_COLLAPSE` in the server's
-/// environment), `Some` forces it for this job.
+/// (collapsing on), `Some` forces it for this job.
 ///
 /// # Errors
 ///
@@ -137,13 +136,11 @@ pub fn run_job(
             machine,
             words,
             backend,
-            eval_mode,
         } => {
             let total = machine.checkable_faults().len();
             let mut c = scal_seq::Campaign::new(machine, words)
                 .threads(threads)
                 .backend(*backend)
-                .eval_mode(*eval_mode)
                 .observer(observer)
                 .coverage(&cov);
             if let Some(fc) = fault_collapse {
@@ -281,7 +278,6 @@ mod tests {
             machine: machine.clone(),
             words: words.clone(),
             backend: SeqBackend::Packed,
-            eval_mode: EvalMode::Cone,
         };
         let out = run_job(&kind, 1, None, &NullObserver, None).unwrap();
         let direct = scal_seq::Campaign::new(&machine, &words).run().unwrap();

@@ -110,8 +110,6 @@ pub enum JobKind {
         words: Vec<Vec<bool>>,
         /// Simulation backend.
         backend: SeqBackend,
-        /// Per-fault replay strategy (scalar backend only).
-        eval_mode: EvalMode,
     },
     /// A datapath campaign over one CPU unit's workload suite.
     Cpu {
@@ -151,10 +149,9 @@ pub struct JobSpec {
     pub threads: usize,
     /// Stream per-event frames (`false` = result frame only).
     pub stream: bool,
-    /// Compile-time fault collapsing (`None` = backend default: on, or
-    /// whatever `SCAL_FAULT_COLLAPSE` says in the server's environment).
-    /// Honored by every kind; the seq scalar/graph oracle backends ignore
-    /// it. Omitted from the wire when `None`, so v1 request lines are
+    /// Compile-time fault collapsing (`None` = backend default: on).
+    /// Honored by every kind; the seq graph oracle backend ignores it.
+    /// Omitted from the wire when `None`, so v1 request lines are
     /// byte-identical to pre-collapse builds.
     pub fault_collapse: Option<bool>,
     /// Serialization of the `"netlist"` field (`"text"`, `"verilog"`,
@@ -434,7 +431,7 @@ fn parse_submit(obj: &JsonValue) -> Result<JobSpec, ProtoError> {
                 None => SeqBackend::default(),
                 Some(s) => s
                     .parse()
-                    .map_err(|e| ProtoError::new("bad_request", format!("{e:?}")))?,
+                    .map_err(|e| ProtoError::new("bad_request", format!("{e}")))?,
             };
             let design = field_str(obj, "design")?.unwrap_or("wire").to_owned();
             JobKind::Seq {
@@ -447,7 +444,6 @@ fn parse_submit(obj: &JsonValue) -> Result<JobSpec, ProtoError> {
                 },
                 words,
                 backend,
-                eval_mode: parse_eval_mode(obj)?,
             }
         }
         Some("cpu") => {
@@ -649,7 +645,6 @@ impl JobSpec {
                 machine,
                 words,
                 backend,
-                eval_mode,
             } => {
                 if self.netlist_format != NetlistFormat::ScalText {
                     o.str("netlist_format", self.netlist_format.name());
@@ -669,7 +664,6 @@ impl JobSpec {
                 o.str("design", &machine.design);
                 write_words(o.value("words"), words);
                 o.str("seq_backend", backend.name());
-                o.str("eval_mode", eval_mode.name());
             }
             JobKind::Cpu {
                 unit,
@@ -919,8 +913,7 @@ mod tests {
             kind: JobKind::Seq {
                 machine: machine.clone(),
                 words: words.clone(),
-                backend: SeqBackend::Scalar,
-                eval_mode: EvalMode::Cone,
+                backend: SeqBackend::Graph,
             },
             priority: DEFAULT_PRIORITY,
             timeout_ms: None,
@@ -945,8 +938,7 @@ mod tests {
             JobKind::Seq {
                 machine: m,
                 words: w,
-                backend: SeqBackend::Scalar,
-                ..
+                backend: SeqBackend::Graph,
             } => {
                 scal_netlist::assert_circuit_eq(&m.circuit, &machine.circuit);
                 assert_eq!(m.z_count, machine.z_count);
@@ -1032,7 +1024,6 @@ mod tests {
                 machine,
                 words: vec![vec![false, true]], // Kohavi has 1 external input
                 backend: SeqBackend::Packed,
-                eval_mode: EvalMode::Cone,
             },
             priority: 0,
             timeout_ms: None,

@@ -70,6 +70,31 @@ fn hostile_requests_get_typed_error_frames() {
     server.shutdown_and_join();
 }
 
+/// `scalar` is not a seq backend: a submit naming it is a `bad_request`
+/// whose message lists the two backends there are, `packed` and `graph`.
+#[test]
+fn removed_scalar_seq_backend_is_a_bad_request() {
+    let (server, client) = start();
+    let line = demo::seq_spec(4, scal_seq::SeqBackend::Packed, 4)
+        .to_request_line()
+        .replace("\"seq_backend\":\"packed\"", "\"seq_backend\":\"scalar\"");
+    assert!(line.contains("\"seq_backend\":\"scalar\""), "{line}");
+    let frame = client
+        .request(&line)
+        .expect("connect")
+        .next()
+        .expect("one frame")
+        .expect("parse");
+    assert_eq!(field(&frame, "frame"), "error");
+    assert_eq!(field(&frame, "code"), "bad_request");
+    let message = field(&frame, "message");
+    assert!(
+        message.contains("packed") && message.contains("graph"),
+        "{message}"
+    );
+    server.shutdown_and_join();
+}
+
 #[test]
 fn cancel_of_unknown_id_reports_not_found() {
     let (server, client) = start();
@@ -116,10 +141,10 @@ fn non_streaming_submit_returns_only_accepted_and_result() {
 #[test]
 fn deadline_timeout_cancels_into_a_valid_prefix() {
     let (server, client) = start();
-    // Scalar replay of a long word sequence: far slower than the 1 ms
+    // Graph-oracle replay of a long word sequence: far slower than the 1 ms
     // deadline, and cancellation is checkpointed per fault, so the result
     // must come back as a cancelled prefix.
-    let mut spec = demo::seq_spec(4, scal_seq::SeqBackend::Scalar, 4096);
+    let mut spec = demo::seq_spec(4, scal_seq::SeqBackend::Graph, 4096);
     spec.timeout_ms = Some(1);
     let frames: Vec<_> = client
         .submit(&spec)

@@ -112,7 +112,6 @@ fn make_spec(rng: &mut StdRng) -> JobSpec {
     } else if roll < 85 {
         let backend = match rng.gen_range(0u64..4) {
             0 | 1 => scal_seq::SeqBackend::Packed,
-            2 => scal_seq::SeqBackend::Scalar,
             _ => scal_seq::SeqBackend::Graph,
         };
         demo::seq_spec(priority, backend, rng.gen_range(6usize..20))

@@ -12,7 +12,7 @@
 
 use crate::cpu::{Cpu, CpuMode, Program};
 use crate::programs::{checksum, popcount, ARG0, RESULT};
-use scal_engine::{collapse_overrides, resolve_fault_collapse, CompiledCircuit, EvalMode, Toggle};
+use scal_engine::{collapse_overrides, resolve_fault_collapse, CompiledCircuit, Toggle};
 use scal_faults::{enumerate_faults, Fault};
 use scal_obs::{
     CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, MultiObserver, NullObserver,
@@ -150,7 +150,7 @@ impl<'a> Campaign<'a> {
     /// unit behaviour on every workload, so only class representatives run
     /// the workload suite and each representative's verdict is expanded
     /// over its class in fault order. Left untouched, collapsing defaults
-    /// to on (overridable through `SCAL_FAULT_COLLAPSE`).
+    /// to on.
     #[must_use]
     pub fn fault_collapse(mut self, on: bool) -> Self {
         self.fault_collapse = on.into();
@@ -194,24 +194,6 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Accepted for builder parity with `scal_faults::Campaign` and
-    /// `scal_seq::Campaign`, but currently a no-op: CPU workloads run on the
-    /// interpreted datapath, which has no compiled cone path. Fault runs
-    /// behave as [`EvalMode::Full`] regardless of `mode`.
-    #[must_use]
-    pub fn eval_mode(self, _mode: EvalMode) -> Self {
-        self
-    }
-
-    /// Accepted for builder parity with [`scal_seq::Campaign::backend`], but
-    /// currently a no-op: the interpreted datapath has no packed
-    /// fault-per-lane path, so fault runs behave as
-    /// [`scal_seq::SeqBackend::Graph`] regardless of `backend`.
-    #[must_use]
-    pub fn seq_backend(self, _backend: scal_seq::SeqBackend) -> Self {
-        self
-    }
-
     /// Runs the campaign.
     ///
     /// # Panics
@@ -239,7 +221,6 @@ impl<'a> Campaign<'a> {
         // The unit netlist is combinational and engine-compatible; if it
         // ever were not, the campaign falls back to the uncollapsed sweep.
         let collapsed = resolve_fault_collapse(self.fault_collapse)
-            .expect("SCAL_FAULT_COLLAPSE must be one of 1/on/true/0/off/false")
             .then(|| {
                 let compiled = CompiledCircuit::try_compile(&unit_circuit).ok()?;
                 let overrides: Vec<_> = faults.iter().map(|f| f.to_override()).collect();

@@ -109,8 +109,7 @@ proptest! {
 
     /// Collapsed and uncollapsed campaigns agree on random self-dual
     /// networks across the full engine configuration grid. The builder
-    /// pins the toggle explicitly, so this holds regardless of any
-    /// `SCAL_FAULT_COLLAPSE` in the environment.
+    /// pins the toggle explicitly.
     #[test]
     fn random_selfdual_collapse_identity(
         seed in any::<u64>(),

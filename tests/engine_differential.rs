@@ -1,10 +1,11 @@
 //! Engine-vs-scalar differential coverage: the compiled `scal-engine`
 //! campaign must be bit-identical — same pairs, same order, same flags — to
 //! the original graph-walking scalar campaign on every canonical circuit of
-//! the reproduction, and on randomly generated alternating networks.
-//! Cone-restricted evaluation (`EvalMode::Cone`) is held to the same bar
-//! against full evaluation, across thread counts, fault dropping, the
-//! streaming golden fallback, cancellation, and sequential replay.
+//! the reproduction, and on randomly generated alternating networks, under
+//! every eval mode, word width and fault-collapse setting. Cone-restricted
+//! evaluation (`EvalMode::Cone`) is held to the same bar against full
+//! evaluation across thread counts, fault dropping and cancellation, and
+//! the packed sequential backend against the graph oracle.
 
 use proptest::prelude::*;
 use scal::core::{dualize_synthesized, paper};
@@ -36,30 +37,29 @@ fn is_alternating(c: &Circuit) -> bool {
     c.output_tts().iter().all(scal::logic::Tt::is_self_dual)
 }
 
-/// Eval mode for the engine side of the engine-vs-scalar differentials.
-/// CI sets `SCAL_EVAL_MODE=full|cone` to run the suite once per mode;
-/// unset runs the default (cone).
-fn mode_under_test() -> EvalMode {
-    match std::env::var("SCAL_EVAL_MODE") {
-        Ok(s) => s.parse().expect("SCAL_EVAL_MODE must be full|cone"),
-        Err(_) => EvalMode::default(),
-    }
-}
+/// Both faulty-sweep strategies of the pair engine.
+const EVAL_MODES: [EvalMode; 2] = [EvalMode::Full, EvalMode::Cone];
 
-/// Backend for the sequential campaigns under differential test. CI sets
-/// `SCAL_SEQ_BACKEND=packed|scalar` to run the suite once per backend;
-/// unset runs the default (packed).
-fn seq_backend_under_test() -> scal::seq::SeqBackend {
-    match std::env::var("SCAL_SEQ_BACKEND") {
-        Ok(s) => s
-            .parse()
-            .expect("SCAL_SEQ_BACKEND must be packed|scalar|graph"),
-        Err(_) => scal::seq::SeqBackend::default(),
+/// Every supported evaluation word width.
+const WORD_WIDTHS: [usize; 3] = [1, 4, 8];
+
+/// Every engine configuration the pair differentials cover: eval mode ×
+/// word width × fault collapse.
+fn engine_configs() -> Vec<(EvalMode, usize, bool)> {
+    let mut configs = Vec::new();
+    for mode in EVAL_MODES {
+        for width in WORD_WIDTHS {
+            for collapse in [false, true] {
+                configs.push((mode, width, collapse));
+            }
+        }
     }
+    configs
 }
 
 /// Every combinational alternating paper circuit: full collapsed fault
-/// universe through both campaigns, results compared including ordering.
+/// universe through both campaigns, results compared including ordering,
+/// under every engine configuration.
 #[test]
 fn engine_campaign_matches_scalar_on_paper_circuits() {
     let mut checked = 0;
@@ -68,21 +68,30 @@ fn engine_campaign_matches_scalar_on_paper_circuits() {
             continue;
         }
         let faults = enumerate_faults(&c);
-        let engine = Campaign::new(&c)
-            .faults(faults.clone())
-            .eval_mode(mode_under_test())
-            .run()
-            .expect("engine campaign")
-            .results;
         let scalar = Campaign::new(&c)
-            .faults(faults)
+            .faults(faults.clone())
             .scalar()
             .run()
             .expect("scalar campaign")
             .results;
-        assert_eq!(engine.len(), scalar.len(), "{name}: result count");
-        for (e, s) in engine.iter().zip(&scalar) {
-            assert_eq!(e, s, "{name}: fault {:?}", e.fault);
+        for (mode, width, collapse) in engine_configs() {
+            let engine = Campaign::new(&c)
+                .faults(faults.clone())
+                .eval_mode(mode)
+                .word_width(width)
+                .fault_collapse(collapse)
+                .run()
+                .expect("engine campaign")
+                .results;
+            let config = format!("{mode}, W={width}, collapse {collapse}");
+            assert_eq!(
+                engine.len(),
+                scalar.len(),
+                "{name} ({config}): result count"
+            );
+            for (e, s) in engine.iter().zip(&scalar) {
+                assert_eq!(e, s, "{name} ({config}): fault {:?}", e.fault);
+            }
         }
         checked += 1;
     }
@@ -103,21 +112,26 @@ fn observed_campaign_is_bit_identical_to_unobserved() {
             continue;
         }
         let faults = enumerate_faults(&c);
-        let bare = Campaign::new(&c)
-            .faults(faults.clone())
-            .eval_mode(mode_under_test())
-            .run()
-            .expect("campaign")
-            .results;
-        let collect = CollectObserver::default();
-        let observed = Campaign::new(&c)
-            .faults(faults)
-            .eval_mode(mode_under_test())
-            .observer(&collect)
-            .run()
-            .expect("campaign");
-        assert_eq!(bare, observed.results, "{name}: observer changed results");
-        assert!(!collect.events().is_empty(), "{name}: no events flowed");
+        for mode in EVAL_MODES {
+            let bare = Campaign::new(&c)
+                .faults(faults.clone())
+                .eval_mode(mode)
+                .run()
+                .expect("campaign")
+                .results;
+            let collect = CollectObserver::default();
+            let observed = Campaign::new(&c)
+                .faults(faults.clone())
+                .eval_mode(mode)
+                .observer(&collect)
+                .run()
+                .expect("campaign");
+            assert_eq!(
+                bare, observed.results,
+                "{name} ({mode}): observer changed results"
+            );
+            assert!(!collect.events().is_empty(), "{name}: no events flowed");
+        }
     }
 }
 
@@ -156,11 +170,9 @@ fn compiled_sim_matches_graph_sim_on_paper_circuits() {
 
 /// Cone-restricted evaluation is a pure optimisation: on every
 /// campaign-eligible paper circuit it is bit-identical to full evaluation
-/// across thread counts and fault dropping, including the streaming
-/// fallback when the golden slot cache cannot fit.
+/// across thread counts and fault dropping.
 #[test]
 fn cone_eval_matches_full_on_paper_circuits() {
-    use scal::engine::EngineConfig;
     let mut checked = 0;
     for (name, c) in all_paper_circuits() {
         if c.is_sequential() || c.inputs().len() > 12 || !is_alternating(&c) {
@@ -187,27 +199,6 @@ fn cone_eval_matches_full_on_paper_circuits() {
                 assert_eq!(full, cone, "{name}: threads {threads}, drop {drop}");
             }
         }
-        // A 1-byte cache budget cannot hold any batch, forcing per-batch
-        // golden streaming — still bit-identical to full evaluation.
-        let config = EngineConfig::builder()
-            .threads(1)
-            .golden_cache_bytes(1)
-            .build()
-            .expect("valid config");
-        let streamed = Campaign::new(&c)
-            .faults(faults.clone())
-            .config(config)
-            .run()
-            .expect("streaming cone campaign")
-            .results;
-        let full = Campaign::new(&c)
-            .faults(faults)
-            .threads(1)
-            .eval_mode(EvalMode::Full)
-            .run()
-            .expect("full campaign")
-            .results;
-        assert_eq!(full, streamed, "{name}: streaming fallback");
         checked += 1;
     }
     assert!(
@@ -218,8 +209,8 @@ fn cone_eval_matches_full_on_paper_circuits() {
 
 /// Wide evaluation words are a pure optimisation: every width is
 /// bit-identical to the scalar `u64` path on every campaign-eligible paper
-/// circuit, across thread counts, fault dropping, and the eval mode under
-/// test — results, aggregate pair counts, and drop totals alike.
+/// circuit, across thread counts, fault dropping, and both eval modes —
+/// results, aggregate pair counts, and drop totals alike.
 #[test]
 fn wide_word_widths_match_scalar_on_paper_circuits() {
     let mut checked = 0;
@@ -228,37 +219,37 @@ fn wide_word_widths_match_scalar_on_paper_circuits() {
             continue;
         }
         let faults = enumerate_faults(&c);
-        for threads in [1, 4] {
-            for drop in [false, true] {
-                let scalar = Campaign::new(&c)
-                    .faults(faults.clone())
-                    .threads(threads)
-                    .drop_after_detection(drop)
-                    .eval_mode(mode_under_test())
-                    .word_width(1)
-                    .run()
-                    .expect("scalar-width campaign");
-                for width in [4usize, 8] {
-                    let wide = Campaign::new(&c)
+        for mode in EVAL_MODES {
+            for threads in [1, 4] {
+                for drop in [false, true] {
+                    let scalar = Campaign::new(&c)
                         .faults(faults.clone())
                         .threads(threads)
                         .drop_after_detection(drop)
-                        .eval_mode(mode_under_test())
-                        .word_width(width)
+                        .eval_mode(mode)
+                        .word_width(1)
                         .run()
-                        .expect("wide campaign");
-                    assert_eq!(
-                        scalar.results, wide.results,
-                        "{name}: W={width}, threads {threads}, drop {drop}"
-                    );
-                    assert_eq!(
-                        scalar.stats.pairs_evaluated, wide.stats.pairs_evaluated,
-                        "{name}: W={width} pair accounting"
-                    );
-                    assert_eq!(
-                        scalar.stats.faults_dropped, wide.stats.faults_dropped,
-                        "{name}: W={width} drop accounting"
-                    );
+                        .expect("scalar-width campaign");
+                    for width in [4usize, 8] {
+                        let wide = Campaign::new(&c)
+                            .faults(faults.clone())
+                            .threads(threads)
+                            .drop_after_detection(drop)
+                            .eval_mode(mode)
+                            .word_width(width)
+                            .run()
+                            .expect("wide campaign");
+                        let config = format!("{mode}, W={width}, threads {threads}, drop {drop}");
+                        assert_eq!(scalar.results, wide.results, "{name}: {config}");
+                        assert_eq!(
+                            scalar.stats.pairs_evaluated, wide.stats.pairs_evaluated,
+                            "{name}: {config} pair accounting"
+                        );
+                        assert_eq!(
+                            scalar.stats.faults_dropped, wide.stats.faults_dropped,
+                            "{name}: {config} drop accounting"
+                        );
+                    }
                 }
             }
         }
@@ -377,38 +368,6 @@ fn cancelled_fault_packed_prefix_matches_unpacked_run() {
     );
 }
 
-/// Sequential campaigns: cone replay over the cached golden trace is
-/// bit-identical to full per-fault re-simulation on both Chapter-4 SCAL
-/// designs, across thread counts.
-#[test]
-fn seq_cone_eval_matches_full_on_kohavi_designs() {
-    use scal::seq::SeqBackend;
-    let m = scal::seq::kohavi::kohavi_0101();
-    let words: Vec<Vec<bool>> = [0u32, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0]
-        .iter()
-        .map(|&s| vec![s == 1])
-        .collect();
-    for machine in [
-        scal::seq::dual_ff_machine(&m),
-        scal::seq::code_conversion_machine(&m),
-    ] {
-        for threads in [1, 2, 4] {
-            let full = scal::seq::Campaign::new(&machine, &words)
-                .threads(threads)
-                .backend(SeqBackend::Scalar)
-                .eval_mode(EvalMode::Full)
-                .run()
-                .expect("full seq campaign");
-            let cone = scal::seq::Campaign::new(&machine, &words)
-                .threads(threads)
-                .backend(SeqBackend::Scalar)
-                .run()
-                .expect("cone seq campaign");
-            assert_eq!(full, cone, "{}: threads {threads}", machine.design);
-        }
-    }
-}
-
 /// The Chapter-4 sequential machines and the 4-bit up/down counter under
 /// both SCAL conversions.
 fn seq_differential_machines() -> Vec<scal::seq::ScalMachine> {
@@ -433,54 +392,51 @@ fn seq_drive(width: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// The packed fault-per-lane backend is bit-identical to the per-fault
-/// scalar backend — outcomes, `first_detected` words, and coverage maps —
-/// on every sequential design, across thread counts and both scalar-oracle
-/// eval modes. (Sequential campaigns have no fault-dropping knob — a
-/// classified fault inherently stops consuming words — so the scalar
-/// oracle's eval-mode axis stands in for the pair campaign's drop axis.)
+/// The packed fault-per-lane backend is bit-identical to the graph oracle
+/// (`Campaign::scalar()`) — outcomes, `first_detected` words, and coverage
+/// maps — on every sequential design, across word widths, fault collapse
+/// and thread counts. (Sequential campaigns have no fault-dropping knob: a
+/// classified fault inherently stops consuming words.)
 #[test]
 fn seq_packed_matches_scalar_backend() {
     use scal::obs::CoverageObserver;
-    use scal::seq::SeqBackend;
     for machine in seq_differential_machines() {
         let words = seq_drive(machine.circuit.inputs().len() - 1);
-        for threads in [1, 2, 4] {
-            for oracle_mode in [EvalMode::Full, EvalMode::Cone] {
-                let packed_cov = CoverageObserver::new();
-                let packed = scal::seq::Campaign::new(&machine, &words)
-                    .threads(threads)
-                    .backend(seq_backend_under_test())
-                    .coverage(&packed_cov)
-                    .run()
-                    .expect("packed seq campaign");
-                let scalar_cov = CoverageObserver::new();
-                let scalar = scal::seq::Campaign::new(&machine, &words)
-                    .threads(threads)
-                    .backend(SeqBackend::Scalar)
-                    .eval_mode(oracle_mode)
-                    .coverage(&scalar_cov)
-                    .run()
-                    .expect("scalar seq campaign");
-                assert_eq!(
-                    packed, scalar,
-                    "{}: threads {threads}, oracle {oracle_mode}",
-                    machine.design
-                );
-                for ((p, s), (fault, _)) in packed_cov
-                    .latest()
-                    .expect("packed map")
-                    .records
-                    .iter()
-                    .zip(&scalar_cov.latest().expect("scalar map").records)
-                    .zip(&packed.outcomes)
-                {
-                    assert_eq!(p.first_detected, s.first_detected, "{fault:?}");
-                    assert_eq!(p.detected, s.detected, "{fault:?}");
-                    assert_eq!(p.violations, s.violations, "{fault:?}");
-                    assert_eq!(p.observable, s.observable, "{fault:?}");
-                    assert_eq!(p.pairs, s.pairs, "{fault:?}");
-                    assert_eq!(p.label, s.label, "{fault:?}");
+        let oracle_cov = CoverageObserver::new();
+        let oracle = scal::seq::Campaign::new(&machine, &words)
+            .scalar()
+            .coverage(&oracle_cov)
+            .run()
+            .expect("graph seq campaign");
+        let oracle_map = oracle_cov.latest().expect("graph map");
+        for width in WORD_WIDTHS {
+            for collapse in [false, true] {
+                for threads in [1, 2, 4] {
+                    let config = format!("W={width}, collapse {collapse}, threads {threads}");
+                    let packed_cov = CoverageObserver::new();
+                    let packed = scal::seq::Campaign::new(&machine, &words)
+                        .threads(threads)
+                        .word_width(width)
+                        .fault_collapse(collapse)
+                        .coverage(&packed_cov)
+                        .run()
+                        .expect("packed seq campaign");
+                    assert_eq!(packed, oracle, "{}: {config}", machine.design);
+                    for ((p, s), (fault, _)) in packed_cov
+                        .latest()
+                        .expect("packed map")
+                        .records
+                        .iter()
+                        .zip(&oracle_map.records)
+                        .zip(&packed.outcomes)
+                    {
+                        assert_eq!(p.first_detected, s.first_detected, "{fault:?}, {config}");
+                        assert_eq!(p.detected, s.detected, "{fault:?}, {config}");
+                        assert_eq!(p.violations, s.violations, "{fault:?}, {config}");
+                        assert_eq!(p.observable, s.observable, "{fault:?}, {config}");
+                        assert_eq!(p.pairs, s.pairs, "{fault:?}, {config}");
+                        assert_eq!(p.label, s.label, "{fault:?}, {config}");
+                    }
                 }
             }
         }
@@ -488,12 +444,11 @@ fn seq_packed_matches_scalar_backend() {
 }
 
 /// A cancelled packed campaign's fault-ordered prefix is bit-identical to
-/// the same prefix of an uncancelled scalar-backend run; packed
-/// cancellation lands on a whole-batch boundary.
+/// the same prefix of an uncancelled graph-oracle run; packed cancellation
+/// lands on a whole-batch boundary.
 #[test]
 fn cancelled_packed_seq_prefix_matches_scalar_run() {
     use scal::obs::{CampaignEvent, CampaignObserver, CancelToken};
-    use scal::seq::SeqBackend;
     struct CancelAfter<'a> {
         token: &'a CancelToken,
         after: usize,
@@ -513,10 +468,9 @@ fn cancelled_packed_seq_prefix_matches_scalar_run() {
     let total = machine.checkable_faults().len();
     assert!(total > 63, "want multiple packed batches, got {total}");
     let full = scal::seq::Campaign::new(&machine, &words)
-        .threads(1)
-        .backend(SeqBackend::Scalar)
+        .scalar()
         .run()
-        .expect("scalar seq campaign");
+        .expect("graph seq campaign");
     let token = CancelToken::new();
     let observer = CancelAfter {
         token: &token,
@@ -541,7 +495,7 @@ fn cancelled_packed_seq_prefix_matches_scalar_run() {
     assert_eq!(
         partial.outcomes[..],
         full.outcomes[..k],
-        "packed prefix must match the scalar run"
+        "packed prefix must match the graph run"
     );
 }
 
@@ -624,7 +578,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random alternating networks: engine and scalar campaigns agree on the
-    /// full collapsed fault universe, ordering included.
+    /// full collapsed fault universe, ordering included, under every engine
+    /// configuration.
     #[test]
     fn engine_campaign_matches_scalar_on_random_circuits(
         n_inputs in 2usize..4,
@@ -632,19 +587,23 @@ proptest! {
     ) {
         let alt = random_alternating(n_inputs, &recipe);
         let faults = enumerate_faults(&alt);
-        let engine = Campaign::new(&alt)
-            .faults(faults.clone())
-            .eval_mode(mode_under_test())
-            .run()
-            .expect("engine campaign")
-            .results;
         let scalar = Campaign::new(&alt)
-            .faults(faults)
+            .faults(faults.clone())
             .scalar()
             .run()
             .expect("scalar campaign")
             .results;
-        prop_assert_eq!(engine, scalar);
+        for (mode, width, collapse) in engine_configs() {
+            let engine = Campaign::new(&alt)
+                .faults(faults.clone())
+                .eval_mode(mode)
+                .word_width(width)
+                .fault_collapse(collapse)
+                .run()
+                .expect("engine campaign")
+                .results;
+            prop_assert_eq!(&engine, &scalar, "{}, W={}, collapse {}", mode, width, collapse);
+        }
     }
 
     /// Random sequential circuits (no alternation requirement): compiled and

@@ -105,18 +105,6 @@ fn read_path_autodetects_every_extension_and_sniffs_unknown_ones() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_text_wrappers_stay_equivalent() {
-    let circuit = paper::fig3_4().circuit;
-    assert_eq!(
-        circuit.to_text(),
-        circuit.write_string(NetlistFormat::ScalText)
-    );
-    let back = Circuit::from_text(&circuit.to_text()).expect("wrapper parses");
-    assert_circuit_eq(&circuit, &back);
-}
-
-#[test]
 fn hundred_k_gate_design_flows_through_the_whole_pipeline() {
     let circuit = synth::generate(SynthKind::RandomSelfDual, 100_000, 42);
     assert!(
