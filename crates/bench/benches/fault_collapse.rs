@@ -42,6 +42,7 @@ fn bench_adder8(c: &mut Criterion) {
                 CpuCampaign::new(CpuUnit::Adder)
                     .fault_collapse(collapse)
                     .run()
+                    .expect("default workloads pass fault-free")
             });
         });
     }

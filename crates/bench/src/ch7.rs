@@ -90,7 +90,8 @@ pub fn fig7_3(ctx: &crate::ExperimentCtx) -> String {
         }])
         .budget(100_000)
         .observer(ctx)
-        .run();
+        .run()
+        .expect("sum(1..=20) passes fault-free");
     let detected: usize = campaign.results.iter().map(|r| r.detected).sum();
     let dormant: usize = campaign.results.iter().map(|r| r.dormant).sum();
     let wrong: usize = campaign.results.iter().map(|r| r.undetected_wrong).sum();

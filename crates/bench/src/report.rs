@@ -584,11 +584,12 @@ pub fn run_suite(
     let cov = CoverageObserver::new();
     let prof = Profiler::new();
     let rate = aggregate_rate(&prof, || {
-        let _ = CpuCampaign::new(CpuUnit::Adder)
+        CpuCampaign::new(CpuUnit::Adder)
             .fault_collapse(fault_collapse)
             .observer(&prof)
             .coverage(&cov)
-            .run();
+            .run()
+            .expect("default workloads pass fault-free");
     });
     let map = cov.latest().expect("coverage map");
     let profile = prof.latest().expect("profile");

@@ -28,30 +28,21 @@
 //! path, and retired (dropped) lanes stop counting even though the datapath
 //! keeps carrying them until their whole chunk retires.
 //!
-//! # Observability and cancellation
+//! # Driver
 //!
-//! [`try_run_pair_campaign`] drives a [`CampaignObserver`] through the whole
-//! run: phase spans for compile / golden / fault-sim / merge, live
-//! [`CampaignEvent::Progress`] ticks from whichever worker finishes a fault,
-//! and per-fault `FaultStart` / `BatchDone` / `FaultDropped` / `FaultFinish`
-//! events. The per-fault events are *buffered* by the worker that simulated
-//! the fault and replayed by the coordinator in fault order during the merge
-//! phase, so a trace is deterministic for a fixed config regardless of the
-//! worker fan-out (only the live `Progress` ticks are emission-order
-//! dependent). A [`CancelToken`] is checked at every 64-pair batch boundary;
-//! on cancellation the campaign returns the longest contiguous fault-ordered
-//! prefix of completed reports, bit-identical to the same prefix of an
-//! uncancelled run.
+//! The campaign runs as a [`Kernel`] under the campaign driver
+//! ([`crate::drive`]), which owns collapsing, the event protocol, the worker
+//! fan-out, the fault-ordered merge and cancellation. A [`CancelToken`] is
+//! also checked here at every wide group (pattern-major) or pattern
+//! (fault-packed) boundary.
 
-use crate::collapse::{collapse_overrides, resolve_fault_collapse};
-use crate::compile::{CompiledCircuit, FaultCone, LanePlan, CONE_SEED};
+use crate::compile::{CompileSpans, CompiledCircuit, FaultCone, LanePlan, CONE_SEED};
+use crate::driver::{drive, duration_micros, FaultSummary, Kernel, Setup, Unit, UnitResult};
 use crate::error::EngineError;
 use crate::eval::WideEvaluator;
-use crate::pool::effective_threads;
-use crate::word::{resolve_word_width, Word, WORD_WIDTHS};
+use crate::word::{resolve_word_width, Word};
 use scal_netlist::{Circuit, Override};
-use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, NullObserver, Phase};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use scal_obs::{CampaignEvent, CampaignObserver, CancelToken};
 use std::time::{Duration, Instant};
 
 /// Hard ceiling on explicitly requested worker threads — far above any
@@ -135,10 +126,12 @@ impl From<bool> for Toggle {
     }
 }
 
-/// Knobs for [`run_pair_campaign`].
+/// Knobs for [`try_run_pair_campaign`].
 ///
-/// Construct directly (the fields are public and `Default` is valid) or via
-/// the validating [`EngineConfig::builder`].
+/// Construct directly: the fields are public and `Default` is valid. A
+/// campaign rejects `threads` above [`MAX_THREADS`] and a `word_width` that
+/// is neither `0` nor one of [`crate::WORD_WIDTHS`] with
+/// [`EngineError::InvalidConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Worker-thread count; `0` = auto (machine parallelism, clamped to the
@@ -184,111 +177,7 @@ pub struct EngineConfig {
     pub fault_collapse: Toggle,
 }
 
-impl EngineConfig {
-    /// A validating builder for campaign configuration.
-    #[must_use]
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder::default()
-    }
-}
-
-/// Builder for [`EngineConfig`] that validates each knob at
-/// [`EngineConfigBuilder::build`] time instead of letting a bad value panic
-/// deep inside a campaign.
-#[derive(Debug, Clone, Default)]
-pub struct EngineConfigBuilder {
-    threads: usize,
-    drop_after_detection: bool,
-    eval_mode: EvalMode,
-    word_width: usize,
-    fault_packing: Toggle,
-    fault_collapse: Toggle,
-}
-
-impl EngineConfigBuilder {
-    /// Worker-thread count; `0` = auto.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Enables classic fault dropping (see
-    /// [`EngineConfig::drop_after_detection`]).
-    #[must_use]
-    pub fn drop_after_detection(mut self, on: bool) -> Self {
-        self.drop_after_detection = on;
-        self
-    }
-
-    /// Selects the faulty-sweep evaluation strategy (see [`EvalMode`]).
-    #[must_use]
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
-        self
-    }
-
-    /// Wide-word width; `0` = auto (see [`EngineConfig::word_width`]).
-    #[must_use]
-    pub fn word_width(mut self, width: usize) -> Self {
-        self.word_width = width;
-        self
-    }
-
-    /// Forces 2-D fault × pattern lane packing on or off (see
-    /// [`EngineConfig::fault_packing`]; the unset default is
-    /// [`Toggle::Auto`]).
-    #[must_use]
-    pub fn fault_packing(mut self, on: bool) -> Self {
-        self.fault_packing = on.into();
-        self
-    }
-
-    /// Forces compile-time fault collapsing on or off (see
-    /// [`EngineConfig::fault_collapse`]; the unset default is
-    /// [`Toggle::Auto`] = on).
-    #[must_use]
-    pub fn fault_collapse(mut self, on: bool) -> Self {
-        self.fault_collapse = on.into();
-        self
-    }
-
-    /// Validates and produces the config.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidConfig`] if `threads` exceeds
-    /// [`MAX_THREADS`] or `word_width` is not `0` (auto) or one of the
-    /// supported widths ([`crate::WORD_WIDTHS`]).
-    pub fn build(self) -> Result<EngineConfig, EngineError> {
-        if self.threads > MAX_THREADS {
-            return Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "threads must be 0 (auto) or at most {MAX_THREADS}, got {}",
-                    self.threads
-                ),
-            });
-        }
-        if self.word_width != 0 && !WORD_WIDTHS.contains(&self.word_width) {
-            return Err(EngineError::InvalidConfig {
-                reason: format!(
-                    "word width must be 0 (auto) or one of {WORD_WIDTHS:?}, got {}",
-                    self.word_width
-                ),
-            });
-        }
-        Ok(EngineConfig {
-            threads: self.threads,
-            drop_after_detection: self.drop_after_detection,
-            eval_mode: self.eval_mode,
-            word_width: self.word_width,
-            fault_packing: self.fault_packing,
-            fault_collapse: self.fault_collapse,
-        })
-    }
-}
-
-/// Per-fault result of [`run_pair_campaign`], in the engine's vocabulary
+/// Per-fault result of [`try_run_pair_campaign`], in the engine's vocabulary
 /// (pair minterms only — `scal-faults` zips these back with its `Fault`
 /// bookkeeping).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -609,83 +498,26 @@ fn lane_mask(lanes: u32) -> u64 {
     }
 }
 
-/// Per-worker reusable wide output buffers.
-struct Scratch<const W: usize> {
-    out1: Vec<Word<W>>,
-    out2: Vec<Word<W>>,
-}
-
-impl<const W: usize> Scratch<W> {
-    fn new(n_outputs: usize) -> Self {
-        Scratch {
-            out1: vec![Word::ZERO; n_outputs],
-            out2: vec![Word::ZERO; n_outputs],
-        }
-    }
-}
-
-/// Everything one worker thread owns across faults.
+/// Everything one worker thread owns across faults: the evaluator, wide
+/// output buffers and, in cone mode only, the liveness-expiry scratch for
+/// [`WideEvaluator::eval_cone_w`], sized for the whole schedule (every cone
+/// is a subset) and kept all-zero between calls.
 struct WorkerState<const W: usize> {
     ev: WideEvaluator<W>,
-    scratch: Scratch<W>,
-    /// Cone mode only: liveness-expiry scratch for
-    /// [`WideEvaluator::eval_cone_w`], sized for the whole schedule (every
-    /// cone is a subset); kept all-zero between calls.
+    out1: Vec<Word<W>>,
+    out2: Vec<Word<W>>,
     cone_expire: Option<Vec<u64>>,
 }
 
 impl<const W: usize> WorkerState<W> {
-    fn new(compiled: &CompiledCircuit, sweep: &Sweep<W>, mode: EvalMode) -> Self {
-        WorkerState::with_evaluator(WideEvaluator::new(compiled), compiled, sweep, mode)
-    }
-
-    fn with_evaluator(
-        ev: WideEvaluator<W>,
-        compiled: &CompiledCircuit,
-        sweep: &Sweep<W>,
-        mode: EvalMode,
-    ) -> Self {
-        let cone_expire = (mode == EvalMode::Cone).then(|| vec![0; compiled.num_ops()]);
+    fn new(ev: WideEvaluator<W>, compiled: &CompiledCircuit, mode: EvalMode) -> Self {
         WorkerState {
             ev,
-            scratch: Scratch::new(sweep.n_outputs),
-            cone_expire,
+            out1: vec![Word::ZERO; compiled.num_outputs()],
+            out2: vec![Word::ZERO; compiled.num_outputs()],
+            cone_expire: (mode == EvalMode::Cone).then(|| vec![0; compiled.num_ops()]),
         }
     }
-}
-
-/// Everything one unit of fault simulation produced: the reports (one per
-/// fault — a single fault on the pattern-major path, a whole chunk under
-/// fault packing), work counters, and (when tracing) the events buffered
-/// for the deterministic merge replay.
-struct SimOutcome {
-    reports: Vec<PairReport>,
-    pairs: u64,
-    words: u64,
-    /// Wall time this worker spent inside the unit's sweeps.
-    eval_micros: u64,
-    events: Vec<CampaignEvent>,
-}
-
-fn duration_micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Rewrites the fault index carried by a buffered per-fault event. Merge
-/// expansion replays representative events under each original fault's
-/// index; events without a fault field pass through unchanged.
-fn remap_fault(event: &CampaignEvent, fault: usize) -> CampaignEvent {
-    let mut e = event.clone();
-    match &mut e {
-        CampaignEvent::FaultStart { fault: f, .. }
-        | CampaignEvent::BatchDone { fault: f, .. }
-        | CampaignEvent::FaultDropped { fault: f, .. }
-        | CampaignEvent::ConeStats { fault: f, .. }
-        | CampaignEvent::FaultFinish { fault: f, .. }
-        | CampaignEvent::FaultClass { fault: f, .. } => *f = fault,
-        _ => {}
-    }
-    e
 }
 
 /// Tracks the minimum schedule level at which a cone frontier died across a
@@ -703,35 +535,28 @@ fn note_death(died_min: &mut Option<u32>, cone: &FaultCone, evaluated: u32) {
 /// Returns `None` if the token cancelled the sweep at a group boundary (the
 /// fault's partial work is discarded); the evaluator is left clean either
 /// way.
-#[allow(clippy::too_many_arguments)]
 fn sim_fault<const W: usize>(
     compiled: &CompiledCircuit,
     sweep: &Sweep<W>,
     config: &EngineConfig,
     ws: &mut WorkerState<W>,
-    fault: Override,
-    index: usize,
-    worker: usize,
+    unit: Unit<'_>,
     record: bool,
     cancel: Option<&CancelToken>,
-) -> Option<SimOutcome> {
+) -> Option<UnitResult<PairReport>> {
     let sweep_t = Instant::now();
+    let (fault, index, worker) = (unit.faults[0], unit.index, unit.worker);
     let mut detected = Vec::new();
     let mut violations = Vec::new();
     let mut observable = false;
-    let mut dropped = false;
+    let mut dropped_at = None;
     let mut pairs = 0u64;
     let mut words = 0u64;
     let mut events = Vec::new();
-    if record {
-        events.push(CampaignEvent::FaultStart {
-            fault: index,
-            worker,
-        });
-    }
     let WorkerState {
         ev,
-        scratch,
+        out1,
+        out2,
         cone_expire,
     } = ws;
     let fault_cone = cone_expire
@@ -760,7 +585,7 @@ fn sim_fault<const W: usize>(
             let e1 = ev.eval_cone_w(compiled, fc, |s| cached[s], wide_mask, expire);
             for &(k, ord) in &fc.outputs {
                 let k = k as usize;
-                scratch.out1[k] = if ord == CONE_SEED || ord < e1 {
+                out1[k] = if ord == CONE_SEED || ord < e1 {
                     ev.output_w(compiled, k)
                 } else {
                     sweep.golden_wide(g, 0, k)
@@ -773,7 +598,7 @@ fn sim_fault<const W: usize>(
             note_death(&mut died_min, fc, e2);
             for &(k, ord) in &fc.outputs {
                 let k = k as usize;
-                scratch.out2[k] = if ord == CONE_SEED || ord < e2 {
+                out2[k] = if ord == CONE_SEED || ord < e2 {
                     ev.output_w(compiled, k)
                 } else {
                     sweep.golden_wide(g, 1, k)
@@ -782,13 +607,13 @@ fn sim_fault<const W: usize>(
         } else {
             ev.try_eval_w(compiled, sweep.group_words1(g), &[])
                 .expect("sweep arity");
-            for k in 0..sweep.n_outputs {
-                scratch.out1[k] = ev.output_w(compiled, k);
+            for (k, o) in out1.iter_mut().enumerate() {
+                *o = ev.output_w(compiled, k);
             }
             ev.try_eval_w(compiled, sweep.group_words2(g), &[])
                 .expect("sweep arity");
-            for k in 0..sweep.n_outputs {
-                scratch.out2[k] = ev.output_w(compiled, k);
+            for (k, o) in out2.iter_mut().enumerate() {
+                *o = ev.output_w(compiled, k);
             }
         }
         // Classify per 64-pair sub-batch in scalar batch order: reports,
@@ -796,32 +621,18 @@ fn sim_fault<const W: usize>(
         for s in 0..real {
             let b = g * W + s;
             let mask = sweep.masks[b];
-            let mut det = 0u64;
-            let mut wrong = 0u64;
-            let mut diff = 0u64;
-            if let Some(fc) = &fault_cone {
-                for &(k, _) in &fc.outputs {
-                    let k = k as usize;
-                    let f1 = scratch.out1[k].sub(s);
-                    let f2 = scratch.out2[k].sub(s);
-                    let g1 = sweep.batch_golden(b, 0, k);
-                    let g2 = sweep.batch_golden(b, 1, k);
-                    let alt = f1 ^ f2;
-                    det |= !alt;
-                    wrong |= alt & (f1 ^ g1);
-                    diff |= (f1 ^ g1) | (f2 ^ g2);
-                }
-            } else {
-                for k in 0..sweep.n_outputs {
-                    let f1 = scratch.out1[k].sub(s);
-                    let f2 = scratch.out2[k].sub(s);
-                    let g1 = sweep.batch_golden(b, 0, k);
-                    let g2 = sweep.batch_golden(b, 1, k);
-                    let alt = f1 ^ f2;
-                    det |= !alt;
-                    wrong |= alt & (f1 ^ g1);
-                    diff |= (f1 ^ g1) | (f2 ^ g2);
-                }
+            let (mut det, mut wrong, mut diff) = (0u64, 0u64, 0u64);
+            let mut classify = |k: usize| {
+                let (f1, f2) = (out1[k].sub(s), out2[k].sub(s));
+                let (g1, g2) = (sweep.batch_golden(b, 0, k), sweep.batch_golden(b, 1, k));
+                let alt = f1 ^ f2;
+                det |= !alt;
+                wrong |= alt & (f1 ^ g1);
+                diff |= (f1 ^ g1) | (f2 ^ g2);
+            };
+            match &fault_cone {
+                Some(fc) => fc.outputs.iter().for_each(|&(k, _)| classify(k as usize)),
+                None => (0..sweep.n_outputs).for_each(classify),
             }
             words += 2;
             let batch_pairs = u64::from(mask.count_ones());
@@ -851,14 +662,7 @@ fn sim_fault<const W: usize>(
                 });
             }
             if config.drop_after_detection && det != 0 && b + 1 < batches {
-                dropped = true;
-                if record {
-                    events.push(CampaignEvent::FaultDropped {
-                        fault: index,
-                        worker,
-                        batch: b,
-                    });
-                }
+                dropped_at = Some(b);
                 break 'groups;
             }
         }
@@ -886,30 +690,29 @@ fn sim_fault<const W: usize>(
                 frontier_died_at_level: died_min,
             });
         }
-        events.push(CampaignEvent::FaultFinish {
-            fault: index,
-            worker,
-            detected: detected.len(),
-            violations: violations.len(),
-            observable,
-            dropped,
-            pairs,
-            // Batches sweep ascending minterms, so the smallest detected
-            // minterm is the first detecting pair in sweep order.
-            first_detected: detected.first().copied(),
-        });
     }
-    Some(SimOutcome {
-        reports: vec![PairReport {
+    let summary = FaultSummary {
+        detected: detected.len(),
+        violations: violations.len(),
+        observable,
+        dropped_at,
+        pairs,
+        // Batches sweep ascending minterms, so the smallest detected
+        // minterm is the first detecting pair in sweep order.
+        first_detected: detected.first().copied(),
+    };
+    Some(UnitResult {
+        verdicts: vec![PairReport {
             detected_pairs: detected,
             violation_pairs: violations,
             observable,
-            dropped,
+            dropped: dropped_at.is_some(),
         }],
-        pairs,
+        summaries: vec![summary],
         words,
         eval_micros,
-        events,
+        unit_events: Vec::new(),
+        fault_events: if record { vec![events] } else { Vec::new() },
     })
 }
 
@@ -926,18 +729,16 @@ fn sim_fault<const W: usize>(
 /// mask at the next batch boundary), and the sweep exits early once every
 /// lane has retired. Returns `None` if the token cancelled mid-chunk (the
 /// chunk's partial work is discarded).
-#[allow(clippy::too_many_arguments)]
 fn sim_fault_chunk<const W: usize>(
     compiled: &CompiledCircuit,
     sweep: &Sweep<W>,
     config: &EngineConfig,
-    faults: &[Override],
-    first: usize,
-    worker: usize,
+    unit: Unit<'_>,
     record: bool,
     cancel: Option<&CancelToken>,
-) -> Option<SimOutcome> {
+) -> Option<UnitResult<PairReport>> {
     let sweep_t = Instant::now();
+    let faults = unit.faults;
     let nf = faults.len();
     debug_assert!((1..=63).contains(&nf));
     let total_pairs = 1u32 << (sweep.n_inputs - 1);
@@ -959,15 +760,6 @@ fn sim_fault_chunk<const W: usize>(
     // end of its first detecting 64-pair batch. `u32::MAX` = never detected.
     let mut limit = vec![u32::MAX; nf];
     let mut live = all_lanes;
-    let mut events = Vec::new();
-    if record {
-        for i in 0..nf {
-            events.push(CampaignEvent::FaultStart {
-                fault: first + i,
-                worker,
-            });
-        }
-    }
     let mut inputs1 = vec![Word::<W>::ZERO; sweep.n_inputs];
     let mut inputs2 = vec![Word::<W>::ZERO; sweep.n_inputs];
     let mut out1 = vec![Word::<W>::ZERO; sweep.n_outputs];
@@ -1047,16 +839,8 @@ fn sim_fault_chunk<const W: usize>(
         p0 += real as u32;
     }
     let eval_micros = duration_micros(sweep_t.elapsed());
-    if record {
-        events.push(CampaignEvent::LaneBatch {
-            batch: first / 63,
-            worker,
-            lanes: nf,
-            words,
-            retired: limit.iter().filter(|&&l| l != u32::MAX).count(),
-        });
-    }
     let mut reports = Vec::with_capacity(nf);
+    let mut summaries = Vec::with_capacity(nf);
     let mut pairs = 0u64;
     for (f, ((det_pairs, viol_pairs), obs_f)) in detected
         .into_iter()
@@ -1071,25 +855,14 @@ fn sim_fault_chunk<const W: usize>(
             u64::from(total_pairs)
         };
         pairs += fault_pairs;
-        if record {
-            if fault_dropped {
-                events.push(CampaignEvent::FaultDropped {
-                    fault: first + f,
-                    worker,
-                    batch: (limit[f] / 64 - 1) as usize,
-                });
-            }
-            events.push(CampaignEvent::FaultFinish {
-                fault: first + f,
-                worker,
-                detected: det_pairs.len(),
-                violations: viol_pairs.len(),
-                observable: obs_f,
-                dropped: fault_dropped,
-                pairs: fault_pairs,
-                first_detected: det_pairs.first().copied(),
-            });
-        }
+        summaries.push(FaultSummary {
+            detected: det_pairs.len(),
+            violations: viol_pairs.len(),
+            observable: obs_f,
+            dropped_at: fault_dropped.then(|| (limit[f] / 64 - 1) as usize),
+            pairs: fault_pairs,
+            first_detected: det_pairs.first().copied(),
+        });
         reports.push(PairReport {
             detected_pairs: det_pairs,
             violation_pairs: viol_pairs,
@@ -1097,68 +870,58 @@ fn sim_fault_chunk<const W: usize>(
             dropped: fault_dropped,
         });
     }
-    if record {
-        // One aggregated span per chunk: its whole 2-D sweep.
-        events.push(CampaignEvent::Span {
-            name: "eval_batch",
-            parent: "fault_sim",
-            micros: eval_micros,
-            count: words / 2,
-            items: pairs,
-        });
-    }
-    Some(SimOutcome {
-        reports,
-        pairs,
+    let unit_events = if record {
+        vec![
+            CampaignEvent::LaneBatch {
+                batch: unit.index,
+                worker: unit.worker,
+                lanes: nf,
+                words,
+                retired: limit.iter().filter(|&&l| l != u32::MAX).count(),
+            },
+            // One aggregated span per chunk: its whole 2-D sweep.
+            CampaignEvent::Span {
+                name: "eval_batch",
+                parent: "fault_sim",
+                micros: eval_micros,
+                count: words / 2,
+                items: pairs,
+            },
+        ]
+    } else {
+        Vec::new()
+    };
+    Some(UnitResult {
+        verdicts: reports,
+        summaries,
         words,
         eval_micros,
-        events,
+        unit_events,
+        fault_events: Vec::new(),
     })
 }
 
 /// Runs the packed alternating-pair campaign: every override in `faults`
 /// (one stuck line each) is simulated against every canonical alternating
-/// input pair `(X, X̄)` of the combinational `circuit`.
-///
-/// Reports come back in `faults` order regardless of the worker fan-out.
-/// This is the panicking convenience wrapper around
-/// [`try_run_pair_campaign`] with no observer and no cancellation.
-///
-/// # Panics
-///
-/// Panics if the circuit is sequential, has fewer than 1 or more than 24
-/// inputs, fails validation, or is not an alternating network (some
-/// fault-free output fails to alternate on some pair).
-#[must_use]
-pub fn run_pair_campaign(
-    circuit: &Circuit,
-    faults: &[Override],
-    config: &EngineConfig,
-) -> (Vec<PairReport>, EngineStats) {
-    match try_run_pair_campaign(circuit, faults, config, &NullObserver, None) {
-        Ok(c) => (c.reports, c.stats),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs the packed alternating-pair campaign with full observability and
-/// cooperative cancellation.
+/// input pair `(X, X̄)` of the combinational `circuit`, with full
+/// observability and cooperative cancellation. Reports come back in
+/// `faults` order regardless of the worker fan-out.
 ///
 /// Every event of the run flows through `observer` (pass
-/// [`NullObserver`] to opt out — its `enabled() == false` fast path skips
-/// all event construction). If `cancel` is provided it is checked at every
-/// 64-pair batch boundary; once cancelled, in-flight faults are abandoned
-/// and the campaign returns the longest contiguous fault-ordered prefix of
-/// completed reports with [`PairCampaign::cancelled`] set. That prefix — and
-/// its [`EngineStats`] counters — is bit-identical to the same prefix of an
-/// uncancelled run.
+/// [`scal_obs::NullObserver`] to opt out — its `enabled() == false` fast
+/// path skips all event construction). Once `cancel` fires, in-flight
+/// faults are abandoned and the campaign returns the longest contiguous
+/// fault-ordered prefix of completed reports with
+/// [`PairCampaign::cancelled`] set. That prefix — and its [`EngineStats`]
+/// counters — is bit-identical to the same prefix of an uncancelled run.
 ///
 /// # Errors
 ///
 /// [`EngineError::Sequential`] for sequential circuits,
 /// [`EngineError::UnsupportedInputs`] outside `1..=24` inputs,
-/// [`EngineError::InvalidConfig`] for an unusable word width, compile
-/// errors from [`CompiledCircuit::try_compile`], and
+/// [`EngineError::InvalidConfig`] for an unusable word width or more than
+/// [`MAX_THREADS`] threads, compile errors from
+/// [`CompiledCircuit::try_compile`], and
 /// [`EngineError::NotAlternating`] if a fault-free output fails to
 /// alternate.
 pub fn try_run_pair_campaign(
@@ -1178,6 +941,104 @@ pub fn try_run_pair_campaign(
     }
 }
 
+/// The pair campaign's kernel: the packing and eval-mode decisions, the
+/// golden sweep, and one fault (pattern-major) or one ≤63-fault chunk
+/// (fault-packed) per unit.
+struct PairKernel<'a, const W: usize> {
+    compiled: &'a CompiledCircuit,
+    spans: CompileSpans,
+    config: &'a EngineConfig,
+    packing: bool,
+    mode: EvalMode,
+    /// Built by the golden phase.
+    sweep: Option<Sweep<W>>,
+}
+
+impl<const W: usize> Kernel for PairKernel<'_, W> {
+    type Verdict = PairReport;
+    type Worker = WorkerState<W>;
+
+    fn unit_len(&self) -> usize {
+        if self.packing {
+            63
+        } else {
+            1
+        }
+    }
+
+    fn header(&self, observer: &dyn CampaignObserver) {
+        observer.on_event(&CampaignEvent::EvalMode {
+            mode: self.mode.name(),
+        });
+        let (fault_lanes, pattern_lanes, packing) = if self.packing {
+            (63, W, "fault")
+        } else {
+            (0, 64 * W, "pattern")
+        };
+        observer.on_event(&CampaignEvent::LaneGeometry {
+            width: W,
+            fault_lanes,
+            pattern_lanes,
+            packing,
+        });
+    }
+
+    fn compile_events(&self, observer: &dyn CampaignObserver) {
+        let compiled = self.compiled;
+        // Memory accounting rides the span channel: `compile_mem` carries
+        // the compiled schedule's heap footprint in bytes as `items`.
+        let io = compiled.num_inputs() + compiled.num_outputs();
+        for (name, micros, items) in [
+            (
+                "levelize",
+                self.spans.levelize_micros,
+                compiled.num_ops() as u64,
+            ),
+            ("pack", self.spans.pack_micros, io as u64),
+            ("compile_mem", 0, compiled.memory_bytes()),
+        ] {
+            observer.on_event(&CampaignEvent::Span {
+                name,
+                parent: "compile",
+                micros,
+                count: 1,
+                items,
+            });
+        }
+        for (level, &gates) in compiled.level_gates().iter().enumerate() {
+            observer.on_event(&CampaignEvent::LevelGates { level, gates });
+        }
+    }
+
+    fn golden(&mut self) -> Result<(u64, WorkerState<W>), EngineError> {
+        let mut ev = WideEvaluator::<W>::new(self.compiled);
+        let (sweep, words) = Sweep::try_build(self.compiled, &mut ev, self.mode == EvalMode::Cone)?;
+        // The first worker reuses the warm golden evaluator's scratch.
+        let warm = WorkerState::new(ev, self.compiled, self.mode);
+        self.sweep = Some(sweep);
+        Ok((words, warm))
+    }
+
+    fn worker(&self) -> WorkerState<W> {
+        WorkerState::new(WideEvaluator::new(self.compiled), self.compiled, self.mode)
+    }
+
+    fn run(
+        &self,
+        ws: &mut WorkerState<W>,
+        unit: Unit<'_>,
+        record: bool,
+        cancel: Option<&CancelToken>,
+    ) -> Option<UnitResult<PairReport>> {
+        let sweep = self.sweep.as_ref().expect("golden phase ran");
+        if self.packing {
+            sim_fault_chunk(self.compiled, sweep, self.config, unit, record, cancel)
+        } else {
+            sim_fault(self.compiled, sweep, self.config, ws, unit, record, cancel)
+        }
+    }
+}
+
 /// The width-monomorphized campaign body behind [`try_run_pair_campaign`].
 fn run_campaign<const W: usize>(
     circuit: &Circuit,
@@ -1193,454 +1054,62 @@ fn run_campaign<const W: usize>(
     if !(1..=24).contains(&n) {
         return Err(EngineError::UnsupportedInputs { inputs: n });
     }
-
-    let total_t = Instant::now();
-    let obs = observer.enabled();
-    let mut stats = EngineStats::default();
-
-    // Compile — and collapse — before the event preamble: the lane-geometry
-    // decision under `Toggle::Auto` needs the *simulated* (post-collapse)
-    // fault count, but `campaign_start` / `eval_mode` / `lane_geometry`
-    // precede the compile-phase events in the trace contract. The phase is
-    // timed here and its events are emitted below.
-    let t = Instant::now();
-    let (compiled, cspans) = CompiledCircuit::try_compile_timed(circuit)?;
-    let collapsed = if resolve_fault_collapse(config.fault_collapse) {
-        Some(collapse_overrides(&compiled, faults))
-    } else {
-        None
+    let started = Instant::now();
+    let (compiled, spans) = CompiledCircuit::try_compile_timed(circuit)?;
+    let setup = Setup {
+        campaign: "pair",
+        inputs: n,
+        outputs: circuit.outputs().len(),
+        threads: config.threads,
+        faults,
+        compiled: Some(&compiled),
+        collapse: config.fault_collapse,
+        observer,
+        cancel,
+        started,
     };
-    stats.compile_time = t.elapsed();
-    // The fault list the sweeps actually run: class representatives under
-    // collapsing, the caller's list verbatim otherwise.
-    let sim_faults: Vec<Override> = match &collapsed {
-        Some(cl) => cl.reps.iter().map(|&r| faults[r as usize]).collect(),
-        None => faults.to_vec(),
-    };
-
-    // Lane-geometry decision: forced by the config, else pack exactly when
-    // the packed whole-schedule sweep count beats the pattern-major one —
-    // packed runs `⌈F/63⌉` chunk sweeps of `P` patterns each, pattern-major
-    // runs `F` faults of `⌈P/64⌉` batches each.
-    let packing = match config.fault_packing {
-        Toggle::On => true,
-        Toggle::Off => false,
-        Toggle::Auto => {
-            let f = sim_faults.len() as u64;
-            let p = 1u64 << (n - 1);
-            f > 0 && f.div_ceil(63) * p < f * p.div_ceil(64)
-        }
-    };
-
-    // Work units: one fault on the pattern-major path, one ≤63-fault chunk
-    // under fault packing.
-    let units = if packing {
-        sim_faults.len().div_ceil(63)
-    } else {
-        sim_faults.len()
-    };
-    let threads = effective_threads(config.threads, units);
-    // Fault packing forces full-schedule evaluation: cone restriction does
-    // not compose with 63 distinct fanout cones per word. Cone mode also
-    // falls back to full when its golden slot cache would not fit the
-    // fixed budget.
-    let mode = if packing
-        || !slot_cache_fits(
+    let driven = drive(setup, |sim| {
+        // Lane geometry: forced by the config, else pack exactly when the
+        // packed whole-schedule sweep count beats the pattern-major one —
+        // packed runs `⌈F/63⌉` chunk sweeps of `P` patterns each,
+        // pattern-major runs `F` faults of `⌈P/64⌉` batches each, over the
+        // `F` simulated (post-collapse) faults.
+        let packing = match config.fault_packing {
+            Toggle::On => true,
+            Toggle::Off => false,
+            Toggle::Auto => {
+                let f = sim.len() as u64;
+                let p = 1u64 << (n - 1);
+                f > 0 && f.div_ceil(63) * p < f * p.div_ceil(64)
+            }
+        };
+        // Fault packing forces full-schedule evaluation: cone restriction
+        // does not compose with 63 distinct fanout cones per word. Cone
+        // mode also falls back to full when its golden slot cache would
+        // not fit the fixed budget.
+        let fits = slot_cache_fits(
             sweep_groups::<W>(n),
             compiled.num_slots,
             W,
             GOLDEN_CACHE_BYTES,
-        ) {
-        EvalMode::Full
-    } else {
-        config.eval_mode
-    };
-    if obs {
-        observer.on_event(&CampaignEvent::CampaignStart {
-            campaign: "pair",
-            faults: faults.len(),
-            inputs: n,
-            outputs: circuit.outputs().len(),
-            threads,
-        });
-        observer.on_event(&CampaignEvent::EvalMode { mode: mode.name() });
-        let (fault_lanes, pattern_lanes, geometry) = if packing {
-            (63, W, "fault")
+        );
+        let mode = if packing || !fits {
+            EvalMode::Full
         } else {
-            (0, 64 * W, "pattern")
+            config.eval_mode
         };
-        observer.on_event(&CampaignEvent::LaneGeometry {
-            width: W,
-            fault_lanes,
-            pattern_lanes,
-            packing: geometry,
-        });
-
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Compile,
-        });
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Compile,
-            micros: duration_micros(stats.compile_time),
-        });
-        observer.on_event(&CampaignEvent::Span {
-            name: "levelize",
-            parent: "compile",
-            micros: cspans.levelize_micros,
-            count: 1,
-            items: compiled.num_ops() as u64,
-        });
-        observer.on_event(&CampaignEvent::Span {
-            name: "pack",
-            parent: "compile",
-            micros: cspans.pack_micros,
-            count: 1,
-            items: (compiled.num_inputs() + compiled.num_outputs()) as u64,
-        });
-        // Memory accounting rides the span channel: `items` carries the
-        // compiled schedule's heap footprint in bytes.
-        observer.on_event(&CampaignEvent::Span {
-            name: "compile_mem",
-            parent: "compile",
-            micros: 0,
-            count: 1,
-            items: compiled.memory_bytes(),
-        });
-        if let Some(cl) = &collapsed {
-            observer.on_event(&CampaignEvent::Span {
-                name: "collapse",
-                parent: "compile",
-                micros: cl.micros,
-                count: 1,
-                items: cl.num_faults() as u64,
-            });
-            observer.on_event(&CampaignEvent::FaultCollapse {
-                faults: cl.num_faults(),
-                representatives: cl.num_reps(),
-                dominance_edges: cl.dominance_edges,
-                micros: cl.micros,
-            });
-        }
-        for (level, &gates) in compiled.level_gates().iter().enumerate() {
-            observer.on_event(&CampaignEvent::LevelGates { level, gates });
-        }
-    }
-
-    let t = Instant::now();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Golden,
-        });
-    }
-    let mut golden_ev = WideEvaluator::<W>::new(&compiled);
-    let (sweep, golden_words) =
-        Sweep::<W>::try_build(&compiled, &mut golden_ev, mode == EvalMode::Cone)?;
-    stats.golden_time = t.elapsed();
-    stats.words_evaluated = golden_words;
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Golden,
-            micros: duration_micros(stats.golden_time),
-        });
-    }
-
-    let t = Instant::now();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::FaultSim,
-        });
-    }
-    let mut slots: Vec<Option<SimOutcome>> = Vec::with_capacity(units);
-    slots.resize_with(units, || None);
-    if packing {
-        if threads <= 1 {
-            for (c, slot) in slots.iter_mut().enumerate() {
-                let (lo, hi) = (c * 63, ((c + 1) * 63).min(sim_faults.len()));
-                let Some(outcome) = sim_fault_chunk::<W>(
-                    &compiled,
-                    &sweep,
-                    config,
-                    &sim_faults[lo..hi],
-                    lo,
-                    0,
-                    obs,
-                    cancel,
-                ) else {
-                    break;
-                };
-                *slot = Some(outcome);
-                if obs {
-                    observer.on_event(&CampaignEvent::Progress {
-                        done: hi,
-                        total: sim_faults.len(),
-                    });
-                }
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let done = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        let (compiled, sweep, config) = (&compiled, &sweep, config);
-                        let (sim_faults, cursor, done) = (&sim_faults, &cursor, &done);
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                if cancel.is_some_and(CancelToken::is_cancelled) {
-                                    break;
-                                }
-                                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                                if c >= units {
-                                    break;
-                                }
-                                let (lo, hi) = (c * 63, ((c + 1) * 63).min(sim_faults.len()));
-                                let Some(outcome) = sim_fault_chunk::<W>(
-                                    compiled,
-                                    sweep,
-                                    config,
-                                    &sim_faults[lo..hi],
-                                    lo,
-                                    worker,
-                                    obs,
-                                    cancel,
-                                ) else {
-                                    break;
-                                };
-                                local.push((c, outcome));
-                                if obs {
-                                    observer.on_event(&CampaignEvent::Progress {
-                                        done: done.fetch_add(hi - lo, Ordering::Relaxed)
-                                            + (hi - lo),
-                                        total: sim_faults.len(),
-                                    });
-                                }
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (c, outcome) in h.join().expect("campaign worker panicked") {
-                        slots[c] = Some(outcome);
-                    }
-                }
-            });
-        }
-    } else if threads <= 1 {
-        // Reuse the warm golden evaluator's scratch.
-        let mut ws = WorkerState::with_evaluator(golden_ev, &compiled, &sweep, mode);
-        for (i, &fault) in sim_faults.iter().enumerate() {
-            let Some(outcome) =
-                sim_fault(&compiled, &sweep, config, &mut ws, fault, i, 0, obs, cancel)
-            else {
-                break;
-            };
-            slots[i] = Some(outcome);
-            if obs {
-                observer.on_event(&CampaignEvent::Progress {
-                    done: i + 1,
-                    total: sim_faults.len(),
-                });
-            }
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let (compiled, sweep, config) = (&compiled, &sweep, config);
-                    let (sim_faults, cursor, done) = (&sim_faults, &cursor, &done);
-                    scope.spawn(move || {
-                        let mut ws = WorkerState::new(compiled, sweep, mode);
-                        let mut local = Vec::new();
-                        loop {
-                            if cancel.is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= sim_faults.len() {
-                                break;
-                            }
-                            let Some(outcome) = sim_fault(
-                                compiled,
-                                sweep,
-                                config,
-                                &mut ws,
-                                sim_faults[i],
-                                i,
-                                worker,
-                                obs,
-                                cancel,
-                            ) else {
-                                break;
-                            };
-                            local.push((i, outcome));
-                            if obs {
-                                observer.on_event(&CampaignEvent::Progress {
-                                    done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                                    total: sim_faults.len(),
-                                });
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, outcome) in h.join().expect("campaign worker panicked") {
-                    slots[i] = Some(outcome);
-                }
-            }
-        });
-    }
-    stats.fault_sim_time = t.elapsed();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::FaultSim,
-            micros: duration_micros(stats.fault_sim_time),
-        });
-    }
-
-    // Merge: keep the longest contiguous fault-ordered prefix (the whole run
-    // unless cancelled) and replay each kept fault's buffered events in
-    // order, so traces are deterministic regardless of worker scheduling.
-    let merge_t = Instant::now();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Merge,
-        });
-    }
-    let completed_units = slots.iter().take_while(|s| s.is_some()).count();
-    let outcomes: Vec<SimOutcome> = slots
-        .into_iter()
-        .take(completed_units)
-        .map(|s| s.expect("prefix is complete"))
-        .collect();
-    // Work counters (pairs, words, eval time) measure representative work —
-    // the point of collapsing — while fault counts and reports below are
-    // expanded over original faults.
-    for outcome in &outcomes {
-        stats.pairs_evaluated += outcome.pairs;
-        stats.words_evaluated += outcome.words;
-        stats.eval_time += Duration::from_micros(outcome.eval_micros);
-    }
-    let mut reports = Vec::with_capacity(faults.len());
-    match &collapsed {
-        None => {
-            for outcome in outcomes {
-                stats.faults_dropped += outcome.reports.iter().filter(|r| r.dropped).count();
-                if obs {
-                    for e in &outcome.events {
-                        observer.on_event(e);
-                    }
-                }
-                reports.extend(outcome.reports);
-            }
-        }
-        Some(cl) => {
-            // Expansion: every completed original fault gets a clone of its
-            // representative's verdict. Buffered event indices carry
-            // *representative* positions; they are remapped so the replayed
-            // trace speaks in original-fault indices, in original-fault
-            // order — bit-identical to the uncollapsed replay when every
-            // class is a singleton.
-            let completed_reps = if packing {
-                (completed_units * 63).min(cl.num_reps())
-            } else {
-                completed_units
-            };
-            let completed_originals = cl.completed_prefix(completed_reps);
-            if obs && packing {
-                // Chunk-level events (lane batches, sweep spans) replay
-                // first in chunk order; per-fault events follow below.
-                for outcome in &outcomes {
-                    for e in &outcome.events {
-                        if matches!(
-                            e,
-                            CampaignEvent::LaneBatch { .. } | CampaignEvent::Span { .. }
-                        ) {
-                            observer.on_event(e);
-                        }
-                    }
-                }
-            }
-            for o in 0..completed_originals {
-                let r = cl.rep_of[o] as usize;
-                let rep_original = cl.reps[r] as usize;
-                let (outcome, report) = if packing {
-                    let oc = &outcomes[r / 63];
-                    (oc, oc.reports[r % 63].clone())
-                } else {
-                    let oc = &outcomes[r];
-                    (oc, oc.reports[0].clone())
-                };
-                stats.faults_dropped += usize::from(report.dropped);
-                if obs {
-                    if !packing && rep_original == o {
-                        for e in &outcome.events {
-                            observer.on_event(&remap_fault(e, o));
-                        }
-                    } else {
-                        // Synthesized bucket: start, class membership
-                        // (members only), then the representative's
-                        // drop/finish verdicts under the original's index.
-                        let worker = outcome
-                            .events
-                            .iter()
-                            .find_map(|e| match e {
-                                CampaignEvent::FaultStart { fault, worker } if *fault == r => {
-                                    Some(*worker)
-                                }
-                                _ => None,
-                            })
-                            .unwrap_or(0);
-                        observer.on_event(&CampaignEvent::FaultStart { fault: o, worker });
-                        if rep_original != o {
-                            observer.on_event(&CampaignEvent::FaultClass {
-                                fault: o,
-                                representative: rep_original,
-                                size: cl.class_sizes[r] as usize,
-                            });
-                        }
-                        for e in &outcome.events {
-                            if let CampaignEvent::FaultDropped { fault, .. }
-                            | CampaignEvent::FaultFinish { fault, .. } = e
-                            {
-                                if *fault == r {
-                                    observer.on_event(&remap_fault(e, o));
-                                }
-                            }
-                        }
-                    }
-                }
-                reports.push(report);
-            }
-        }
-    }
-    let completed = reports.len();
-    let cancelled = completed < faults.len();
-    stats.faults = completed;
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Merge,
-            micros: duration_micros(merge_t.elapsed()),
-        });
-        if cancelled {
-            observer.on_event(&CampaignEvent::Cancelled { completed });
-        }
-        observer.on_event(&CampaignEvent::CampaignEnd {
-            faults: completed,
-            dropped: stats.faults_dropped,
-            pairs: stats.pairs_evaluated,
-            words: stats.words_evaluated,
-            micros: duration_micros(total_t.elapsed()),
-            cancelled,
-        });
-    }
+        Ok(PairKernel::<W> {
+            compiled: &compiled,
+            spans,
+            config,
+            packing,
+            mode,
+            sweep: None,
+        })
+    })?;
+    let (stats, cancelled) = (driven.stats.clone(), driven.cancelled);
     Ok(PairCampaign {
-        reports,
+        reports: driven.into_expanded(),
         stats,
         cancelled,
     })
@@ -1650,7 +1119,20 @@ fn run_campaign<const W: usize>(
 mod tests {
     use super::*;
     use scal_netlist::{GateKind, Site};
-    use scal_obs::CollectObserver;
+    use scal_obs::{CollectObserver, NullObserver, Phase};
+
+    /// The campaign without observer or cancellation, panicking with the
+    /// error's message.
+    fn run_pair_campaign(
+        circuit: &Circuit,
+        faults: &[Override],
+        config: &EngineConfig,
+    ) -> (Vec<PairReport>, EngineStats) {
+        match try_run_pair_campaign(circuit, faults, config, &NullObserver, None) {
+            Ok(c) => (c.reports, c.stats),
+            Err(e) => panic!("{e}"),
+        }
+    }
 
     fn xor3() -> Circuit {
         let mut c = Circuit::new();
@@ -1953,25 +1435,6 @@ mod tests {
         assert_eq!(groups, 16_384);
         assert!(slot_cache_fits(groups, 128, 8, GOLDEN_CACHE_BYTES));
         assert!(!slot_cache_fits(groups, 129, 8, GOLDEN_CACHE_BYTES));
-    }
-
-    #[test]
-    fn config_builder_validates() {
-        let cfg = EngineConfig::builder()
-            .threads(2)
-            .drop_after_detection(true)
-            .eval_mode(EvalMode::Full)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.threads, 2);
-        assert!(cfg.drop_after_detection);
-        assert_eq!(cfg.eval_mode, EvalMode::Full);
-        match EngineConfig::builder().threads(MAX_THREADS + 1).build() {
-            Err(EngineError::InvalidConfig { reason }) => {
-                assert!(reason.contains("threads"));
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
     }
 
     #[test]
@@ -2419,19 +1882,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_word_width() {
-        let cfg = EngineConfig::builder()
-            .word_width(8)
-            .fault_packing(true)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.word_width, 8);
-        assert_eq!(cfg.fault_packing, Toggle::On);
-        assert_eq!(cfg.fault_collapse, Toggle::Auto);
-        match EngineConfig::builder().word_width(3).build() {
-            Err(EngineError::InvalidConfig { reason }) => {
-                assert!(reason.contains("word width"), "{reason}");
-            }
+    fn more_than_max_threads_is_rejected() {
+        let c = xor3();
+        let cfg = EngineConfig {
+            threads: MAX_THREADS + 1,
+            ..EngineConfig::default()
+        };
+        match try_run_pair_campaign(&c, &all_single_faults(&c), &cfg, &NullObserver, None) {
+            Err(EngineError::InvalidConfig { reason }) => assert!(reason.contains("threads")),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        let cfg = EngineConfig {
+            word_width: 3,
+            ..EngineConfig::default()
+        };
+        match try_run_pair_campaign(&c, &[], &cfg, &NullObserver, None) {
+            Err(EngineError::InvalidConfig { reason }) => assert!(reason.contains("word width")),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }

@@ -1,0 +1,556 @@
+//! The campaign driver: the one pipeline under the pair (Ch. 3), packed
+//! sequential (Ch. 4) and CPU datapath (Ch. 7) campaigns, which all judge a
+//! design by one verdict per single stuck-at fault.
+//!
+//! [`drive`] collapses the fault list ([`collapse_overrides`]), emits the
+//! preamble (`CampaignStart`, the kernel's header events, the compile phase,
+//! the kernel's compile events, the `collapse` span and `FaultCollapse`),
+//! brackets the kernel's golden run, fans units of representatives out
+//! over [`par_map_cancellable`] (live `Progress` in simulated faults), and
+//! merges: the longest completed unit prefix is expanded over `rep_of` into
+//! the longest answered original-fault prefix, then `Cancelled` and
+//! `CampaignEnd`. A [`Kernel`] only simulates one unit at a time.
+//!
+//! The merge phase emits each unit's events (`LaneBatch`, a chunk `Span`)
+//! just before the first original fault it answers, and for each answered
+//! original fault `o`: `FaultStart`, `FaultClass` (class members only), the
+//! kernel's per-fault events (the representative itself only: `BatchDone`,
+//! its `Span`, `ConeStats`), `FaultDropped` (dropped faults only) and
+//! `FaultFinish`, all naming `o` and the worker that ran its unit.
+
+use crate::campaign::{EngineStats, Toggle, MAX_THREADS};
+use crate::collapse::{collapse_overrides, resolve_fault_collapse, CollapsedFaultList};
+use crate::compile::CompiledCircuit;
+use crate::error::EngineError;
+use crate::pool::{effective_threads, par_map_cancellable};
+use scal_netlist::Override;
+use scal_obs::{
+    CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, MultiObserver, Phase,
+};
+use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
+/// Whole microseconds of `d`, saturating.
+#[must_use]
+pub fn duration_micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Emits `PhaseStart` for `phase` when `since` is `None`, else its
+/// `PhaseEnd` timed from `since` — nothing when `observer` is disabled.
+pub fn phase_event(observer: &dyn CampaignObserver, phase: Phase, since: Option<Instant>) {
+    if observer.enabled() {
+        observer.on_event(&match since {
+            None => CampaignEvent::PhaseStart { phase },
+            Some(t) => CampaignEvent::PhaseEnd {
+                phase,
+                micros: duration_micros(t.elapsed()),
+            },
+        });
+    }
+}
+
+/// The observer a campaign builder runs under: its plain observer and/or
+/// its coverage map, the latter labelled by `labels` (only built when a
+/// coverage map is attached). An empty fan-out reports `enabled() ==
+/// false`, which keeps the no-observer fast path.
+pub fn fan_out<'a>(
+    observer: Option<&'a dyn CampaignObserver>,
+    coverage: Option<&'a CoverageObserver>,
+    labels: impl FnOnce() -> Vec<String>,
+) -> MultiObserver<'a> {
+    let mut fan = MultiObserver::new();
+    if let Some(o) = observer {
+        fan.push(o);
+    }
+    if let Some(cov) = coverage {
+        cov.set_labels(labels());
+        fan.push(cov);
+    }
+    fan
+}
+
+/// The `FaultFinish` payload of one fault, plus where fault dropping cut it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultSummary {
+    /// Detections (pairs, words or workloads, by campaign kind).
+    pub detected: usize,
+    /// Undetected wrong results.
+    pub violations: usize,
+    /// `true` iff the fault changed something observable.
+    pub observable: bool,
+    /// The batch at whose end fault dropping stopped the fault, if it did.
+    pub dropped_at: Option<usize>,
+    /// Pairs this fault's own simulation evaluated.
+    pub pairs: u64,
+    /// First detecting pair, word or workload.
+    pub first_detected: Option<u32>,
+}
+
+/// One unit of work handed to a [`Kernel`].
+#[derive(Debug, Clone, Copy)]
+pub struct Unit<'s> {
+    /// Unit ordinal, from 0; the index of `faults[0]` in the simulated
+    /// (representative) list is `index × unit_len`.
+    pub index: usize,
+    /// Worker running the unit.
+    pub worker: usize,
+    /// The unit's representative faults.
+    pub faults: &'s [Override],
+}
+
+/// What a [`Kernel`] produced for one unit.
+#[derive(Debug, Clone)]
+pub struct UnitResult<V> {
+    /// One verdict per fault of the unit.
+    pub verdicts: Vec<V>,
+    /// One summary per fault of the unit; their `pairs` add up to the
+    /// unit's pair count.
+    pub summaries: Vec<FaultSummary>,
+    /// 64-lane sub-word sweeps executed.
+    pub words: u64,
+    /// Wall time inside the unit's evaluation.
+    pub eval_micros: u64,
+    /// Unit-level events (`LaneBatch`, chunk spans), when recording.
+    pub unit_events: Vec<CampaignEvent>,
+    /// Per-fault events, one list per fault, when recording; empty when
+    /// the kernel has none.
+    pub fault_events: Vec<Vec<CampaignEvent>>,
+}
+
+/// The simulation core of one campaign kind.
+pub trait Kernel: Sync {
+    /// Per-fault verdict.
+    type Verdict: Clone + Send;
+    /// Per-worker scratch state.
+    type Worker: Send;
+
+    /// Representative faults per unit of work.
+    fn unit_len(&self) -> usize;
+
+    /// Events right after `CampaignStart` (mode, lane geometry).
+    fn header(&self, _observer: &dyn CampaignObserver) {}
+
+    /// Events right after the compile phase (compile spans, levels).
+    fn compile_events(&self, _observer: &dyn CampaignObserver) {}
+
+    /// Runs the fault-free reference; returns the sub-word sweeps it cost
+    /// and a warm worker state for the first worker.
+    ///
+    /// # Errors
+    ///
+    /// Whatever makes the design unfit for the campaign.
+    fn golden(&mut self) -> Result<(u64, Self::Worker), EngineError>;
+
+    /// A fresh worker state.
+    fn worker(&self) -> Self::Worker;
+
+    /// Simulates one unit; `None` if `cancel` stopped it midway.
+    fn run(
+        &self,
+        worker: &mut Self::Worker,
+        unit: Unit<'_>,
+        record: bool,
+        cancel: Option<&CancelToken>,
+    ) -> Option<UnitResult<Self::Verdict>>;
+}
+
+/// Everything [`drive`] needs besides the kernel.
+pub struct Setup<'a> {
+    /// Campaign tag of `CampaignStart`.
+    pub campaign: &'static str,
+    /// Primary inputs of the design.
+    pub inputs: usize,
+    /// Primary outputs of the design.
+    pub outputs: usize,
+    /// Requested worker threads; `0` = auto.
+    pub threads: usize,
+    /// The fault list, one override per fault.
+    pub faults: &'a [Override],
+    /// Compiled design to collapse over; `None` never collapses.
+    pub compiled: Option<&'a CompiledCircuit>,
+    /// The collapse switch.
+    pub collapse: Toggle,
+    /// Where every event goes.
+    pub observer: &'a dyn CampaignObserver,
+    /// Checked before every unit (and by kernels inside units).
+    pub cancel: Option<&'a CancelToken>,
+    /// When the campaign, and its compile phase, started.
+    pub started: Instant,
+}
+
+/// The verdict table of a driven campaign.
+#[derive(Debug, Clone)]
+pub struct Driven<V> {
+    /// One verdict per completed representative.
+    pub verdicts: Vec<V>,
+    /// For each answered original fault, in order, its representative's
+    /// index into `verdicts`.
+    pub rep_of: Vec<u32>,
+    /// Counters and phase times; work counts representatives.
+    pub stats: EngineStats,
+    /// `true` iff cancellation left some fault unanswered.
+    pub cancelled: bool,
+}
+
+impl<V: Clone> Driven<V> {
+    /// One verdict per answered original fault, in fault order.
+    #[must_use]
+    pub fn into_expanded(self) -> Vec<V> {
+        let mut uses = vec![0u32; self.verdicts.len()];
+        for &r in &self.rep_of {
+            uses[r as usize] += 1;
+        }
+        let mut slots: Vec<Option<V>> = self.verdicts.into_iter().map(Some).collect();
+        self.rep_of
+            .iter()
+            .map(|&r| {
+                let r = r as usize;
+                uses[r] -= 1;
+                let v = if uses[r] == 0 {
+                    slots[r].take()
+                } else {
+                    slots[r].clone()
+                };
+                v.expect("each verdict is moved out last")
+            })
+            .collect()
+    }
+}
+
+/// Rewrites the fault index of a buffered per-fault event.
+fn remap_fault(event: &CampaignEvent, fault: usize) -> CampaignEvent {
+    let mut e = event.clone();
+    if let CampaignEvent::BatchDone { fault: f, .. } | CampaignEvent::ConeStats { fault: f, .. } =
+        &mut e
+    {
+        *f = fault;
+    }
+    e
+}
+
+/// Runs one campaign: collapses `setup.faults`, builds the kernel over the
+/// representatives with `build`, and drives it through the golden,
+/// fault-sim and merge phases (see the module docs for the event order).
+///
+/// # Errors
+///
+/// [`EngineError::InvalidConfig`] if `setup.threads` exceeds
+/// [`MAX_THREADS`], else whatever `build` or [`Kernel::golden`] returns.
+pub fn drive<K: Kernel>(
+    setup: Setup<'_>,
+    build: impl FnOnce(&[Override]) -> Result<K, EngineError>,
+) -> Result<Driven<K::Verdict>, EngineError> {
+    let (faults, threads, observer, cancel) =
+        (setup.faults, setup.threads, setup.observer, setup.cancel);
+    if threads > MAX_THREADS {
+        return Err(EngineError::InvalidConfig {
+            reason: format!("threads must be 0 (auto) or at most {MAX_THREADS}, got {threads}"),
+        });
+    }
+    let obs = observer.enabled();
+    let collapsed: Option<CollapsedFaultList> = setup
+        .compiled
+        .filter(|_| resolve_fault_collapse(setup.collapse))
+        .map(|c| collapse_overrides(c, faults));
+    let sim: Cow<[Override]> = match &collapsed {
+        Some(cl) => cl.reps.iter().map(|&r| faults[r as usize]).collect(),
+        None => Cow::Borrowed(faults),
+    };
+    let mut kernel = build(&sim)?;
+    let mut stats = EngineStats {
+        compile_time: setup.started.elapsed(),
+        ..EngineStats::default()
+    };
+    let per_unit = kernel.unit_len();
+    let units: Vec<Range<usize>> = (0..sim.len())
+        .step_by(per_unit)
+        .map(|lo| lo..(lo + per_unit).min(sim.len()))
+        .collect();
+    let phase = |phase, since| phase_event(observer, phase, since);
+
+    if obs {
+        observer.on_event(&CampaignEvent::CampaignStart {
+            campaign: setup.campaign,
+            faults: faults.len(),
+            inputs: setup.inputs,
+            outputs: setup.outputs,
+            threads: effective_threads(threads, units.len()),
+        });
+        kernel.header(observer);
+        phase(Phase::Compile, None);
+        observer.on_event(&CampaignEvent::PhaseEnd {
+            phase: Phase::Compile,
+            micros: duration_micros(stats.compile_time),
+        });
+        kernel.compile_events(observer);
+        if let Some(cl) = &collapsed {
+            observer.on_event(&CampaignEvent::Span {
+                name: "collapse",
+                parent: "compile",
+                micros: cl.micros,
+                count: 1,
+                items: cl.num_faults() as u64,
+            });
+            observer.on_event(&CampaignEvent::FaultCollapse {
+                faults: cl.num_faults(),
+                representatives: cl.num_reps(),
+                dominance_edges: cl.dominance_edges,
+                micros: cl.micros,
+            });
+        }
+    }
+
+    let t = Instant::now();
+    phase(Phase::Golden, None);
+    let (golden_words, warm) = kernel.golden()?;
+    stats.golden_time = t.elapsed();
+    stats.words_evaluated = golden_words;
+    phase(Phase::Golden, Some(t));
+
+    let t = Instant::now();
+    phase(Phase::FaultSim, None);
+    let kernel = &kernel;
+    let sim: &[Override] = &sim;
+    let done = AtomicUsize::new(0);
+    let mut warm = Some(warm);
+    let slots = par_map_cancellable(
+        &units,
+        threads,
+        cancel,
+        |_| warm.take().unwrap_or_else(|| kernel.worker()),
+        |state, worker, index, range: &Range<usize>| {
+            let unit = Unit {
+                index,
+                worker,
+                faults: &sim[range.clone()],
+            };
+            let result = kernel.run(state, unit, obs, cancel)?;
+            if obs {
+                observer.on_event(&CampaignEvent::Progress {
+                    done: done.fetch_add(range.len(), Ordering::Relaxed) + range.len(),
+                    total: sim.len(),
+                });
+            }
+            Some((worker, result))
+        },
+    );
+    stats.fault_sim_time = t.elapsed();
+    phase(Phase::FaultSim, Some(t));
+
+    let t = Instant::now();
+    phase(Phase::Merge, None);
+    let outcomes: Vec<(usize, UnitResult<K::Verdict>)> =
+        slots.into_iter().map_while(Option::flatten).collect();
+    let completed_reps = outcomes.iter().map(|(_, o)| o.verdicts.len()).sum();
+    let rep_of: Vec<u32> = match &collapsed {
+        Some(cl) => cl.rep_of[..cl.completed_prefix(completed_reps)].to_vec(),
+        None => (0..completed_reps as u32).collect(),
+    };
+    let mut summaries = Vec::with_capacity(completed_reps);
+    for (_, outcome) in &outcomes {
+        stats.words_evaluated += outcome.words;
+        stats.eval_time += Duration::from_micros(outcome.eval_micros);
+        summaries.extend_from_slice(&outcome.summaries);
+    }
+    stats.pairs_evaluated = summaries.iter().map(|s| s.pairs).sum();
+    stats.faults = rep_of.len();
+    stats.faults_dropped = rep_of
+        .iter()
+        .filter(|&&r| summaries[r as usize].dropped_at.is_some())
+        .count();
+    if obs {
+        let unit_events = |u: usize| outcomes[u].1.unit_events.iter();
+        let mut next_unit = 0;
+        for (o, &r) in rep_of.iter().enumerate() {
+            let r = r as usize;
+            let (u, k) = (r / per_unit, r % per_unit);
+            for e in (next_unit..=u).flat_map(unit_events) {
+                observer.on_event(e);
+            }
+            next_unit = next_unit.max(u + 1);
+            let (worker, outcome) = (outcomes[u].0, &outcomes[u].1);
+            observer.on_event(&CampaignEvent::FaultStart { fault: o, worker });
+            match collapsed.as_ref().map(|cl| (cl.reps[r] as usize, cl)) {
+                Some((rep, cl)) if rep != o => {
+                    observer.on_event(&CampaignEvent::FaultClass {
+                        fault: o,
+                        representative: rep,
+                        size: cl.class_sizes[r] as usize,
+                    });
+                }
+                _ => {
+                    for e in outcome.fault_events.get(k).into_iter().flatten() {
+                        if r == o {
+                            observer.on_event(e);
+                        } else {
+                            observer.on_event(&remap_fault(e, o));
+                        }
+                    }
+                }
+            }
+            let s = &summaries[r];
+            if let Some(batch) = s.dropped_at {
+                observer.on_event(&CampaignEvent::FaultDropped {
+                    fault: o,
+                    worker,
+                    batch,
+                });
+            }
+            observer.on_event(&CampaignEvent::FaultFinish {
+                fault: o,
+                worker,
+                detected: s.detected,
+                violations: s.violations,
+                observable: s.observable,
+                dropped: s.dropped_at.is_some(),
+                pairs: s.pairs,
+                first_detected: s.first_detected,
+            });
+        }
+        for e in (next_unit..outcomes.len()).flat_map(unit_events) {
+            observer.on_event(e);
+        }
+    }
+    let verdicts = outcomes.into_iter().flat_map(|(_, o)| o.verdicts).collect();
+    let cancelled = rep_of.len() < faults.len();
+    phase(Phase::Merge, Some(t));
+    if obs {
+        if cancelled {
+            observer.on_event(&CampaignEvent::Cancelled {
+                completed: rep_of.len(),
+            });
+        }
+        observer.on_event(&CampaignEvent::CampaignEnd {
+            faults: rep_of.len(),
+            dropped: stats.faults_dropped,
+            pairs: stats.pairs_evaluated,
+            words: stats.words_evaluated,
+            micros: duration_micros(setup.started.elapsed()),
+            cancelled,
+        });
+    }
+    Ok(Driven {
+        verdicts,
+        rep_of,
+        stats,
+        cancelled,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn expansion_repeats_each_class_verdict_in_fault_order() {
+        let driven = Driven {
+            verdicts: vec![String::from("a"), String::from("b")],
+            rep_of: vec![0, 0, 1, 0, 1],
+            stats: EngineStats::default(),
+            cancelled: false,
+        };
+        assert_eq!(driven.into_expanded(), ["a", "a", "b", "a", "b"]);
+    }
+
+    #[test]
+    fn unit_events_precede_the_first_fault_they_answer() {
+        use crate::compile::CompiledCircuit;
+        use scal_netlist::{Circuit, GateKind, Site};
+        use scal_obs::CollectObserver;
+
+        // A kernel whose verdict is the fault's stuck value, one fault per
+        // unit, tagging every unit with a `LaneBatch`.
+        struct Echo;
+        impl Kernel for Echo {
+            type Verdict = bool;
+            type Worker = ();
+            fn unit_len(&self) -> usize {
+                1
+            }
+            fn golden(&mut self) -> Result<(u64, ()), EngineError> {
+                Ok((0, ()))
+            }
+            fn worker(&self) {}
+            fn run(
+                &self,
+                (): &mut (),
+                unit: Unit<'_>,
+                record: bool,
+                _: Option<&CancelToken>,
+            ) -> Option<UnitResult<bool>> {
+                let lane_batch = CampaignEvent::LaneBatch {
+                    batch: unit.index,
+                    worker: unit.worker,
+                    lanes: unit.faults.len(),
+                    words: 0,
+                    retired: 0,
+                };
+                Some(UnitResult {
+                    verdicts: unit.faults.iter().map(|o| o.value).collect(),
+                    summaries: vec![FaultSummary::default(); unit.faults.len()],
+                    words: 0,
+                    eval_micros: 0,
+                    unit_events: if record { vec![lane_batch] } else { Vec::new() },
+                    fault_events: Vec::new(),
+                })
+            }
+        }
+
+        // An AND gate: input s-a-0 ≡ output s-a-0, so collapsing merges.
+        let mut c = Circuit::new();
+        let (a, b) = (c.input("a"), c.input("b"));
+        let g = c.gate(GateKind::And, &[a, b]);
+        c.mark_output("f", g);
+        let compiled = CompiledCircuit::try_compile(&c).unwrap();
+        let faults: Vec<Override> = [(g, false), (a, false), (b, false), (g, true)]
+            .iter()
+            .map(|&(n, value)| Override {
+                site: Site::Stem(n),
+                value,
+            })
+            .collect();
+        let collect = CollectObserver::default();
+        let driven = drive(
+            Setup {
+                campaign: "echo",
+                inputs: 2,
+                outputs: 1,
+                threads: 1,
+                faults: &faults,
+                compiled: Some(&compiled),
+                collapse: Toggle::On,
+                observer: &collect,
+                cancel: None,
+                started: Instant::now(),
+            },
+            |sim| {
+                assert_eq!(sim.len(), 2, "three s-a-0 faults form one class");
+                Ok(Echo)
+            },
+        )
+        .unwrap();
+        assert_eq!(driven.rep_of, [0, 0, 0, 1]);
+        assert_eq!(driven.into_expanded(), [false, false, false, true]);
+        let order: Vec<String> = collect
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                CampaignEvent::LaneBatch { batch, .. } => Some(format!("unit{batch}")),
+                CampaignEvent::FaultStart { fault, .. } => Some(format!("start{fault}")),
+                CampaignEvent::FaultClass { fault, .. } => Some(format!("class{fault}")),
+                CampaignEvent::FaultFinish { fault, .. } => Some(format!("finish{fault}")),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                "unit0", "start0", "finish0", "start1", "class1", "finish1", "start2", "class2",
+                "finish2", "unit1", "start3", "finish3"
+            ]
+        );
+    }
+}

@@ -52,6 +52,14 @@ pub enum EngineError {
         /// Human-readable description of the rejected knob.
         reason: String,
     },
+    /// A campaign workload failed on the fault-free design, so no fault
+    /// verdict over it would mean anything.
+    WorkloadFailed {
+        /// Name of the failing workload.
+        workload: String,
+        /// What went wrong.
+        reason: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -83,6 +91,9 @@ impl fmt::Display for EngineError {
             }
             EngineError::InvalidConfig { reason } => {
                 write!(f, "invalid engine config: {reason}")
+            }
+            EngineError::WorkloadFailed { workload, reason } => {
+                write!(f, "workload {workload} fails fault-free: {reason}")
             }
         }
     }

@@ -18,13 +18,18 @@
 //!    word-wide XOR/AND masks instead of per-lane branching. Fault overrides
 //!    are installed as dense slot forces and fanin patches, not searched per
 //!    node.
-//! 3. **Fan out** ([`run_pair_campaign`], [`par_map`]): faults are
-//!    independent, so they are spread across a scoped worker pool
-//!    (`std::thread::scope`, no external dependencies) with deterministic
-//!    fault-ordered aggregation. [`EngineConfig::drop_after_detection`]
-//!    optionally stops simulating a fault once it is proven tested; the
-//!    default *exact* mode preserves the full per-pair accounting of the
-//!    scalar reference implementation bit for bit.
+//! 3. **Drive** ([`drive`]): every production campaign — the pair campaign
+//!    ([`try_run_pair_campaign`]), the packed sequential campaign and the
+//!    CPU datapath campaign — is a [`Kernel`] under one campaign driver. The
+//!    driver collapses the fault list into equivalence classes, emits the
+//!    event preamble and phases, fans units of representatives out over a
+//!    scoped worker pool ([`par_map_cancellable`], `std::thread::scope`, no
+//!    external dependencies), and merges the verdicts back in fault order,
+//!    expanded over every class, as the longest completed prefix when
+//!    cancelled. [`EngineConfig::drop_after_detection`] optionally stops
+//!    simulating a fault once it is proven tested; the default *exact* mode
+//!    preserves the full per-pair accounting of the scalar reference
+//!    implementation bit for bit.
 //! 4. **Report** ([`EngineStats`]): compile / golden / fault-simulation wall
 //!    times, words evaluated, pairs simulated and faults dropped, surfaced by
 //!    `scal-bench`.
@@ -43,14 +48,13 @@
 //! replays the driven sequence in a single pass over the schedule per
 //! period.
 //!
-//! The fallible entry points ([`try_run_pair_campaign`],
+//! The entry points ([`try_run_pair_campaign`],
 //! [`CompiledCircuit::try_compile`], [`Evaluator::try_eval`]) return
-//! [`EngineError`] instead of panicking; the legacy panicking wrappers
-//! remain and format those errors verbatim. [`try_run_pair_campaign`] also
-//! threads a [`scal_obs::CampaignObserver`] through every phase of a run
-//! (spans, per-fault events, live progress) and honors a
-//! [`scal_obs::CancelToken`] at batch boundaries, returning a deterministic
-//! fault-ordered prefix on cancellation — see [`PairCampaign`].
+//! [`EngineError`] instead of panicking. A campaign threads a
+//! [`scal_obs::CampaignObserver`] through every phase of a run (spans,
+//! per-fault events, live progress) and honors a [`scal_obs::CancelToken`]
+//! at unit and batch boundaries, returning a deterministic fault-ordered
+//! prefix on cancellation — see [`PairCampaign`].
 //!
 //! The crate speaks the netlist vocabulary ([`scal_netlist::Override`] /
 //! [`scal_netlist::Site`]); `scal-faults` layers fault bookkeeping on top and
@@ -62,6 +66,7 @@
 mod campaign;
 mod collapse;
 mod compile;
+mod driver;
 mod error;
 mod eval;
 mod pool;
@@ -70,11 +75,15 @@ mod tables;
 mod word;
 
 pub use campaign::{
-    run_pair_campaign, try_run_pair_campaign, EngineConfig, EngineConfigBuilder, EngineStats,
-    EvalMode, PairCampaign, PairReport, Toggle, MAX_THREADS,
+    try_run_pair_campaign, EngineConfig, EngineStats, EvalMode, PairCampaign, PairReport, Toggle,
+    MAX_THREADS,
 };
 pub use collapse::{collapse_overrides, resolve_fault_collapse, CollapsedFaultList};
 pub use compile::{CompileSpans, CompiledCircuit};
+pub use driver::{
+    drive, duration_micros, fan_out, phase_event, Driven, FaultSummary, Kernel, Setup, Unit,
+    UnitResult,
+};
 pub use error::EngineError;
 pub use eval::{Evaluator, WideEvaluator};
 pub use pool::{effective_threads, par_map, par_map_cancellable, resolved_threads};

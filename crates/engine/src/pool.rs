@@ -47,52 +47,60 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_cancellable(items, threads, None, |_, i, t| f(i, t))
+    par_map_cancellable(items, threads, None, |_| (), |(), _, i, t| f(i, t))
         .into_iter()
         .map(|r| r.expect("every item processed"))
         .collect()
 }
 
-/// Worker-attributed, cancellation-aware fan-out.
+/// Worker-attributed, cancellation-aware fan-out with per-worker state.
 ///
-/// Like [`par_map`], but `f` additionally receives the id of the worker that
-/// claimed the item (always `0` inline), and an optional [`CancelToken`] is
-/// checked before each claim: once cancelled, no further items are started
-/// and their result slots stay `None`. Items already in flight run to
-/// completion, so the returned vector may have `Some` entries after the first
-/// `None` — callers wanting a deterministic prefix should truncate at the
-/// first gap.
+/// Like [`par_map`], but every worker owns a state built by `init(worker)`
+/// on the calling thread before any item runs (one call inline), and `f`
+/// receives that state plus the id of the worker that claimed the item
+/// (always `0` inline). An optional [`CancelToken`] is checked before each
+/// claim: once cancelled, no further items are started and their result
+/// slots stay `None`. Items already in flight run to completion, so the
+/// returned vector may have `Some` entries after the first `None` — callers
+/// wanting a deterministic prefix should truncate at the first gap.
 ///
 /// # Panics
 ///
 /// Propagates panics from `f`.
-pub fn par_map_cancellable<T, R, F>(
+pub fn par_map_cancellable<T, S, R, I, F>(
     items: &[T],
     threads: usize,
     cancel: Option<&CancelToken>,
+    mut init: I,
     f: F,
 ) -> Vec<Option<R>>
 where
     T: Sync,
+    S: Send,
     R: Send,
-    F: Fn(usize, usize, &T) -> R + Sync,
+    I: FnMut(usize) -> S,
+    F: Fn(&mut S, usize, usize, &T) -> R + Sync,
 {
     let threads = effective_threads(threads, items.len());
     let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
     if threads <= 1 {
+        let mut state = init(0);
         for (i, t) in items.iter().enumerate() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 break;
             }
-            results[i] = Some(f(0, i, t));
+            results[i] = Some(f(&mut state, 0, i, t));
         }
         return results;
     }
+    let states: Vec<S> = (0..threads).map(&mut init).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
+        let handles: Vec<_> = states
+            .into_iter()
+            .enumerate()
+            .map(|(worker, mut state)| {
                 let cursor = &cursor;
                 let f = &f;
                 scope.spawn(move || {
@@ -105,7 +113,7 @@ where
                         if i >= items.len() {
                             break;
                         }
-                        local.push((i, f(worker, i, &items[i])));
+                        local.push((i, f(&mut state, worker, i, &items[i])));
                     }
                     local
                 })
@@ -152,14 +160,47 @@ mod tests {
         let items: Vec<usize> = (0..50).collect();
         let token = CancelToken::new();
         token.cancel();
-        let out = par_map_cancellable(&items, 1, Some(&token), |_, _, &x| x);
+        let out = par_map_cancellable(&items, 1, Some(&token), |_| (), |(), _, _, &x| x);
         assert!(out.iter().all(Option::is_none));
         let live = CancelToken::new();
-        let out = par_map_cancellable(&items, 1, Some(&live), |w, i, &x| {
-            assert_eq!(w, 0);
-            assert_eq!(i, x);
-            x
-        });
+        let out = par_map_cancellable(
+            &items,
+            1,
+            Some(&live),
+            |_| (),
+            |(), w, i, &x| {
+                assert_eq!(w, 0);
+                assert_eq!(i, x);
+                x
+            },
+        );
         assert!(out.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn every_worker_owns_its_state() {
+        let items: Vec<usize> = (0..100).collect();
+        let mut built = Vec::new();
+        let out = par_map_cancellable(
+            &items,
+            4,
+            None,
+            |w| {
+                built.push(w);
+                0usize
+            },
+            |seen, w, _, &x| {
+                *seen += 1;
+                (w, *seen, x)
+            },
+        );
+        assert_eq!(built, [0, 1, 2, 3]);
+        let out: Vec<_> = out.into_iter().map(Option::unwrap).collect();
+        assert!(out.iter().enumerate().all(|(i, &(_, _, x))| i == x));
+        // Each worker's counter runs 1, 2, 3, … over the items it claimed.
+        for w in 0..4 {
+            let seen: Vec<usize> = out.iter().filter(|o| o.0 == w).map(|o| o.1).collect();
+            assert_eq!(seen, (1..=seen.len()).collect::<Vec<_>>());
+        }
     }
 }

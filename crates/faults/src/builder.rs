@@ -23,9 +23,11 @@
 
 use crate::campaign::{try_run_scalar, CampaignResult};
 use crate::{enumerate_faults, Fault};
-use scal_engine::{try_run_pair_campaign, EngineConfig, EngineError, EngineStats, EvalMode};
+use scal_engine::{
+    fan_out, try_run_pair_campaign, EngineConfig, EngineError, EngineStats, EvalMode,
+};
 use scal_netlist::{Circuit, Override};
-use scal_obs::{CampaignObserver, CancelToken, CoverageObserver, MultiObserver};
+use scal_obs::{CampaignObserver, CancelToken, CoverageObserver};
 
 /// Which simulation backend a [`Campaign`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,17 +206,9 @@ impl<'a> Campaign<'a> {
             Some(f) => f,
             None => enumerate_faults(self.circuit),
         };
-        // Fan out to the plain observer and/or the coverage map. An empty
-        // fan-out reports enabled() == false, preserving the no-observer
-        // fast path.
-        let mut fan = MultiObserver::new();
-        if let Some(o) = self.observer {
-            fan.push(o);
-        }
-        if let Some(cov) = self.coverage {
-            cov.set_labels(faults.iter().map(|f| f.describe(self.circuit)).collect());
-            fan.push(cov);
-        }
+        let fan = fan_out(self.observer, self.coverage, || {
+            faults.iter().map(|f| f.describe(self.circuit)).collect()
+        });
         let observer: &dyn CampaignObserver = &fan;
         match self.backend {
             Backend::Scalar => {

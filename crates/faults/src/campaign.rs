@@ -5,7 +5,7 @@
 //! the pair/fault vocabulary and the scalar oracle backend.
 
 use crate::Fault;
-use scal_engine::{EngineError, EngineStats};
+use scal_engine::{duration_micros, EngineError, EngineStats};
 use scal_netlist::{Circuit, Override};
 use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, Phase};
 use std::time::{Duration, Instant};
@@ -313,10 +313,6 @@ pub(crate) fn try_run_scalar(
         });
     }
     Ok((results, stats, cancelled))
-}
-
-fn duration_micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Evaluates output values for every minterm using 64-lane sweeps, invoking

@@ -7,41 +7,34 @@
 //! check pair) must fire — otherwise a wrong code word was accepted, a
 //! fault-secure violation.
 //!
-//! [`Campaign`] is the builder twin of `scal_faults::Campaign`: it forwards a
-//! [`CampaignObserver`] through compile / golden / fault-sim / merge phases
-//! (per-fault events replayed in fault order at merge, worker-attributed)
-//! and honors a [`CancelToken`], returning the completed fault-ordered
-//! prefix on cancellation.
-//!
-//! The default backend ([`SeqBackend::Packed`]) first collapses the fault
-//! list into structural-equivalence classes ([`collapse_overrides`], default
-//! on; see [`Campaign::fault_collapse`]) so only class representatives are
-//! simulated, then packs up to `63 × W` representatives
-//! into the lanes of one wide evaluation word of `W` 64-bit sub-words (`W ∈
-//! {1, 4, 8}`, chosen by [`Campaign::word_width`] or CPU-feature detection)
-//! — lane 0 of every sub-word replays the golden machine, every other lane
-//! one fault — and replays the driven sequence **once per
-//! batch** through [`WidePackedSeqSim`]: per-lane flip-flop state is carried
-//! across periods, every lane is classified against the golden lane with
-//! word-wide masks, and a classified lane *retires* (drops out of the
-//! batch's activity mask), so the batch early-exits once every lane is
-//! classified. [`SeqBackend::Graph`] keeps the original graph-walking
-//! driver as the packed backend's independent differential oracle. Both
-//! backends produce bit-identical outcomes, `first_detected` words, and
-//! coverage records.
+//! [`Campaign`] is the builder twin of `scal_faults::Campaign`. The default
+//! backend ([`SeqBackend::Packed`]) runs a packed kernel under the campaign
+//! driver ([`scal_engine::drive`]), which collapses the fault list into
+//! structural-equivalence classes (see [`Campaign::fault_collapse`]), fans
+//! the units out, and merges the verdicts back in fault order. The kernel
+//! packs up to `63 × W` representatives into the lanes of one wide word of
+//! `W` 64-bit sub-words — lane 0 of every sub-word replays the golden
+//! machine, every other lane one fault — and replays the driven sequence
+//! **once per unit** through [`WidePackedSeqSim`]: per-lane flip-flop state
+//! is carried across periods, every lane is classified against the golden
+//! lane with word-wide masks, and a classified lane *retires*, so the unit
+//! early-exits once every lane is classified. [`SeqBackend::Graph`] keeps
+//! the original graph-walking driver, outside the campaign driver, as the
+//! packed backend's independent differential oracle. Both backends produce
+//! bit-identical outcomes, `first_detected` words, and coverage records.
 
 use crate::dual_ff::{AltSeqDriver, ScalMachine};
 use scal_engine::{
-    collapse_overrides, effective_threads, par_map_cancellable, resolve_fault_collapse,
-    resolve_word_width, CompiledCircuit, EngineError, Toggle, WidePackedBatchPlan,
-    WidePackedSeqSim, Word,
+    drive, duration_micros, fan_out, phase_event, resolve_word_width, CompiledCircuit, EngineError,
+    FaultSummary, Kernel, Setup, Toggle, Unit, UnitResult, WidePackedBatchPlan, WidePackedSeqSim,
+    Word,
 };
 use scal_faults::Fault;
 use scal_netlist::Override;
 use scal_obs::{
     CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, MultiObserver, Phase,
 };
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Outcome of one fault under a driven sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,26 +116,6 @@ fn classify_trace(
         }
     }
     SeqOutcome::Dormant
-}
-
-/// Driven words (alternating pairs) a fault's classification consumed: a
-/// trace stops at the word that classified it.
-fn words_consumed(outcome: &SeqOutcome, total: usize) -> usize {
-    match outcome {
-        SeqOutcome::Dormant => total,
-        SeqOutcome::Detected { word } | SeqOutcome::Violation { word } => word + 1,
-    }
-}
-
-/// Fills `p1`/`p2` with the two alternating periods of one information word
-/// (`X‖0`, `X̄‖1`), reusing the caller's scratch buffers.
-fn alt_periods(word: &[bool], p1: &mut Vec<bool>, p2: &mut Vec<bool>) {
-    p1.clear();
-    p1.extend_from_slice(word);
-    p1.push(false); // φ = 0
-    p2.clear();
-    p2.extend(word.iter().map(|&b| !b));
-    p2.push(true); // φ = 1
 }
 
 /// Which simulation backend a sequential [`Campaign`] runs on.
@@ -300,52 +273,46 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Switches compile-time fault collapsing on the packed backend: the
-    /// fault list is partitioned into structural-equivalence classes
-    /// ([`collapse_overrides`]) and only class representatives ride the
-    /// lanes; each representative's outcome is expanded over its class at
-    /// merge time, so outcomes and coverage stay per-original-fault and
-    /// bit-identical to an uncollapsed run. Left untouched, collapsing
-    /// defaults to on. The graph backend never collapses — it is the packed
-    /// backend's differential oracle.
+    /// Switches fault collapsing on the packed backend (default on): only
+    /// class representatives ride the lanes, and the campaign driver
+    /// expands their outcomes back over every original fault, so outcomes
+    /// and coverage are bit-identical to an uncollapsed run. The graph
+    /// backend never collapses — it is the packed backend's oracle.
     #[must_use]
     pub fn fault_collapse(mut self, on: bool) -> Self {
         self.fault_collapse = on.into();
         self
     }
 
-    /// Builds the observer fan-out (plain observer and/or coverage map); an
-    /// empty fan-out reports `enabled() == false`, preserving the fast path.
+    /// The observer fan-out: the plain observer and/or the coverage map,
+    /// labelled with [`Fault::describe`] line names.
     fn fan_out(&self, faults: &[Fault]) -> MultiObserver<'a> {
-        let mut fan = MultiObserver::new();
-        if let Some(o) = self.observer {
-            fan.push(o);
-        }
-        if let Some(cov) = self.coverage {
-            cov.set_labels(
-                faults
-                    .iter()
-                    .map(|f| f.describe(&self.machine.circuit))
-                    .collect(),
-            );
-            fan.push(cov);
-        }
-        fan
+        fan_out(self.observer, self.coverage, || {
+            faults
+                .iter()
+                .map(|f| f.describe(&self.machine.circuit))
+                .collect()
+        })
     }
 
     /// Runs the campaign.
     ///
     /// # Errors
     ///
-    /// Propagates [`CompiledCircuit::try_compile`] errors on the packed
-    /// backend (the graph oracle never compiles, so it only errors on
-    /// future validations), and `InvalidConfig` when
+    /// [`EngineError::ArityMismatch`] (`what: "input"`) if a driven word's
+    /// width differs from the machine's external input count, on either
+    /// backend; [`CompiledCircuit::try_compile`] errors on the packed
+    /// backend (the graph oracle never compiles); and `InvalidConfig` when
     /// [`Campaign::word_width`] names an unusable width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a word's width mismatches the machine's external inputs.
     pub fn run(self) -> Result<SeqCampaign, EngineError> {
+        let expected = self.machine.circuit.inputs().len().saturating_sub(1);
+        if let Some(w) = self.words.iter().find(|w| w.len() != expected) {
+            return Err(EngineError::ArityMismatch {
+                what: "input",
+                expected,
+                got: w.len(),
+            });
+        }
         match self.backend {
             SeqBackend::Packed => match resolve_word_width(self.word_width)? {
                 1 => self.run_packed::<1>(),
@@ -359,372 +326,47 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// The packed fault-per-lane path: up to `63 × W` faults per batch ride
-    /// the lanes of one wide word (lane 0 of every sub-word golden) and the
-    /// driven sequence is replayed once per batch, with lanes retiring as
-    /// they are classified.
+    /// The packed fault-per-lane path: the campaign driver runs a
+    /// [`SeqKernel`] over the collapsed fault list.
     fn run_packed<const W: usize>(self) -> Result<SeqCampaign, EngineError> {
-        let total_t = Instant::now();
         let faults = self.machine.checkable_faults();
         let fan = self.fan_out(&faults);
-        let observer: &dyn CampaignObserver = &fan;
-        let obs = observer.enabled();
-
-        // Compile phase: the schedule, the collapsed fault list, and every
-        // batch's lane plan — mapping faults onto lanes is planning, not
-        // evaluation, so the fault-sim phase below only sets up evaluator
-        // scratch and sweeps. The phase runs up front (timed; events emitted
-        // after the preamble) because the batch count reported in the
-        // preamble depends on how many representatives survive collapsing.
-        let compile_t = Instant::now();
+        let started = Instant::now();
+        let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
         let compiled = CompiledCircuit::try_compile(&self.machine.circuit)?;
-        let collapsed = if resolve_fault_collapse(self.fault_collapse) {
-            let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
-            Some(collapse_overrides(&compiled, &overrides))
-        } else {
-            None
+        let setup = Setup {
+            campaign: "seq",
+            inputs: self.machine.circuit.inputs().len(),
+            outputs: self.machine.circuit.outputs().len(),
+            threads: self.threads,
+            faults: &overrides,
+            compiled: Some(&compiled),
+            collapse: self.fault_collapse,
+            observer: &fan,
+            cancel: self.cancel,
+            started,
         };
-        // The faults that actually ride lanes: class representatives under
-        // collapsing, the caller-visible list verbatim otherwise.
-        let sim_faults: Vec<Fault> = match &collapsed {
-            Some(cl) => cl.reps.iter().map(|&r| faults[r as usize]).collect(),
-            None => faults.clone(),
-        };
-        let sim_total = sim_faults.len();
-        let batches: Vec<&[Fault]> = sim_faults
-            .chunks(WidePackedSeqSim::<W>::FAULT_LANES)
-            .collect();
-        let n_batches = batches.len();
-        let plans: Vec<WidePackedBatchPlan<W>> = {
-            let mut overrides: Vec<[Override; 1]> =
-                Vec::with_capacity(WidePackedSeqSim::<W>::FAULT_LANES);
-            batches
-                .iter()
+        let driven = drive(setup, |sim| {
+            // Mapping faults onto lanes is planning, not evaluation: every
+            // batch's lane plan is built in the compile phase.
+            let plans = sim
+                .chunks(WidePackedSeqSim::<W>::FAULT_LANES)
                 .map(|batch| {
-                    overrides.clear();
-                    overrides.extend(batch.iter().map(|f| [f.to_override()]));
-                    let refs: Vec<&[Override]> = overrides.iter().map(|o| o.as_slice()).collect();
-                    WidePackedBatchPlan::build(&compiled, &refs)
+                    let refs: Vec<&[Override]> = batch.iter().map(std::slice::from_ref).collect();
+                    WidePackedBatchPlan::<W>::build(&compiled, &refs)
                 })
-                .collect()
-        };
-        let compile_micros = duration_micros(compile_t.elapsed());
-
-        if obs {
-            observer.on_event(&CampaignEvent::CampaignStart {
-                campaign: "seq",
-                faults: faults.len(),
-                inputs: self.machine.circuit.inputs().len(),
-                outputs: self.machine.circuit.outputs().len(),
-                threads: effective_threads(self.threads, n_batches),
-            });
-            observer.on_event(&CampaignEvent::LaneGeometry {
-                width: W,
-                fault_lanes: WidePackedSeqSim::<W>::FAULT_LANES,
-                pattern_lanes: 0,
-                packing: "seq",
-            });
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Compile,
-            });
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Compile,
-                micros: compile_micros,
-            });
-            if let Some(cl) = &collapsed {
-                observer.on_event(&CampaignEvent::Span {
-                    name: "collapse",
-                    parent: "compile",
-                    micros: cl.micros,
-                    count: 1,
-                    items: cl.num_faults() as u64,
-                });
-                observer.on_event(&CampaignEvent::FaultCollapse {
-                    faults: cl.num_faults(),
-                    representatives: cl.num_reps(),
-                    dominance_edges: cl.dominance_edges,
-                    micros: cl.micros,
-                });
-            }
-        }
-
-        // Golden phase: the golden machine rides lane 0 of every batch, so
-        // nothing is simulated up front — each driven word is just expanded
-        // once into its two alternating periods, shared by every batch.
-        let t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Golden,
-            });
-        }
-        let periods: Vec<(Vec<bool>, Vec<bool>)> = self
-            .words
-            .iter()
-            .map(|w| {
-                let (mut p1, mut p2) = (Vec::new(), Vec::new());
-                alt_periods(w, &mut p1, &mut p2);
-                (p1, p2)
+                .collect();
+            Ok(SeqKernel {
+                compiled: &compiled,
+                machine: self.machine,
+                words: self.words,
+                plans,
+                periods: Vec::new(),
             })
-            .collect();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Golden,
-                micros: duration_micros(t.elapsed()),
-            });
-        }
-
-        // Fault simulation: one packed replay per batch, cancellable at
-        // batch boundaries.
-        let t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::FaultSim,
-            });
-        }
-        let mon = self.machine.monitored();
-        let code_pair = self.machine.code_pair;
-        let n_outputs = self.machine.circuit.outputs().len();
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let run_batch = |worker: usize,
-                         batch: &[Fault],
-                         plan: &WidePackedBatchPlan<W>|
-         -> (usize, Vec<SeqOutcome>, u64, usize) {
-            let mut sim = WidePackedSeqSim::from_plan(&compiled, plan);
-            let mut outcomes = vec![SeqOutcome::Dormant; batch.len()];
-            // One activity mask per sub-word; a classified lane retires
-            // from its sub-word's mask.
-            let mut active: Vec<u64> = (0..W).map(|s| sim.sub_lane_mask(s)).collect();
-            let mut words_run = 0u64;
-            let mut o1 = vec![Word::<W>::ZERO; n_outputs];
-            for (i, (p1, p2)) in periods.iter().enumerate() {
-                sim.step(p1);
-                for (k, slot) in o1.iter_mut().enumerate() {
-                    *slot = sim.output_wide(k);
-                }
-                sim.step(p2);
-                words_run = i as u64 + 1;
-                // A lane manifests at the first word where any monitored
-                // line deviates from its sub-word's golden lane; the flag
-                // masks mirror classify_trace lane-wise.
-                let mut wrong = Word::<W>::ZERO;
-                let mut nonalt = Word::<W>::ZERO;
-                for k in mon.clone() {
-                    let (o1k, o2k) = (o1[k], sim.output_wide(k));
-                    wrong |= (o1k ^ o1k.golden_splat()) | (o2k ^ o2k.golden_splat());
-                    nonalt |= !(o1k ^ o2k);
-                }
-                let code_bad = code_pair.map_or(Word::ZERO, |(f, g)| {
-                    !(o1[f] ^ o1[g]) | !(sim.output_wide(f) ^ sim.output_wide(g))
-                });
-                let flagged = nonalt | code_bad;
-                let mut live = false;
-                for (s, act) in active.iter_mut().enumerate() {
-                    let newly = wrong.sub(s) & *act;
-                    if newly != 0 {
-                        let fl = flagged.sub(s);
-                        for l in 0..63 {
-                            let bit = 1u64 << (l + 1);
-                            if newly & bit != 0 {
-                                outcomes[s * 63 + l] = if fl & bit != 0 {
-                                    SeqOutcome::Detected { word: i }
-                                } else {
-                                    SeqOutcome::Violation { word: i }
-                                };
-                            }
-                        }
-                        *act &= !newly;
-                    }
-                    live |= *act != 0;
-                }
-                if !live {
-                    break;
-                }
-            }
-            if obs {
-                // Progress counts simulated lanes: representatives under
-                // collapsing, every fault otherwise.
-                observer.on_event(&CampaignEvent::Progress {
-                    done: done.fetch_add(batch.len(), std::sync::atomic::Ordering::Relaxed)
-                        + batch.len(),
-                    total: sim_total,
-                });
-            }
-            let retired = outcomes
-                .iter()
-                .filter(|o| !matches!(o, SeqOutcome::Dormant))
-                .count();
-            (worker, outcomes, words_run, retired)
-        };
-        let items: Vec<(&[Fault], &WidePackedBatchPlan<W>)> =
-            batches.iter().copied().zip(plans.iter()).collect();
-        let slots = par_map_cancellable(
-            &items,
-            self.threads,
-            self.cancel,
-            |worker, _, (batch, plan)| run_batch(worker, batch, plan),
-        );
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::FaultSim,
-                micros: duration_micros(t.elapsed()),
-            });
-        }
-        drop(items);
-        drop(batches);
-
-        // Merge: deterministic fault-ordered prefix (whole batches) with
-        // event replay — one LaneBatch per batch, then its faults' events.
-        let merge_t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Merge,
-            });
-        }
-        let completed_batches = slots.iter().take_while(|s| s.is_some()).count();
-        let n_faults = faults.len();
-        let mut outcomes = Vec::new();
-        let mut pairs_total = 0u64;
-        let mut words_total = 0u64;
-        match &collapsed {
-            None => {
-                let mut fault_iter = faults.into_iter();
-                let mut fault_idx = 0usize;
-                for (b, slot) in slots.into_iter().take(completed_batches).enumerate() {
-                    let (worker, batch_outcomes, words_run, retired) =
-                        slot.expect("prefix is complete");
-                    words_total += words_run;
-                    if obs {
-                        observer.on_event(&CampaignEvent::LaneBatch {
-                            batch: b,
-                            worker,
-                            lanes: batch_outcomes.len(),
-                            words: words_run,
-                            retired,
-                        });
-                    }
-                    for outcome in batch_outcomes {
-                        let fault = fault_iter.next().expect("one fault per packed lane");
-                        let pairs = words_consumed(&outcome, self.words.len()) as u64;
-                        pairs_total += pairs;
-                        if obs {
-                            observer.on_event(&CampaignEvent::FaultStart {
-                                fault: fault_idx,
-                                worker,
-                            });
-                            observer.on_event(&CampaignEvent::FaultFinish {
-                                fault: fault_idx,
-                                worker,
-                                detected: usize::from(matches!(
-                                    outcome,
-                                    SeqOutcome::Detected { .. }
-                                )),
-                                violations: usize::from(matches!(
-                                    outcome,
-                                    SeqOutcome::Violation { .. }
-                                )),
-                                observable: !matches!(outcome, SeqOutcome::Dormant),
-                                dropped: false,
-                                first_detected: match outcome {
-                                    SeqOutcome::Detected { word } => u32::try_from(word).ok(),
-                                    _ => None,
-                                },
-                                pairs,
-                            });
-                        }
-                        outcomes.push((fault, outcome));
-                        fault_idx += 1;
-                    }
-                }
-            }
-            Some(cl) => {
-                // Expansion: lane batches replay first in batch order (they
-                // speak in representative lanes), then every completed
-                // original fault gets a clone of its representative's
-                // outcome under its own index — equivalent faults produce
-                // identical traces, so the expansion is exact. Because
-                // representatives are first-occurrence ordered, the
-                // answered originals form a contiguous prefix.
-                let completed_reps =
-                    (completed_batches * WidePackedSeqSim::<W>::FAULT_LANES).min(cl.num_reps());
-                let completed_originals = cl.completed_prefix(completed_reps);
-                let mut rep_outcomes: Vec<(SeqOutcome, usize)> = Vec::with_capacity(completed_reps);
-                for (b, slot) in slots.into_iter().take(completed_batches).enumerate() {
-                    let (worker, batch_outcomes, words_run, retired) =
-                        slot.expect("prefix is complete");
-                    words_total += words_run;
-                    if obs {
-                        observer.on_event(&CampaignEvent::LaneBatch {
-                            batch: b,
-                            worker,
-                            lanes: batch_outcomes.len(),
-                            words: words_run,
-                            retired,
-                        });
-                    }
-                    rep_outcomes.extend(batch_outcomes.into_iter().map(|o| (o, worker)));
-                }
-                outcomes.reserve(completed_originals);
-                for (o, fault) in faults.into_iter().enumerate().take(completed_originals) {
-                    let r = cl.rep_of[o] as usize;
-                    let (outcome, worker) = rep_outcomes[r].clone();
-                    let pairs = words_consumed(&outcome, self.words.len()) as u64;
-                    pairs_total += pairs;
-                    if obs {
-                        observer.on_event(&CampaignEvent::FaultStart { fault: o, worker });
-                        let rep_original = cl.reps[r] as usize;
-                        if rep_original != o {
-                            observer.on_event(&CampaignEvent::FaultClass {
-                                fault: o,
-                                representative: rep_original,
-                                size: cl.class_sizes[r] as usize,
-                            });
-                        }
-                        observer.on_event(&CampaignEvent::FaultFinish {
-                            fault: o,
-                            worker,
-                            detected: usize::from(matches!(outcome, SeqOutcome::Detected { .. })),
-                            violations: usize::from(matches!(
-                                outcome,
-                                SeqOutcome::Violation { .. }
-                            )),
-                            observable: !matches!(outcome, SeqOutcome::Dormant),
-                            dropped: false,
-                            first_detected: match outcome {
-                                SeqOutcome::Detected { word } => u32::try_from(word).ok(),
-                                _ => None,
-                            },
-                            pairs,
-                        });
-                    }
-                    outcomes.push((fault, outcome));
-                }
-            }
-        }
-        let cancelled = outcomes.len() < n_faults;
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Merge,
-                micros: duration_micros(merge_t.elapsed()),
-            });
-            if cancelled {
-                observer.on_event(&CampaignEvent::Cancelled {
-                    completed: outcomes.len(),
-                });
-            }
-            observer.on_event(&CampaignEvent::CampaignEnd {
-                faults: outcomes.len(),
-                dropped: 0,
-                pairs: pairs_total,
-                // Each batch replays `words_run` driven words of two clocked
-                // periods each; the golden machine rides lane 0, so it costs
-                // no extra pass over the schedule.
-                words: words_total * 2,
-                micros: duration_micros(total_t.elapsed()),
-                cancelled,
-            });
-        }
+        })?;
+        let cancelled = driven.cancelled;
         Ok(SeqCampaign {
-            outcomes,
+            outcomes: faults.into_iter().zip(driven.into_expanded()).collect(),
             cancelled,
         })
     }
@@ -749,29 +391,16 @@ impl<'a> Campaign<'a> {
 
         // Golden trace.
         let t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Golden,
-            });
-        }
+        phase_event(observer, Phase::Golden, None);
         let golden: Vec<(Vec<bool>, Vec<bool>)> = {
             let mut drv = AltSeqDriver::new(self.machine);
             self.words.iter().map(|w| drv.apply(w)).collect()
         };
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Golden,
-                micros: duration_micros(t.elapsed()),
-            });
-        }
+        phase_event(observer, Phase::Golden, Some(t));
 
         // Fault simulation, cancellable at fault boundaries.
         let t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::FaultSim,
-            });
-        }
+        phase_event(observer, Phase::FaultSim, None);
         let mut outcomes_sim: Vec<SeqOutcome> = Vec::with_capacity(faults.len());
         for fault in &faults {
             if self.cancel.is_some_and(CancelToken::is_cancelled) {
@@ -792,27 +421,18 @@ impl<'a> Campaign<'a> {
                 });
             }
         }
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::FaultSim,
-                micros: duration_micros(t.elapsed()),
-            });
-        }
+        phase_event(observer, Phase::FaultSim, Some(t));
 
         // Merge: the fault-ordered prefix with event replay.
         let merge_t = Instant::now();
-        if obs {
-            observer.on_event(&CampaignEvent::PhaseStart {
-                phase: Phase::Merge,
-            });
-        }
+        phase_event(observer, Phase::Merge, None);
         let completed = outcomes_sim.len();
         let cancelled = completed < faults.len();
         let mut outcomes = Vec::with_capacity(completed);
         let mut pairs_total = 0u64;
         for (i, (fault, outcome)) in faults.into_iter().zip(outcomes_sim).enumerate() {
-            let pairs = words_consumed(&outcome, self.words.len()) as u64;
-            pairs_total += pairs;
+            let s = summary(&outcome, self.words.len());
+            pairs_total += s.pairs;
             if obs {
                 observer.on_event(&CampaignEvent::FaultStart {
                     fault: i,
@@ -821,24 +441,18 @@ impl<'a> Campaign<'a> {
                 observer.on_event(&CampaignEvent::FaultFinish {
                     fault: i,
                     worker: 0,
-                    detected: usize::from(matches!(outcome, SeqOutcome::Detected { .. })),
-                    violations: usize::from(matches!(outcome, SeqOutcome::Violation { .. })),
-                    observable: !matches!(outcome, SeqOutcome::Dormant),
+                    detected: s.detected,
+                    violations: s.violations,
+                    observable: s.observable,
                     dropped: false,
-                    first_detected: match outcome {
-                        SeqOutcome::Detected { word } => u32::try_from(word).ok(),
-                        _ => None,
-                    },
-                    pairs,
+                    first_detected: s.first_detected,
+                    pairs: s.pairs,
                 });
             }
             outcomes.push((fault, outcome));
         }
+        phase_event(observer, Phase::Merge, Some(merge_t));
         if obs {
-            observer.on_event(&CampaignEvent::PhaseEnd {
-                phase: Phase::Merge,
-                micros: duration_micros(merge_t.elapsed()),
-            });
             if cancelled {
                 observer.on_event(&CampaignEvent::Cancelled { completed });
             }
@@ -860,8 +474,162 @@ impl<'a> Campaign<'a> {
     }
 }
 
-fn duration_micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+/// The packed sequential kernel: up to `63 × W` representatives per unit
+/// ride the lanes of one wide word (lane 0 of every sub-word golden) and
+/// the driven sequence is replayed once per unit, with lanes retiring as
+/// they are classified.
+struct SeqKernel<'a, const W: usize> {
+    compiled: &'a CompiledCircuit,
+    machine: &'a ScalMachine,
+    words: &'a [Vec<bool>],
+    /// One lane plan per unit.
+    plans: Vec<WidePackedBatchPlan<W>>,
+    /// Both alternating periods of every driven word, from the golden phase.
+    periods: Vec<(Vec<bool>, Vec<bool>)>,
+}
+
+impl<const W: usize> Kernel for SeqKernel<'_, W> {
+    type Verdict = SeqOutcome;
+    type Worker = ();
+
+    fn unit_len(&self) -> usize {
+        WidePackedSeqSim::<W>::FAULT_LANES
+    }
+
+    fn header(&self, observer: &dyn CampaignObserver) {
+        observer.on_event(&CampaignEvent::LaneGeometry {
+            width: W,
+            fault_lanes: WidePackedSeqSim::<W>::FAULT_LANES,
+            pattern_lanes: 0,
+            packing: "seq",
+        });
+    }
+
+    /// The golden machine rides lane 0 of every unit, so nothing is
+    /// simulated up front: each driven word `X` is expanded once into its
+    /// two alternating periods `X‖0` and `X̄‖1`, shared by every unit.
+    fn golden(&mut self) -> Result<(u64, ()), EngineError> {
+        self.periods = self
+            .words
+            .iter()
+            .map(|w| {
+                let p1 = w.iter().copied().chain([false]).collect();
+                let p2 = w.iter().map(|&b| !b).chain([true]).collect();
+                (p1, p2)
+            })
+            .collect();
+        Ok((0, ()))
+    }
+
+    fn worker(&self) {}
+
+    fn run(
+        &self,
+        (): &mut (),
+        unit: Unit<'_>,
+        record: bool,
+        _cancel: Option<&CancelToken>,
+    ) -> Option<UnitResult<SeqOutcome>> {
+        let t = Instant::now();
+        let mon = self.machine.monitored();
+        let code_pair = self.machine.code_pair;
+        let mut sim = WidePackedSeqSim::from_plan(self.compiled, &self.plans[unit.index]);
+        let mut outcomes = vec![SeqOutcome::Dormant; unit.faults.len()];
+        // One activity mask per sub-word; a classified lane retires from
+        // its sub-word's mask.
+        let mut active: Vec<u64> = (0..W).map(|s| sim.sub_lane_mask(s)).collect();
+        let mut words_run = 0u64;
+        let mut o1 = vec![Word::<W>::ZERO; self.machine.circuit.outputs().len()];
+        for (i, (p1, p2)) in self.periods.iter().enumerate() {
+            sim.step(p1);
+            for (k, slot) in o1.iter_mut().enumerate() {
+                *slot = sim.output_wide(k);
+            }
+            sim.step(p2);
+            words_run = i as u64 + 1;
+            // A lane manifests at the first word where any monitored line
+            // deviates from its sub-word's golden lane; the flag masks
+            // mirror classify_trace lane-wise.
+            let mut wrong = Word::<W>::ZERO;
+            let mut nonalt = Word::<W>::ZERO;
+            for k in mon.clone() {
+                let (o1k, o2k) = (o1[k], sim.output_wide(k));
+                wrong |= (o1k ^ o1k.golden_splat()) | (o2k ^ o2k.golden_splat());
+                nonalt |= !(o1k ^ o2k);
+            }
+            let code_bad = code_pair.map_or(Word::ZERO, |(f, g)| {
+                !(o1[f] ^ o1[g]) | !(sim.output_wide(f) ^ sim.output_wide(g))
+            });
+            let flagged = nonalt | code_bad;
+            let mut live = false;
+            for (s, act) in active.iter_mut().enumerate() {
+                let newly = wrong.sub(s) & *act;
+                if newly != 0 {
+                    let fl = flagged.sub(s);
+                    for l in 0..63 {
+                        let bit = 1u64 << (l + 1);
+                        if newly & bit != 0 {
+                            outcomes[s * 63 + l] = if fl & bit != 0 {
+                                SeqOutcome::Detected { word: i }
+                            } else {
+                                SeqOutcome::Violation { word: i }
+                            };
+                        }
+                    }
+                    *act &= !newly;
+                }
+                live |= *act != 0;
+            }
+            if !live {
+                break;
+            }
+        }
+        let summaries: Vec<FaultSummary> = outcomes
+            .iter()
+            .map(|o| summary(o, self.words.len()))
+            .collect();
+        let unit_events = if record {
+            vec![CampaignEvent::LaneBatch {
+                batch: unit.index,
+                worker: unit.worker,
+                lanes: outcomes.len(),
+                words: words_run,
+                retired: summaries.iter().filter(|s| s.observable).count(),
+            }]
+        } else {
+            Vec::new()
+        };
+        Some(UnitResult {
+            // Each unit replays `words_run` driven words of two clocked
+            // periods each; the golden machine rides lane 0, so it costs no
+            // extra pass over the schedule.
+            words: words_run * 2,
+            eval_micros: duration_micros(t.elapsed()),
+            verdicts: outcomes,
+            summaries,
+            unit_events,
+            fault_events: Vec::new(),
+        })
+    }
+}
+
+/// The `FaultFinish` payload of one outcome over a `total`-word drive; its
+/// `pairs` are the driven words the classification consumed (a trace stops
+/// at the word that classified it).
+fn summary(outcome: &SeqOutcome, total: usize) -> FaultSummary {
+    let (pairs, first_detected) = match *outcome {
+        SeqOutcome::Dormant => (total, None),
+        SeqOutcome::Detected { word } => (word + 1, u32::try_from(word).ok()),
+        SeqOutcome::Violation { word } => (word + 1, None),
+    };
+    FaultSummary {
+        detected: usize::from(matches!(outcome, SeqOutcome::Detected { .. })),
+        violations: usize::from(matches!(outcome, SeqOutcome::Violation { .. })),
+        observable: !matches!(outcome, SeqOutcome::Dormant),
+        dropped_at: None,
+        pairs: pairs as u64,
+        first_detected,
+    }
 }
 
 #[cfg(test)]
@@ -1194,5 +962,24 @@ mod tests {
             .unwrap();
         assert!(cancelled.cancelled);
         assert!(cancelled.outcomes.is_empty());
+    }
+
+    #[test]
+    fn wrong_width_words_are_a_typed_error_on_both_backends() {
+        let m = kohavi_0101();
+        let machine = dual_ff_machine(&m);
+        // The Kohavi machine has one external input; the second word is two
+        // wide.
+        let words = vec![vec![true], vec![true, false]];
+        for backend in [SeqBackend::Packed, SeqBackend::Graph] {
+            match Campaign::new(&machine, &words).backend(backend).run() {
+                Err(EngineError::ArityMismatch {
+                    what: "input",
+                    expected: 1,
+                    got: 2,
+                }) => {}
+                other => panic!("{backend}: expected ArityMismatch, got {other:?}"),
+            }
+        }
     }
 }

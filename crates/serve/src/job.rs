@@ -195,7 +195,7 @@ pub fn run_job(
             if let Some(token) = cancel {
                 c = c.cancel(token);
             }
-            let out = c.run();
+            let out = c.run()?;
             let mut o = JsonObject::new();
             o.str(
                 "campaign",

@@ -416,7 +416,9 @@ fn parse_submit(obj: &JsonValue) -> Result<JobSpec, ProtoError> {
                 ));
             }
             let words: Vec<Vec<bool>> = words_v.iter().map(parse_word).collect::<Result<_, _>>()?;
-            // The campaign panics on a word-width mismatch; reject it here.
+            // The campaign would reject a word-width mismatch too, but only
+            // once the job runs; checking here answers with the `bad_words`
+            // code at submit time.
             if let Some(w) = words.iter().find(|w| w.len() != inputs - 1) {
                 return Err(ProtoError::new(
                     "bad_words",

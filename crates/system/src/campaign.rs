@@ -12,12 +12,13 @@
 
 use crate::cpu::{Cpu, CpuMode, Program};
 use crate::programs::{checksum, popcount, ARG0, RESULT};
-use scal_engine::{collapse_overrides, resolve_fault_collapse, CompiledCircuit, Toggle};
-use scal_faults::{enumerate_faults, Fault};
-use scal_obs::{
-    CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, MultiObserver, NullObserver,
-    Phase,
+use scal_engine::{
+    drive, duration_micros, fan_out, CompiledCircuit, EngineError, FaultSummary, Kernel, Setup,
+    Toggle, Unit, UnitResult,
 };
+use scal_faults::{enumerate_faults, Fault};
+use scal_netlist::Override;
+use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, NullObserver};
 use std::time::Instant;
 
 /// Which gate-level datapath unit the campaign injects faults into.
@@ -104,7 +105,7 @@ impl CpuCampaign {
 ///
 /// ```
 /// use scal_system::campaign::{Campaign, CpuUnit};
-/// let report = Campaign::new(CpuUnit::Logic).run();
+/// let report = Campaign::new(CpuUnit::Logic).run().unwrap();
 /// assert_eq!(report.undetected_wrong(), 0);
 /// ```
 pub struct Campaign<'a> {
@@ -145,12 +146,10 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Switches compile-time fault collapsing of the unit's fault list:
-    /// structurally equivalent stuck-at faults produce identical faulted
-    /// unit behaviour on every workload, so only class representatives run
-    /// the workload suite and each representative's verdict is expanded
-    /// over its class in fault order. Left untouched, collapsing defaults
-    /// to on.
+    /// Switches fault collapsing of the unit's fault list (default on):
+    /// equivalent stuck-at faults corrupt the datapath identically on every
+    /// workload, so only class representatives run the suite and the
+    /// campaign driver expands their verdicts over every original fault.
     #[must_use]
     pub fn fault_collapse(mut self, on: bool) -> Self {
         self.fault_collapse = on.into();
@@ -196,17 +195,15 @@ impl<'a> Campaign<'a> {
 
     /// Runs the campaign.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a *fault-free* workload run fails its own expectation —
-    /// that is a broken workload, not a campaign outcome.
-    #[must_use]
-    pub fn run(self) -> CpuCampaign {
+    /// [`EngineError::WorkloadFailed`] if a workload fails on the
+    /// *fault-free* datapath — a broken workload, not a campaign outcome.
+    pub fn run(self) -> Result<CpuCampaign, EngineError> {
         // Compile phase: extracting the unit netlist from the datapath and
         // enumerating its fault sites is this campaign's whole compile story
-        // — the interpreted datapath carries no compiled schedule. Timed
-        // here; the phase events are emitted after the preamble below.
-        let t_compile = Instant::now();
+        // — the interpreted datapath carries no compiled schedule.
+        let started = Instant::now();
         let unit_circuit = {
             let cpu = Cpu::new(CpuMode::Normal);
             match self.unit {
@@ -215,240 +212,164 @@ impl<'a> Campaign<'a> {
             }
         };
         let faults = enumerate_faults(&unit_circuit);
-        // Fault collapsing: structurally equivalent stuck-at faults on the
-        // unit netlist corrupt the interpreted datapath identically on every
-        // workload, so only class representatives run the workload suite.
-        // The unit netlist is combinational and engine-compatible; if it
-        // ever were not, the campaign falls back to the uncollapsed sweep.
-        let collapsed = resolve_fault_collapse(self.fault_collapse)
-            .then(|| {
-                let compiled = CompiledCircuit::try_compile(&unit_circuit).ok()?;
-                let overrides: Vec<_> = faults.iter().map(|f| f.to_override()).collect();
-                Some(collapse_overrides(&compiled, &overrides))
-            })
-            .flatten();
-        let sim_faults: Vec<Fault> = match &collapsed {
-            Some(cl) => cl.reps.iter().map(|&r| faults[r as usize]).collect(),
-            None => faults.clone(),
-        };
-        let compile_micros = duration_micros(t_compile.elapsed());
-        let mut fan = MultiObserver::new();
-        fan.push(self.observer);
-        if let Some(cov) = self.coverage {
-            cov.set_labels(faults.iter().map(|f| f.describe(&unit_circuit)).collect());
-            fan.push(cov);
-        }
-        let obs: &dyn CampaignObserver = &fan;
-        let t_total = Instant::now();
-        obs.on_event(&CampaignEvent::CampaignStart {
+        let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
+        // The driver collapses over the compiled unit netlist; were it ever
+        // not engine-compatible, the campaign would run uncollapsed.
+        let compiled = CompiledCircuit::try_compile(&unit_circuit).ok();
+        let fan = fan_out(Some(self.observer), self.coverage, || {
+            faults.iter().map(|f| f.describe(&unit_circuit)).collect()
+        });
+        let setup = Setup {
             campaign: match self.unit {
                 CpuUnit::Adder => "cpu_adder",
                 CpuUnit::Logic => "cpu_logic",
             },
-            faults: faults.len(),
             inputs: unit_circuit.inputs().len(),
             outputs: unit_circuit.outputs().len(),
             threads: 1,
-        });
-        // One interpreted evaluation at a time: the geometry event keeps
-        // bench rows comparable with the lane-packed engine campaigns.
-        obs.on_event(&CampaignEvent::LaneGeometry {
+            faults: &overrides,
+            compiled: compiled.as_ref(),
+            collapse: self.fault_collapse,
+            observer: &fan,
+            cancel: self.cancel,
+            started,
+        };
+        let driven = drive(setup, |_| {
+            Ok(CpuKernel {
+                unit: self.unit,
+                workloads: &self.workloads,
+                budget: self.budget,
+            })
+        })?;
+        let (periods, cancelled) = (driven.stats.words_evaluated, driven.cancelled);
+        let results = faults
+            .iter()
+            .zip(driven.into_expanded())
+            .map(|(&fault, r)| CpuFaultResult { fault, ..r })
+            .collect();
+        Ok(CpuCampaign {
+            results,
+            periods,
+            cancelled,
+        })
+    }
+}
+
+impl Workload {
+    /// A CPU in alternating mode with this workload's memory set up.
+    fn boot(&self) -> Cpu {
+        let mut cpu = Cpu::new(CpuMode::Alternating);
+        for &(a, v) in &self.setup {
+            cpu.memory.write(a, v);
+        }
+        cpu
+    }
+}
+
+/// The CPU campaign's kernel: one fault per unit, run through the whole
+/// workload suite on the interpreted datapath.
+struct CpuKernel<'a> {
+    unit: CpuUnit,
+    workloads: &'a [Workload],
+    budget: u64,
+}
+
+impl Kernel for CpuKernel<'_> {
+    type Verdict = CpuFaultResult;
+    type Worker = ();
+
+    fn unit_len(&self) -> usize {
+        1
+    }
+
+    /// One interpreted evaluation at a time: the geometry event keeps bench
+    /// rows comparable with the lane-packed engine campaigns.
+    fn header(&self, observer: &dyn CampaignObserver) {
+        observer.on_event(&CampaignEvent::LaneGeometry {
             width: 1,
             fault_lanes: 0,
             pattern_lanes: 1,
             packing: "scalar",
         });
-        obs.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Compile,
-        });
-        obs.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Compile,
-            micros: compile_micros,
-        });
-        if let Some(cl) = &collapsed {
-            obs.on_event(&CampaignEvent::Span {
-                name: "collapse",
-                parent: "compile",
-                micros: cl.micros,
-                count: 1,
-                items: cl.num_faults() as u64,
-            });
-            obs.on_event(&CampaignEvent::FaultCollapse {
-                faults: cl.num_faults(),
-                representatives: cl.num_reps(),
-                dominance_edges: cl.dominance_edges,
-                micros: cl.micros,
-            });
-        }
-
-        // Golden phase: every workload must pass fault-free.
-        let t = Instant::now();
-        obs.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Golden,
-        });
-        for w in &self.workloads {
-            let mut cpu = Cpu::new(CpuMode::Alternating);
-            for &(a, v) in &w.setup {
-                cpu.memory.write(a, v);
-            }
-            cpu.run(&w.program, self.budget)
-                .expect("fault-free workload run");
-            assert_eq!(
-                cpu.memory.read(RESULT),
-                Ok(w.expect),
-                "workload {} golden result",
-                w.name
-            );
-        }
-        obs.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Golden,
-            micros: duration_micros(t.elapsed()),
-        });
-
-        // Fault-simulation phase, cancellable at fault boundaries
-        // (representative boundaries when collapsing). Under collapsing the
-        // per-fault events move to the expansion below, which replays them
-        // in original fault order; progress is reported in representative
-        // units because that is the work actually remaining.
-        let t = Instant::now();
-        obs.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::FaultSim,
-        });
-        let mut periods = 0u64;
-        let mut cancelled = false;
-        let mut rep_outcomes: Vec<(CpuFaultResult, Option<u32>, u64)> =
-            Vec::with_capacity(sim_faults.len());
-        for (index, fault) in sim_faults.iter().enumerate() {
-            if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                cancelled = true;
-                break;
-            }
-            if collapsed.is_none() {
-                obs.on_event(&CampaignEvent::FaultStart {
-                    fault: index,
-                    worker: 0,
-                });
-            }
-            let mut r = CpuFaultResult {
-                fault: *fault,
-                detected: 0,
-                dormant: 0,
-                undetected_wrong: 0,
-            };
-            let mut first_detected = None;
-            for (widx, w) in self.workloads.iter().enumerate() {
-                let mut cpu = Cpu::new(CpuMode::Alternating);
-                for &(a, v) in &w.setup {
-                    cpu.memory.write(a, v);
-                }
-                match self.unit {
-                    CpuUnit::Adder => cpu.datapath.fault_adder(fault.to_override()),
-                    CpuUnit::Logic => cpu.datapath.fault_logic(fault.to_override()),
-                }
-                match cpu.run(&w.program, self.budget) {
-                    Err(_) => {
-                        r.detected += 1;
-                        if first_detected.is_none() {
-                            first_detected = u32::try_from(widx).ok();
-                        }
-                    }
-                    Ok(_) => {
-                        if cpu.memory.read(RESULT) == Ok(w.expect) {
-                            r.dormant += 1;
-                        } else {
-                            r.undetected_wrong += 1;
-                        }
-                    }
-                }
-                periods += cpu.stats().periods;
-            }
-            if collapsed.is_none() {
-                obs.on_event(&CampaignEvent::FaultFinish {
-                    fault: index,
-                    worker: 0,
-                    detected: r.detected,
-                    violations: r.undetected_wrong,
-                    observable: r.detected + r.undetected_wrong > 0,
-                    dropped: false,
-                    first_detected,
-                    pairs: periods / 2,
-                });
-            }
-            rep_outcomes.push((r, first_detected, periods / 2));
-            obs.on_event(&CampaignEvent::Progress {
-                done: index + 1,
-                total: sim_faults.len(),
-            });
-        }
-        let mut results = Vec::with_capacity(faults.len());
-        match &collapsed {
-            None => results = rep_outcomes.into_iter().map(|(r, _, _)| r).collect(),
-            Some(cl) => {
-                // Expand representative verdicts over their classes, in
-                // original fault order. A cancelled sweep keeps exactly the
-                // originals whose representative completed AND whose every
-                // predecessor did too, so the result list stays a contiguous
-                // fault-ordered prefix just like the uncollapsed sweep.
-                let completed = cl.completed_prefix(rep_outcomes.len());
-                for (o, fault) in faults.iter().enumerate().take(completed) {
-                    let r = cl.rep_of[o] as usize;
-                    let (outcome, first_detected, pairs) = &rep_outcomes[r];
-                    obs.on_event(&CampaignEvent::FaultStart {
-                        fault: o,
-                        worker: 0,
-                    });
-                    let rep_original = cl.reps[r] as usize;
-                    if rep_original != o {
-                        obs.on_event(&CampaignEvent::FaultClass {
-                            fault: o,
-                            representative: rep_original,
-                            size: cl.class_sizes[r] as usize,
-                        });
-                    }
-                    obs.on_event(&CampaignEvent::FaultFinish {
-                        fault: o,
-                        worker: 0,
-                        detected: outcome.detected,
-                        violations: outcome.undetected_wrong,
-                        observable: outcome.detected + outcome.undetected_wrong > 0,
-                        dropped: false,
-                        first_detected: *first_detected,
-                        pairs: *pairs,
-                    });
-                    results.push(CpuFaultResult {
-                        fault: *fault,
-                        ..outcome.clone()
-                    });
-                }
-            }
-        }
-        obs.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::FaultSim,
-            micros: duration_micros(t.elapsed()),
-        });
-        if cancelled {
-            obs.on_event(&CampaignEvent::Cancelled {
-                completed: results.len(),
-            });
-        }
-        obs.on_event(&CampaignEvent::CampaignEnd {
-            faults: results.len(),
-            dropped: 0,
-            pairs: periods / 2,
-            words: periods,
-            micros: duration_micros(t_total.elapsed()),
-            cancelled,
-        });
-        CpuCampaign {
-            results,
-            periods,
-            cancelled,
-        }
     }
-}
 
-fn duration_micros(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+    /// Every workload must pass fault-free.
+    fn golden(&mut self) -> Result<(u64, ()), EngineError> {
+        for w in self.workloads {
+            let mut cpu = w.boot();
+            let failed = |reason: String| EngineError::WorkloadFailed {
+                workload: w.name.to_string(),
+                reason,
+            };
+            cpu.run(&w.program, self.budget)
+                .map_err(|e| failed(e.to_string()))?;
+            match cpu.memory.read(RESULT) {
+                Ok(v) if v == w.expect => {}
+                got => return Err(failed(format!("result {got:?}, expected Ok({})", w.expect))),
+            }
+        }
+        Ok((0, ()))
+    }
+
+    fn worker(&self) {}
+
+    fn run(
+        &self,
+        (): &mut (),
+        unit: Unit<'_>,
+        _record: bool,
+        _cancel: Option<&CancelToken>,
+    ) -> Option<UnitResult<CpuFaultResult>> {
+        let t = Instant::now();
+        let o = unit.faults[0];
+        let mut r = CpuFaultResult {
+            fault: Fault::new(o.site, o.value),
+            detected: 0,
+            dormant: 0,
+            undetected_wrong: 0,
+        };
+        let mut first_detected = None;
+        let mut periods = 0u64;
+        for (widx, w) in self.workloads.iter().enumerate() {
+            let mut cpu = w.boot();
+            match self.unit {
+                CpuUnit::Adder => cpu.datapath.fault_adder(o),
+                CpuUnit::Logic => cpu.datapath.fault_logic(o),
+            }
+            match cpu.run(&w.program, self.budget) {
+                Err(_) => {
+                    r.detected += 1;
+                    if first_detected.is_none() {
+                        first_detected = u32::try_from(widx).ok();
+                    }
+                }
+                Ok(_) => {
+                    if cpu.memory.read(RESULT) == Ok(w.expect) {
+                        r.dormant += 1;
+                    } else {
+                        r.undetected_wrong += 1;
+                    }
+                }
+            }
+            periods += cpu.stats().periods;
+        }
+        let summary = FaultSummary {
+            detected: r.detected,
+            violations: r.undetected_wrong,
+            observable: r.detected + r.undetected_wrong > 0,
+            dropped_at: None,
+            pairs: periods / 2,
+            first_detected,
+        };
+        Some(UnitResult {
+            verdicts: vec![r],
+            summaries: vec![summary],
+            words: periods,
+            eval_micros: duration_micros(t.elapsed()),
+            unit_events: Vec::new(),
+            fault_events: Vec::new(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -458,7 +379,7 @@ mod tests {
 
     #[test]
     fn logic_unit_campaign_has_full_coverage() {
-        let report = Campaign::new(CpuUnit::Logic).run();
+        let report = Campaign::new(CpuUnit::Logic).run().unwrap();
         assert!(!report.results.is_empty());
         assert!(!report.cancelled);
         assert_eq!(report.undetected_wrong(), 0, "single-fault coverage");
@@ -467,7 +388,10 @@ mod tests {
     #[test]
     fn observer_sees_full_event_stream_in_fault_order() {
         let collect = CollectObserver::default();
-        let report = Campaign::new(CpuUnit::Adder).observer(&collect).run();
+        let report = Campaign::new(CpuUnit::Adder)
+            .observer(&collect)
+            .run()
+            .unwrap();
         let events = collect.events();
         assert!(matches!(
             events.first(),
@@ -496,7 +420,7 @@ mod tests {
     #[test]
     fn coverage_maps_record_first_detecting_workload() {
         let cov = scal_obs::CoverageObserver::new();
-        let report = Campaign::new(CpuUnit::Logic).coverage(&cov).run();
+        let report = Campaign::new(CpuUnit::Logic).coverage(&cov).run().unwrap();
         let map = cov.latest().expect("coverage map");
         assert_eq!(map.records.len(), report.results.len());
         for (rec, res) in map.records.iter().zip(&report.results) {
@@ -516,7 +440,10 @@ mod tests {
         // Collapsing pinned off: the cancel-after-2 observer and the length
         // assertion below count individual faults, which under collapsing
         // would be representative units instead.
-        let full = Campaign::new(CpuUnit::Logic).fault_collapse(false).run();
+        let full = Campaign::new(CpuUnit::Logic)
+            .fault_collapse(false)
+            .run()
+            .unwrap();
         let cancel = CancelToken::new();
 
         struct CancelAfter<'a> {
@@ -540,7 +467,8 @@ mod tests {
             .fault_collapse(false)
             .observer(&obs)
             .cancel(&cancel)
-            .run();
+            .run()
+            .unwrap();
         assert!(partial.cancelled);
         assert_eq!(partial.results.len(), 2);
         assert_eq!(partial.results[..], full.results[..2]);
@@ -549,13 +477,34 @@ mod tests {
     #[test]
     fn collapsed_campaign_matches_uncollapsed() {
         for unit in [CpuUnit::Adder, CpuUnit::Logic] {
-            let plain = Campaign::new(unit).fault_collapse(false).run();
+            let plain_cov = scal_obs::CoverageObserver::new();
+            let plain = Campaign::new(unit)
+                .fault_collapse(false)
+                .coverage(&plain_cov)
+                .run()
+                .unwrap();
             let collect = CollectObserver::default();
+            let cov = scal_obs::CoverageObserver::new();
             let collapsed = Campaign::new(unit)
                 .fault_collapse(true)
                 .observer(&collect)
-                .run();
+                .coverage(&cov)
+                .run()
+                .unwrap();
             assert_eq!(collapsed.results, plain.results, "{unit:?} verdicts");
+            // Whole coverage maps agree, per-fault `pairs` included: each
+            // fault's `pairs` is its own work, so an equivalent fault's
+            // verdict carries over unchanged.
+            let plain_map = plain_cov.latest().expect("plain map");
+            let map = cov.latest().expect("collapsed map");
+            assert_eq!(
+                map.without_annotations(),
+                plain_map.without_annotations(),
+                "{unit:?} coverage maps"
+            );
+            // Uncollapsed, the per-fault pairs add up to the whole run.
+            let pairs: u64 = plain_map.records.iter().map(|r| r.pairs).sum();
+            assert_eq!(pairs, plain.periods / 2, "{unit:?} per-fault pairs");
             assert!(!collapsed.cancelled);
             // The collapsed sweep must actually have merged classes and run
             // less interpreted work than the full sweep.
@@ -580,5 +529,25 @@ mod tests {
                 .count();
             assert_eq!(classes, faults - reps);
         }
+    }
+
+    #[test]
+    fn failing_fault_free_workload_is_a_typed_error() {
+        let mut broken = default_workloads();
+        broken[0].expect ^= 1;
+        let name = broken[0].name;
+        match Campaign::new(CpuUnit::Logic).workloads(broken).run() {
+            Err(EngineError::WorkloadFailed { workload, reason }) => {
+                assert_eq!(workload, name);
+                assert!(reason.contains("expected"), "{reason}");
+            }
+            other => panic!("expected WorkloadFailed, got {other:?}"),
+        }
+        // A budget too small for the program to halt fails the same way.
+        let short = Campaign::new(CpuUnit::Logic).budget(0).run();
+        assert!(
+            matches!(short, Err(EngineError::WorkloadFailed { .. })),
+            "{short:?}"
+        );
     }
 }

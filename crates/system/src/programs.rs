@@ -171,7 +171,9 @@ mod tests {
         // Every collapsed fault of the gate-level logic unit, against the
         // popcount + checksum workloads: no undetected wrong answers in
         // alternating mode.
-        let report = crate::campaign::Campaign::new(crate::campaign::CpuUnit::Logic).run();
+        let report = crate::campaign::Campaign::new(crate::campaign::CpuUnit::Logic)
+            .run()
+            .expect("workloads pass fault-free");
         assert_eq!(
             report.undetected_wrong(),
             0,

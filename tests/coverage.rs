@@ -199,3 +199,228 @@ fn cancelled_campaign_yields_prefix_coverage_map() {
     );
     assert_eq!(partial.total_faults, full.total_faults);
 }
+
+/// One row of the standard suite: how its map is produced, and the counts
+/// it must show under every collapse and thread setting.
+struct SuiteRow {
+    name: &'static str,
+    faults: usize,
+    detected: usize,
+    undetected: usize,
+    run: fn(collapse: bool, threads: usize) -> CoverageMap,
+}
+
+/// The fixed drive the sequential suite rows replay.
+fn suite_words() -> Vec<Vec<bool>> {
+    [0u32, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1]
+        .iter()
+        .map(|&s| vec![s == 1])
+        .collect()
+}
+
+fn pair_row(
+    circuit: &scal::netlist::Circuit,
+    drop: bool,
+    pack: bool,
+    collapse: bool,
+    threads: usize,
+) -> CoverageMap {
+    let cov = CoverageObserver::new();
+    Campaign::new(circuit)
+        .threads(threads)
+        .drop_after_detection(drop)
+        .fault_packing(pack)
+        .fault_collapse(collapse)
+        .coverage(&cov)
+        .run()
+        .expect("suite network is alternating");
+    cov.latest().expect("finished map")
+}
+
+fn seq_row(machine: &scal::seq::ScalMachine, collapse: bool, threads: usize) -> CoverageMap {
+    let cov = CoverageObserver::new();
+    scal::seq::Campaign::new(machine, &suite_words())
+        .threads(threads)
+        .fault_collapse(collapse)
+        .coverage(&cov)
+        .run()
+        .expect("suite machine runs");
+    cov.latest().expect("finished map")
+}
+
+/// The six rows of the standard suite, with the counts the paper
+/// reproduction stands on.
+fn suite_rows() -> [SuiteRow; 6] {
+    [
+        SuiteRow {
+            name: "fig3_4",
+            faults: 82,
+            detected: 78,
+            undetected: 4,
+            run: |c, t| pair_row(&paper::fig3_4().circuit, false, true, c, t),
+        },
+        SuiteRow {
+            name: "fig3_7",
+            faults: 98,
+            detected: 98,
+            undetected: 0,
+            run: |c, t| pair_row(&paper::fig3_7().circuit, false, true, c, t),
+        },
+        SuiteRow {
+            name: "adder8_drop",
+            faults: 562,
+            detected: 562,
+            undetected: 0,
+            run: |c, t| pair_row(&paper::ripple_adder(8), true, false, c, t),
+        },
+        SuiteRow {
+            name: "kohavi_dualff",
+            faults: 100,
+            detected: 100,
+            undetected: 0,
+            run: |c, t| {
+                let m = scal::seq::kohavi::kohavi_0101();
+                seq_row(&scal::seq::dual_ff_machine(&m), c, t)
+            },
+        },
+        SuiteRow {
+            name: "kohavi_codeconv",
+            faults: 168,
+            detected: 140,
+            undetected: 28,
+            run: |c, t| {
+                let m = scal::seq::kohavi::kohavi_0101();
+                seq_row(&scal::seq::code_conversion_machine(&m), c, t)
+            },
+        },
+        SuiteRow {
+            name: "cpu_adder",
+            faults: 562,
+            detected: 419,
+            undetected: 143,
+            // The CPU campaign has no thread knob.
+            run: |c, _| {
+                let cov = CoverageObserver::new();
+                let _ = scal::system::campaign::Campaign::new(scal::system::CpuUnit::Adder)
+                    .fault_collapse(c)
+                    .coverage(&cov)
+                    .run();
+                cov.latest().expect("finished map")
+            },
+        },
+    ]
+}
+
+/// Every standard-suite row keeps its fault, detected and undetected-site
+/// counts, and its exact undetected labels, with collapsing on and off and
+/// on one or two worker threads. The labels are pinned in
+/// `tests/golden/suite_undetected.txt` (regenerate with
+/// `UPDATE_GOLDEN=1 cargo test --test coverage`).
+#[test]
+fn suite_rows_pin_coverage_under_every_collapse_and_thread_setting() {
+    let mut got = String::new();
+    for row in suite_rows() {
+        let mut labels: Option<Vec<String>> = None;
+        for collapse in [true, false] {
+            for threads in [1, 2] {
+                let map = (row.run)(collapse, threads);
+                let at = format!("{} collapse={collapse} threads={threads}", row.name);
+                assert_eq!(map.records.len(), row.faults, "{at}: faults");
+                assert_eq!(map.detected_count(), row.detected, "{at}: detected");
+                let undetected: Vec<String> = map.undetected().map(|r| r.label.clone()).collect();
+                assert_eq!(undetected.len(), row.undetected, "{at}: undetected");
+                assert!(undetected.iter().all(|l| !l.is_empty()), "{at}: labels");
+                match &labels {
+                    None => labels = Some(undetected),
+                    Some(first) => assert_eq!(first, &undetected, "{at}: labels"),
+                }
+            }
+        }
+        got.push_str(row.name);
+        got.push('\n');
+        for label in labels.expect("at least one run") {
+            got.push_str("  ");
+            got.push_str(&label);
+            got.push('\n');
+        }
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/suite_undetected.txt"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &got).expect("write golden file");
+        return;
+    }
+    let want = include_str!("golden/suite_undetected.txt");
+    assert_eq!(
+        got, want,
+        "undetected sites drifted from tests/golden/suite_undetected.txt; \
+         if intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+/// `CampaignEnd.pairs` counts simulated (representative) work on every
+/// campaign kind, while each `FaultFinish.pairs` is that fault's own work —
+/// so collapsing lowers the former and leaves the latter unchanged.
+#[test]
+fn campaign_end_pairs_count_simulated_work() {
+    use scal::obs::CollectObserver;
+
+    /// `(fault, pairs)` of every `FaultFinish`, and `CampaignEnd.pairs`.
+    fn pairs(events: &[CampaignEvent]) -> (Vec<(usize, u64)>, u64) {
+        let finishes = events
+            .iter()
+            .filter_map(|e| match e {
+                CampaignEvent::FaultFinish { fault, pairs, .. } => Some((*fault, *pairs)),
+                _ => None,
+            })
+            .collect();
+        let end = events
+            .iter()
+            .find_map(|e| match e {
+                CampaignEvent::CampaignEnd { pairs, .. } => Some(*pairs),
+                _ => None,
+            })
+            .expect("campaign_end");
+        (finishes, end)
+    }
+
+    let adder = paper::ripple_adder(4);
+    let m = scal::seq::kohavi::kohavi_0101();
+    let codeconv = scal::seq::code_conversion_machine(&m);
+    let words = suite_words();
+    for name in ["adder4", "kohavi_codeconv"] {
+        let run = |collapse: bool| {
+            let collect = CollectObserver::default();
+            if name == "adder4" {
+                Campaign::new(&adder)
+                    .threads(1)
+                    .fault_collapse(collapse)
+                    .observer(&collect)
+                    .run()
+                    .expect("adder campaign");
+            } else {
+                scal::seq::Campaign::new(&codeconv, &words)
+                    .threads(1)
+                    .fault_collapse(collapse)
+                    .observer(&collect)
+                    .run()
+                    .expect("codeconv campaign");
+            }
+            pairs(&collect.events())
+        };
+        let (collapsed, collapsed_end) = run(true);
+        let (plain, plain_end) = run(false);
+        assert_eq!(collapsed, plain, "{name}: per-fault pairs");
+        assert_eq!(
+            plain_end,
+            plain.iter().map(|&(_, p)| p).sum::<u64>(),
+            "{name}: uncollapsed work is every fault's"
+        );
+        assert!(
+            collapsed_end < plain_end,
+            "{name}: collapsed {collapsed_end} vs uncollapsed {plain_end}"
+        );
+    }
+}
