@@ -33,6 +33,7 @@ pub fn fig2_2(ctx: &crate::ExperimentCtx) -> String {
         .fault_packing(false)
         .eval_mode(ctx.eval_mode())
         .observer(ctx)
+        .coverage(ctx.coverage())
         .run()
         .expect("adder verifies");
     let _ = writeln!(

@@ -211,6 +211,7 @@ pub fn fig3_6(ctx: &crate::ExperimentCtx) -> String {
         .fault_packing(false)
         .eval_mode(ctx.eval_mode())
         .observer(ctx)
+        .coverage(ctx.coverage())
         .run()
         .expect("fig 3.4 network is alternating");
     let violating = campaign

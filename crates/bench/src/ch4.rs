@@ -49,6 +49,7 @@ pub fn fig4_2(ctx: &crate::ExperimentCtx) -> String {
     let words: Vec<Vec<bool>> = stream.iter().map(|&x| vec![x == 1]).collect();
     let campaign = scal_seq::Campaign::new(&machine, &words)
         .observer(ctx)
+        .coverage(ctx.coverage())
         .run()
         .expect("dual-FF machine simulates");
     let detected = campaign

@@ -103,6 +103,7 @@ pub fn fig6_2(ctx: &crate::ExperimentCtx) -> String {
         .fault_packing(false)
         .eval_mode(ctx.eval_mode())
         .observer(ctx)
+        .coverage(ctx.coverage())
         .run()
         .expect("alternating realization")
         .results;

@@ -90,6 +90,7 @@ pub fn fig7_3(ctx: &crate::ExperimentCtx) -> String {
         }])
         .budget(100_000)
         .observer(ctx)
+        .coverage(ctx.coverage())
         .run()
         .expect("sum(1..=20) passes fault-free");
     let detected: usize = campaign.results.iter().map(|r| r.detected).sum();

@@ -190,6 +190,7 @@ pub fn ext_engine(ctx: &crate::ExperimentCtx) -> String {
                 .fault_packing(false)
                 .eval_mode(ctx.eval_mode())
                 .observer(ctx)
+                .coverage(ctx.coverage())
                 .run()
                 .expect("paper networks are engine-compatible");
             let _ = writeln!(s, "{name:<20} [{mode}]: {}", report.stats.summary());

@@ -10,7 +10,9 @@
 //! context. Experiments that run fault campaigns attach it as a
 //! [`CampaignObserver`], so `experiments -- <id> --trace out.jsonl` captures
 //! the per-phase / per-fault event stream and `--metrics` aggregates
-//! counters and wall-time histograms across every sweep the run performs.
+//! counters and wall-time histograms across every sweep the run performs,
+//! and hand its coverage collector to the campaign's `.coverage()` hook, so
+//! `--coverage-out` maps carry the netlist's line labels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,9 +39,11 @@ pub mod report;
 /// trace file (`--trace FILE`), a metrics registry (`--metrics`), a
 /// per-fault coverage-map collector (`--coverage-out FILE`) and a phase
 /// profiler (`--profile`). The context itself is a [`CampaignObserver`]
-/// that fans events out to whichever sinks are present; with no sink it
-/// reports `enabled() == false`, so campaigns skip event construction
-/// entirely.
+/// that fans events out to the trace, metrics and profile sinks; with none
+/// of them it reports `enabled() == false`, so campaigns skip event
+/// construction entirely. The coverage collector is no event sink:
+/// experiments pass [`ExperimentCtx::coverage`] to their campaigns'
+/// `.coverage()` hook.
 #[derive(Debug, Default)]
 pub struct ExperimentCtx {
     trace: Option<JsonlTrace<BufWriter<File>>>,
@@ -72,12 +76,17 @@ impl ExperimentCtx {
     }
 
     /// Attaches a coverage-map collector whose maps are written to `path`
-    /// (one JSON object per campaign) by [`ExperimentCtx::write_coverage`].
-    /// Labels stay index-based here: experiments attach the context as a
-    /// plain observer, so the typed `.coverage()` label hookup does not
-    /// apply.
+    /// (one JSON object per campaign, every record labelled with its
+    /// netlist line) by [`ExperimentCtx::write_coverage`].
     pub fn set_coverage_out<P: Into<PathBuf>>(&mut self, path: P) {
         self.coverage = Some((path.into(), CoverageObserver::new()));
+    }
+
+    /// The coverage-map collector, when `--coverage-out` is on: what
+    /// experiments hand to their campaigns' `.coverage()` hook.
+    #[must_use]
+    pub fn coverage(&self) -> Option<&CoverageObserver> {
+        self.coverage.as_ref().map(|(_, cov)| cov)
     }
 
     /// Attaches a phase profiler.
@@ -157,19 +166,13 @@ impl CampaignObserver for ExperimentCtx {
         if let Some(m) = &self.metrics {
             m.on_event(event);
         }
-        if let Some((_, c)) = &self.coverage {
-            c.on_event(event);
-        }
         if let Some(p) = &self.profiler {
             p.on_event(event);
         }
     }
 
     fn enabled(&self) -> bool {
-        self.trace.is_some()
-            || self.metrics.is_some()
-            || self.coverage.is_some()
-            || self.profiler.is_some()
+        self.trace.is_some() || self.metrics.is_some() || self.profiler.is_some()
     }
 }
 

@@ -276,7 +276,7 @@ impl Snapshot {
             }
             let mut po = co.object("phases");
             for (name, micros) in &c.phases {
-                po.num(name, *micros);
+                let _ = write!(po.value_dyn(name), "{micros}");
             }
             po.finish();
             co.finish();

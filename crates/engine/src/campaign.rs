@@ -37,7 +37,9 @@
 //! (fault-packed) boundary.
 
 use crate::compile::{CompileSpans, CompiledCircuit, FaultCone, LanePlan, CONE_SEED};
-use crate::driver::{drive, duration_micros, FaultSummary, Kernel, Setup, Unit, UnitResult};
+use crate::driver::{
+    drive, duration_micros, FaultSummary, Kernel, Setup, Unit, UnitResult, VerdictTable,
+};
 use crate::error::EngineError;
 use crate::eval::WideEvaluator;
 use crate::word::{resolve_word_width, Word};
@@ -290,18 +292,21 @@ impl EngineStats {
 }
 
 /// Result of [`try_run_pair_campaign`]: fault-ordered reports plus run
-/// statistics and the cancellation outcome.
+/// statistics and the verdict table.
 #[derive(Debug, Clone)]
 pub struct PairCampaign {
     /// Per-fault reports; a contiguous prefix of the requested fault list
-    /// when [`PairCampaign::cancelled`], otherwise one per fault.
+    /// when the table reports [`VerdictTable::cancelled`], otherwise one per
+    /// fault.
     pub reports: Vec<PairReport>,
     /// Aggregate counters and wall times over the returned reports.
     pub stats: EngineStats,
-    /// `true` iff a [`CancelToken`] stopped the run before every fault
-    /// completed. The reports are then the longest contiguous fault-ordered
-    /// prefix, bit-identical to the same prefix of an uncancelled run.
-    pub cancelled: bool,
+    /// The per-fault summaries the run's coverage map is gathered from.
+    /// `table.cancelled()` is `true` iff a [`CancelToken`] stopped the run
+    /// before every fault completed; the reports are then the longest
+    /// contiguous fault-ordered prefix, bit-identical to the same prefix of
+    /// an uncancelled run.
+    pub table: VerdictTable,
 }
 
 /// The precomputed pair sweep: wide input words for every *group* of `W`
@@ -669,28 +674,11 @@ fn sim_fault<const W: usize>(
     }
     ev.uninstall();
     let eval_micros = duration_micros(sweep_t.elapsed());
-    if record {
-        // One aggregated span per fault: its whole sweep, in batches.
-        events.push(CampaignEvent::Span {
-            name: "eval_batch",
-            parent: "fault_sim",
-            micros: eval_micros,
-            count: words / 2,
-            items: pairs,
-        });
-        if let Some(fc) = &fault_cone {
-            events.push(CampaignEvent::ConeStats {
-                fault: index,
-                worker,
-                cone_ops: fc.ops.len() as u64,
-                ops_evaluated,
-                // Saturating: a drop mid-group can leave evaluated-but-
-                // unclassified sub-batches out of `words`.
-                ops_skipped: (compiled.num_ops() as u64 * words).saturating_sub(ops_evaluated),
-                frontier_died_at_level: died_min,
-            });
-        }
-    }
+    let cone_ops = fault_cone.as_ref().map(|fc| fc.ops.len() as u64);
+    // Saturating: a drop mid-group can leave evaluated-but-unclassified
+    // sub-batches out of `words`.
+    let ops_skipped =
+        cone_ops.map(|_| (compiled.num_ops() as u64 * words).saturating_sub(ops_evaluated));
     let summary = FaultSummary {
         detected: detected.len(),
         violations: violations.len(),
@@ -700,7 +688,30 @@ fn sim_fault<const W: usize>(
         // Batches sweep ascending minterms, so the smallest detected
         // minterm is the first detecting pair in sweep order.
         first_detected: detected.first().copied(),
+        cone_ops,
+        ops_skipped,
+        frontier_died_at_level: died_min,
     };
+    if record {
+        // One aggregated span per fault: its whole sweep, in batches.
+        events.push(CampaignEvent::Span {
+            name: "eval_batch",
+            parent: "fault_sim",
+            micros: eval_micros,
+            count: words / 2,
+            items: pairs,
+        });
+        if let (Some(cone_ops), Some(ops_skipped)) = (cone_ops, ops_skipped) {
+            events.push(CampaignEvent::ConeStats {
+                fault: index,
+                worker,
+                cone_ops,
+                ops_evaluated,
+                ops_skipped,
+                frontier_died_at_level: died_min,
+            });
+        }
+    }
     Some(UnitResult {
         verdicts: vec![PairReport {
             detected_pairs: detected,
@@ -862,6 +873,7 @@ fn sim_fault_chunk<const W: usize>(
             dropped_at: fault_dropped.then(|| (limit[f] / 64 - 1) as usize),
             pairs: fault_pairs,
             first_detected: det_pairs.first().copied(),
+            ..FaultSummary::default()
         });
         reports.push(PairReport {
             detected_pairs: det_pairs,
@@ -912,7 +924,7 @@ fn sim_fault_chunk<const W: usize>(
 /// path skips all event construction). Once `cancel` fires, in-flight
 /// faults are abandoned and the campaign returns the longest contiguous
 /// fault-ordered prefix of completed reports with
-/// [`PairCampaign::cancelled`] set. That prefix — and its [`EngineStats`]
+/// [`VerdictTable::cancelled`] set. That prefix — and its [`EngineStats`]
 /// counters — is bit-identical to the same prefix of an uncancelled run.
 ///
 /// # Errors
@@ -1107,11 +1119,12 @@ fn run_campaign<const W: usize>(
             sweep: None,
         })
     })?;
-    let (stats, cancelled) = (driven.stats.clone(), driven.cancelled);
+    let stats = driven.stats.clone();
+    let (reports, table) = driven.into_expanded();
     Ok(PairCampaign {
-        reports: driven.into_expanded(),
+        reports,
         stats,
-        cancelled,
+        table,
     })
 }
 
@@ -1565,7 +1578,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let run = try_run_pair_campaign(&c, &faults, &cfg, &collect, None).unwrap();
-        assert!(!run.cancelled);
+        assert!(!run.table.cancelled());
         let events = collect.events();
         assert!(matches!(
             events.first(),
@@ -1615,7 +1628,7 @@ mod tests {
             Some(&token),
         )
         .unwrap();
-        assert!(run.cancelled);
+        assert!(run.table.cancelled());
         assert!(run.reports.is_empty());
         assert_eq!(run.stats.faults, 0);
         assert_eq!(run.stats.pairs_evaluated, 0);
@@ -1641,7 +1654,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let run = try_run_pair_campaign(&c, &faults, &cfg, &obs, Some(&token)).unwrap();
-        assert!(run.cancelled);
+        assert!(run.table.cancelled());
         assert_eq!(run.reports.len(), 3);
         assert_eq!(run.stats.faults, 3);
         assert_eq!(&run.reports[..], &full[..3]);
@@ -1871,7 +1884,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let run = try_run_pair_campaign(&c, &faults, &cfg, &obs, Some(&token)).unwrap();
-        assert!(run.cancelled);
+        assert!(run.table.cancelled());
         assert_eq!(
             run.reports.len(),
             63,

@@ -11,12 +11,18 @@
 //! the longest answered original-fault prefix, then `Cancelled` and
 //! `CampaignEnd`. A [`Kernel`] only simulates one unit at a time.
 //!
-//! The merge phase emits each unit's events (`LaneBatch`, a chunk `Span`)
-//! just before the first original fault it answers, and for each answered
-//! original fault `o`: `FaultStart`, `FaultClass` (class members only), the
-//! kernel's per-fault events (the representative itself only: `BatchDone`,
-//! its `Span`, `ConeStats`), `FaultDropped` (dropped faults only) and
-//! `FaultFinish`, all naming `o` and the worker that ran its unit.
+//! The verdicts come back as a [`VerdictTable`]: one [`FaultSummary`] per
+//! simulated representative, the representative of every answered fault and
+//! the collapsed classes. A campaign's [`CoverageMap`] is gathered from that
+//! table ([`VerdictTable::coverage_map`]), not from events.
+//!
+//! Events exist only for an enabled observer. The merge phase then emits
+//! each unit's events (`LaneBatch`, a chunk `Span`) just before the first
+//! original fault it answers, and for each answered original fault `o`:
+//! `FaultStart`, `FaultClass` (class members only), the kernel's per-fault
+//! events (the representative itself only: `BatchDone`, its `Span`,
+//! `ConeStats`), `FaultDropped` (dropped faults only) and `FaultFinish`,
+//! all naming `o` and the worker that ran its unit.
 
 use crate::campaign::{EngineStats, Toggle, MAX_THREADS};
 use crate::collapse::{collapse_overrides, resolve_fault_collapse, CollapsedFaultList};
@@ -24,9 +30,7 @@ use crate::compile::CompiledCircuit;
 use crate::error::EngineError;
 use crate::pool::{effective_threads, par_map_cancellable};
 use scal_netlist::Override;
-use scal_obs::{
-    CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, MultiObserver, Phase,
-};
+use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, CoverageMap, FaultRecord, Phase};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,27 +56,8 @@ pub fn phase_event(observer: &dyn CampaignObserver, phase: Phase, since: Option<
     }
 }
 
-/// The observer a campaign builder runs under: its plain observer and/or
-/// its coverage map, the latter labelled by `labels` (only built when a
-/// coverage map is attached). An empty fan-out reports `enabled() ==
-/// false`, which keeps the no-observer fast path.
-pub fn fan_out<'a>(
-    observer: Option<&'a dyn CampaignObserver>,
-    coverage: Option<&'a CoverageObserver>,
-    labels: impl FnOnce() -> Vec<String>,
-) -> MultiObserver<'a> {
-    let mut fan = MultiObserver::new();
-    if let Some(o) = observer {
-        fan.push(o);
-    }
-    if let Some(cov) = coverage {
-        cov.set_labels(labels());
-        fan.push(cov);
-    }
-    fan
-}
-
-/// The `FaultFinish` payload of one fault, plus where fault dropping cut it.
+/// The `FaultFinish` payload of one fault, plus where fault dropping cut it
+/// and, on the cone path, its cone annotation (the `ConeStats` payload).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Detections (pairs, words or workloads, by campaign kind).
@@ -87,6 +72,103 @@ pub struct FaultSummary {
     pub pairs: u64,
     /// First detecting pair, word or workload.
     pub first_detected: Option<u32>,
+    /// Ops in the fault's fanout cone (`None` off the cone path).
+    pub cone_ops: Option<u64>,
+    /// Op evaluations the cone path skipped relative to full-schedule
+    /// sweeps (`None` off the cone path).
+    pub ops_skipped: Option<u64>,
+    /// Lowest level at which the faulty frontier converged back to golden
+    /// (`None` when it never did, or off the cone path).
+    pub frontier_died_at_level: Option<u32>,
+}
+
+/// What a campaign decided, fault by fault, before expansion: the table a
+/// [`CoverageMap`] is gathered from.
+#[derive(Debug, Clone, Default)]
+pub struct VerdictTable {
+    /// Campaign tag (`"pair"`, `"seq_scalar"`, …), as in `CampaignStart`.
+    pub campaign: &'static str,
+    /// Faults the campaign was asked about.
+    pub total_faults: usize,
+    /// One summary per completed simulated fault (representative).
+    pub summaries: Vec<FaultSummary>,
+    /// For each answered original fault, in order, its representative's
+    /// index into `summaries`.
+    pub rep_of: Vec<u32>,
+    /// The collapsed classes, when the campaign collapsed its fault list.
+    pub classes: Option<CollapsedFaultList>,
+}
+
+impl VerdictTable {
+    /// The table of an uncollapsed campaign: `summaries[i]` answers fault
+    /// `i`.
+    #[must_use]
+    pub fn uncollapsed(
+        campaign: &'static str,
+        total_faults: usize,
+        summaries: Vec<FaultSummary>,
+    ) -> Self {
+        VerdictTable {
+            campaign,
+            total_faults,
+            rep_of: (0..summaries.len() as u32).collect(),
+            summaries,
+            classes: None,
+        }
+    }
+
+    /// `true` iff cancellation left some fault unanswered.
+    #[must_use]
+    pub fn cancelled(&self) -> bool {
+        self.rep_of.len() < self.total_faults
+    }
+
+    /// Gathers the coverage map: one record per answered fault, in fault
+    /// order, each labelled once by `label(fault, &mut record.label)`.
+    /// A class member (a fault that is not its own representative) carries
+    /// `class_rep`/`class_size` and its representative's verdict; only a
+    /// representative carries cone statistics.
+    pub fn coverage_map(&self, mut label: impl FnMut(usize, &mut String)) -> CoverageMap {
+        let records = self
+            .rep_of
+            .iter()
+            .enumerate()
+            .map(|(fault, &r)| {
+                let r = r as usize;
+                let s = &self.summaries[r];
+                let class = self
+                    .classes
+                    .as_ref()
+                    .map(|cl| (cl.reps[r] as usize, cl.class_sizes[r] as usize))
+                    .filter(|&(rep, _)| rep != fault);
+                let rep = class.is_none();
+                let mut record = FaultRecord {
+                    fault,
+                    label: String::new(),
+                    detected: s.detected,
+                    first_detected: s.first_detected,
+                    violations: s.violations,
+                    observable: s.observable,
+                    dropped: s.dropped_at.is_some(),
+                    dropped_at: s.dropped_at,
+                    pairs: s.pairs,
+                    cone_ops: s.cone_ops.filter(|_| rep),
+                    ops_skipped: s.ops_skipped.filter(|_| rep),
+                    frontier_died_at_level: s.frontier_died_at_level.filter(|_| rep),
+                    class_rep: class.map(|(rep, _)| rep),
+                    class_size: class.map(|(_, size)| size),
+                };
+                label(fault, &mut record.label);
+                record
+            })
+            .collect();
+        CoverageMap {
+            campaign: self.campaign.to_string(),
+            records,
+            total_faults: self.total_faults,
+            cancelled: self.cancelled(),
+        }
+    }
 }
 
 /// One unit of work handed to a [`Kernel`].
@@ -181,30 +263,31 @@ pub struct Setup<'a> {
     pub started: Instant,
 }
 
-/// The verdict table of a driven campaign.
+/// A driven campaign: its verdicts and the table they are summarized in.
 #[derive(Debug, Clone)]
 pub struct Driven<V> {
-    /// One verdict per completed representative.
+    /// One verdict per completed representative, parallel to
+    /// `table.summaries`.
     pub verdicts: Vec<V>,
-    /// For each answered original fault, in order, its representative's
-    /// index into `verdicts`.
-    pub rep_of: Vec<u32>,
+    /// The per-fault summaries, the representative of every answered fault
+    /// and the collapsed classes.
+    pub table: VerdictTable,
     /// Counters and phase times; work counts representatives.
     pub stats: EngineStats,
-    /// `true` iff cancellation left some fault unanswered.
-    pub cancelled: bool,
 }
 
 impl<V: Clone> Driven<V> {
-    /// One verdict per answered original fault, in fault order.
+    /// One verdict per answered original fault, in fault order, and the
+    /// verdict table.
     #[must_use]
-    pub fn into_expanded(self) -> Vec<V> {
+    pub fn into_expanded(self) -> (Vec<V>, VerdictTable) {
+        let rep_of = &self.table.rep_of;
         let mut uses = vec![0u32; self.verdicts.len()];
-        for &r in &self.rep_of {
+        for &r in rep_of {
             uses[r as usize] += 1;
         }
         let mut slots: Vec<Option<V>> = self.verdicts.into_iter().map(Some).collect();
-        self.rep_of
+        let expanded = rep_of
             .iter()
             .map(|&r| {
                 let r = r as usize;
@@ -216,7 +299,8 @@ impl<V: Clone> Driven<V> {
                 };
                 v.expect("each verdict is moved out last")
             })
-            .collect()
+            .collect();
+        (expanded, self.table)
     }
 }
 
@@ -415,16 +499,23 @@ pub fn drive<K: Kernel>(
         }
     }
     let verdicts = outcomes.into_iter().flat_map(|(_, o)| o.verdicts).collect();
-    let cancelled = rep_of.len() < faults.len();
+    let table = VerdictTable {
+        campaign: setup.campaign,
+        total_faults: faults.len(),
+        summaries,
+        rep_of,
+        classes: collapsed,
+    };
+    let cancelled = table.cancelled();
     phase(Phase::Merge, Some(t));
     if obs {
         if cancelled {
             observer.on_event(&CampaignEvent::Cancelled {
-                completed: rep_of.len(),
+                completed: table.rep_of.len(),
             });
         }
         observer.on_event(&CampaignEvent::CampaignEnd {
-            faults: rep_of.len(),
+            faults: table.rep_of.len(),
             dropped: stats.faults_dropped,
             pairs: stats.pairs_evaluated,
             words: stats.words_evaluated,
@@ -434,25 +525,188 @@ pub fn drive<K: Kernel>(
     }
     Ok(Driven {
         verdicts,
-        rep_of,
+        table,
         stats,
-        cancelled,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scal_obs::json::{parse, validate_jsonl, JsonValue};
+
+    fn summary(detected: usize, first: Option<u32>) -> FaultSummary {
+        FaultSummary {
+            detected,
+            violations: usize::from(detected == 0),
+            observable: true,
+            pairs: 4,
+            first_detected: first,
+            ..FaultSummary::default()
+        }
+    }
+
+    /// Labels fault `i` as `labels[i]`.
+    fn labelled<'a>(labels: &'a [&str]) -> impl FnMut(usize, &mut String) + 'a {
+        |i, out| out.push_str(labels[i])
+    }
+
+    #[test]
+    fn builds_a_map_with_ttd_and_labels() {
+        let table =
+            VerdictTable::uncollapsed("pair", 2, vec![summary(2, Some(1)), summary(0, None)]);
+        let map = table.coverage_map(labelled(&["a s-a-0", "a s-a-1"]));
+        assert_eq!(map.campaign, "pair");
+        assert_eq!(map.records.len(), 2);
+        assert_eq!(map.detected_count(), 1);
+        assert!((map.coverage_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(map.records[0].time_to_detection(), Some(2));
+        assert_eq!(map.records[0].label, "a s-a-0");
+        assert_eq!(map.undetected().count(), 1);
+        let report = map.undetected_report();
+        assert!(report.contains("1/2 faults detected"), "{report}");
+        assert!(report.contains("#1 a s-a-1"), "{report}");
+    }
+
+    #[test]
+    fn dropped_at_carries_the_batch_ordinal() {
+        let table = VerdictTable::uncollapsed(
+            "pair",
+            1,
+            vec![FaultSummary {
+                dropped_at: Some(3),
+                pairs: 192,
+                ..summary(1, Some(130))
+            }],
+        );
+        let map = table.coverage_map(|_, _| {});
+        assert_eq!(map.records[0].dropped_at, Some(3));
+        assert!(map.records[0].dropped);
+        assert_eq!(map.records[0].pairs, 192);
+    }
+
+    #[test]
+    fn cone_stats_attach_to_their_fault_record() {
+        let table = VerdictTable::uncollapsed(
+            "pair",
+            2,
+            vec![
+                summary(1, Some(0)),
+                FaultSummary {
+                    cone_ops: Some(3),
+                    ops_skipped: Some(22),
+                    frontier_died_at_level: Some(2),
+                    ..summary(0, None)
+                },
+            ],
+        );
+        let map = table.coverage_map(|_, _| {});
+        assert_eq!(map.records[0].cone_ops, None);
+        assert_eq!(map.records[1].cone_ops, Some(3));
+        assert_eq!(map.records[1].ops_skipped, Some(22));
+        assert_eq!(map.records[1].frontier_died_at_level, Some(2));
+        let json = map.to_json();
+        let v = parse(&json).expect("parses");
+        let recs = v.get("records").and_then(JsonValue::as_array).unwrap();
+        assert!(recs[0].get("cone_ops").is_none());
+        assert_eq!(
+            recs[1].get("cone_ops").and_then(JsonValue::as_f64),
+            Some(3.0)
+        );
+        assert_eq!(
+            recs[1]
+                .get("frontier_died_at_level")
+                .and_then(JsonValue::as_f64),
+            Some(2.0)
+        );
+    }
+
+    #[test]
+    fn fault_class_attaches_and_strips() {
+        // Faults 0 and 1 form one class represented by fault 0, whose cone
+        // statistics stay on its own record.
+        let table = VerdictTable {
+            campaign: "pair",
+            total_faults: 2,
+            summaries: vec![FaultSummary {
+                cone_ops: Some(5),
+                ops_skipped: Some(9),
+                ..summary(1, Some(0))
+            }],
+            rep_of: vec![0, 0],
+            classes: Some(CollapsedFaultList {
+                rep_of: vec![0, 0],
+                reps: vec![0],
+                class_sizes: vec![2],
+                dominance_edges: 0,
+                micros: 0,
+            }),
+        };
+        let map = table.coverage_map(|_, _| {});
+        assert_eq!(map.records[0].class_rep, None);
+        assert_eq!(map.records[0].cone_ops, Some(5));
+        assert_eq!(map.records[1].class_rep, Some(0));
+        assert_eq!(map.records[1].class_size, Some(2));
+        assert_eq!(map.records[1].cone_ops, None);
+        assert_eq!(map.records[1].detected, map.records[0].detected);
+        let json = map.to_json();
+        let v = parse(&json).expect("parses");
+        let recs = v.get("records").and_then(JsonValue::as_array).unwrap();
+        assert!(recs[0].get("class_rep").is_none());
+        assert_eq!(
+            recs[1].get("class_rep").and_then(JsonValue::as_f64),
+            Some(0.0)
+        );
+        assert_eq!(
+            recs[1].get("class_size").and_then(JsonValue::as_f64),
+            Some(2.0)
+        );
+        let stripped = map.without_annotations();
+        assert!(stripped
+            .records
+            .iter()
+            .all(|r| r.class_rep.is_none() && r.class_size.is_none() && r.cone_ops.is_none()));
+        assert_eq!(stripped.records[1].detected, map.records[1].detected);
+    }
+
+    #[test]
+    fn cancellation_marks_the_prefix_map() {
+        let table =
+            VerdictTable::uncollapsed("pair", 5, vec![summary(1, Some(0)), summary(1, Some(2))]);
+        let map = table.coverage_map(|_, _| {});
+        assert!(map.cancelled);
+        assert_eq!(map.records.len(), 2);
+        assert_eq!(map.total_faults, 5);
+    }
+
+    #[test]
+    fn json_form_is_valid_and_complete() {
+        let table = VerdictTable::uncollapsed("pair", 1, vec![summary(0, None)]);
+        let json = table.coverage_map(labelled(&["n1 s-a-1"])).to_json();
+        assert_eq!(validate_jsonl(&json), Ok(1));
+        let v = parse(&json).expect("parses");
+        assert_eq!(v.get("coverage").and_then(JsonValue::as_f64), Some(0.0));
+        let recs = v.get("records").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].get("detected"), Some(&JsonValue::Bool(false)));
+        assert_eq!(
+            recs[0].get("label").and_then(JsonValue::as_str),
+            Some("n1 s-a-1")
+        );
+        assert!(recs[0].get("first_pair").is_none());
+    }
 
     #[test]
     fn expansion_repeats_each_class_verdict_in_fault_order() {
         let driven = Driven {
             verdicts: vec![String::from("a"), String::from("b")],
-            rep_of: vec![0, 0, 1, 0, 1],
+            table: VerdictTable {
+                rep_of: vec![0, 0, 1, 0, 1],
+                ..VerdictTable::default()
+            },
             stats: EngineStats::default(),
-            cancelled: false,
         };
-        assert_eq!(driven.into_expanded(), ["a", "a", "b", "a", "b"]);
+        assert_eq!(driven.into_expanded().0, ["a", "a", "b", "a", "b"]);
     }
 
     #[test]
@@ -532,8 +786,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(driven.rep_of, [0, 0, 0, 1]);
-        assert_eq!(driven.into_expanded(), [false, false, false, true]);
+        assert_eq!(driven.table.rep_of, [0, 0, 0, 1]);
+        assert_eq!(driven.into_expanded().0, [false, false, false, true]);
         let order: Vec<String> = collect
             .events()
             .iter()

@@ -26,10 +26,11 @@
 //!    scoped worker pool ([`par_map_cancellable`], `std::thread::scope`, no
 //!    external dependencies), and merges the verdicts back in fault order,
 //!    expanded over every class, as the longest completed prefix when
-//!    cancelled. [`EngineConfig::drop_after_detection`] optionally stops
-//!    simulating a fault once it is proven tested; the default *exact* mode
-//!    preserves the full per-pair accounting of the scalar reference
-//!    implementation bit for bit.
+//!    cancelled; the per-fault [`VerdictTable`] it returns is what coverage
+//!    maps are gathered from. [`EngineConfig::drop_after_detection`]
+//!    optionally stops simulating a fault once it is proven tested; the
+//!    default *exact* mode preserves the full per-pair accounting of the
+//!    scalar reference implementation bit for bit.
 //! 4. **Report** ([`EngineStats`]): compile / golden / fault-simulation wall
 //!    times, words evaluated, pairs simulated and faults dropped, surfaced by
 //!    `scal-bench`.
@@ -81,8 +82,8 @@ pub use campaign::{
 pub use collapse::{collapse_overrides, resolve_fault_collapse, CollapsedFaultList};
 pub use compile::{CompileSpans, CompiledCircuit};
 pub use driver::{
-    drive, duration_micros, fan_out, phase_event, Driven, FaultSummary, Kernel, Setup, Unit,
-    UnitResult,
+    drive, duration_micros, phase_event, Driven, FaultSummary, Kernel, Setup, Unit, UnitResult,
+    VerdictTable,
 };
 pub use error::EngineError;
 pub use eval::{Evaluator, WideEvaluator};

@@ -23,11 +23,9 @@
 
 use crate::campaign::{try_run_scalar, CampaignResult};
 use crate::{enumerate_faults, Fault};
-use scal_engine::{
-    fan_out, try_run_pair_campaign, EngineConfig, EngineError, EngineStats, EvalMode,
-};
+use scal_engine::{try_run_pair_campaign, EngineConfig, EngineError, EngineStats, EvalMode};
 use scal_netlist::{Circuit, Override};
-use scal_obs::{CampaignObserver, CancelToken, CoverageObserver};
+use scal_obs::{CampaignObserver, CancelToken, CoverageObserver, NullObserver};
 
 /// Which simulation backend a [`Campaign`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,10 +166,12 @@ impl<'a> Campaign<'a> {
 
     /// Builds a per-fault [`scal_obs::CoverageMap`] into `coverage`, labelled
     /// with [`Fault::describe`] line names, alongside any plain
-    /// [`Campaign::observer`]. Read `coverage.latest()` after the run.
+    /// [`Campaign::observer`]. Read `coverage.latest()` after the run. The
+    /// map is gathered from the campaign's verdicts, so it needs no event
+    /// stream; `None` attaches nothing.
     #[must_use]
-    pub fn coverage(mut self, coverage: &'a CoverageObserver) -> Self {
-        self.coverage = Some(coverage);
+    pub fn coverage(mut self, coverage: impl Into<Option<&'a CoverageObserver>>) -> Self {
+        self.coverage = coverage.into();
         self
     }
 
@@ -206,20 +206,9 @@ impl<'a> Campaign<'a> {
             Some(f) => f,
             None => enumerate_faults(self.circuit),
         };
-        let fan = fan_out(self.observer, self.coverage, || {
-            faults.iter().map(|f| f.describe(self.circuit)).collect()
-        });
-        let observer: &dyn CampaignObserver = &fan;
-        match self.backend {
-            Backend::Scalar => {
-                let (results, stats, cancelled) =
-                    try_run_scalar(self.circuit, &faults, observer, self.cancel)?;
-                Ok(CampaignReport {
-                    results,
-                    stats,
-                    cancelled,
-                })
-            }
+        let observer = self.observer.unwrap_or(&NullObserver);
+        let (results, stats, table) = match self.backend {
+            Backend::Scalar => try_run_scalar(self.circuit, &faults, observer, self.cancel)?,
             Backend::Engine => {
                 let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
                 let run = try_run_pair_campaign(
@@ -241,13 +230,17 @@ impl<'a> Campaign<'a> {
                         observable: r.observable,
                     })
                     .collect();
-                Ok(CampaignReport {
-                    results,
-                    stats: run.stats,
-                    cancelled: run.cancelled,
-                })
+                (results, run.stats, run.table)
             }
+        };
+        if let Some(cov) = self.coverage {
+            cov.push(table.coverage_map(|i, out| faults[i].describe_into(self.circuit, out)));
         }
+        Ok(CampaignReport {
+            results,
+            stats,
+            cancelled: table.cancelled(),
+        })
     }
 }
 

@@ -5,7 +5,7 @@
 //! the pair/fault vocabulary and the scalar oracle backend.
 
 use crate::Fault;
-use scal_engine::{duration_micros, EngineError, EngineStats};
+use scal_engine::{duration_micros, EngineError, EngineStats, FaultSummary, VerdictTable};
 use scal_netlist::{Circuit, Override};
 use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, Phase};
 use std::time::{Duration, Instant};
@@ -134,17 +134,18 @@ impl CampaignResult {
 /// The scalar backend behind [`crate::Campaign::scalar`]: per-minterm
 /// simulation with full observability and per-fault cancellation.
 ///
-/// Event parity with the engine path: per-fault `FaultStart`/`FaultFinish`
-/// events are buffered and replayed in fault order during the merge phase
-/// (the scalar path is single-threaded, so `worker` is always 0 and there
-/// are no `BatchDone` events — it sweeps whole truth tables, not 64-pair
-/// batches).
+/// Its verdicts come back summarized in a [`VerdictTable`], as the engine
+/// path's do. Event parity with the engine path, for an enabled observer:
+/// per-fault `FaultStart`/`FaultFinish` events are buffered and replayed in
+/// fault order during the merge phase (the scalar path is single-threaded,
+/// so `worker` is always 0 and there are no `BatchDone` events — it sweeps
+/// whole truth tables, not 64-pair batches).
 pub(crate) fn try_run_scalar(
     circuit: &Circuit,
     faults: &[Fault],
     observer: &dyn CampaignObserver,
     cancel: Option<&CancelToken>,
-) -> Result<(Vec<CampaignResult>, EngineStats, bool), EngineError> {
+) -> Result<(Vec<CampaignResult>, EngineStats, VerdictTable), EngineError> {
     if circuit.is_sequential() {
         return Err(EngineError::Sequential);
     }
@@ -207,11 +208,10 @@ pub(crate) fn try_run_scalar(
         });
     }
     let mut results = Vec::with_capacity(faults.len());
+    let mut summaries = Vec::with_capacity(faults.len());
     let mut fault_events: Vec<CampaignEvent> = Vec::new();
-    let mut cancelled = false;
     for (i, &fault) in faults.iter().enumerate() {
         if cancel.is_some_and(CancelToken::is_cancelled) {
-            cancelled = true;
             break;
         }
         let sweep_t = Instant::now();
@@ -244,6 +244,17 @@ pub(crate) fn try_run_scalar(
         stats.words_evaluated += words_per_sweep;
         let eval_micros = duration_micros(sweep_t.elapsed());
         stats.eval_time += Duration::from_micros(eval_micros);
+        let s = FaultSummary {
+            detected: detected.len(),
+            violations: violations.len(),
+            observable,
+            pairs: pairs_per_fault,
+            // The scalar sweep visits canonical minterms in ascending
+            // order, matching the engine's pair ordering exactly.
+            first_detected: detected.first().copied(),
+            ..FaultSummary::default()
+        };
+        summaries.push(s);
         if obs {
             fault_events.push(CampaignEvent::FaultStart {
                 fault: i,
@@ -259,14 +270,12 @@ pub(crate) fn try_run_scalar(
             fault_events.push(CampaignEvent::FaultFinish {
                 fault: i,
                 worker: 0,
-                detected: detected.len(),
-                violations: violations.len(),
-                observable,
+                detected: s.detected,
+                violations: s.violations,
+                observable: s.observable,
                 dropped: false,
-                pairs: pairs_per_fault,
-                // The scalar sweep visits canonical minterms in ascending
-                // order, matching the engine's pair ordering exactly.
-                first_detected: detected.first().copied(),
+                pairs: s.pairs,
+                first_detected: s.first_detected,
             });
             observer.on_event(&CampaignEvent::Progress {
                 done: i + 1,
@@ -282,6 +291,8 @@ pub(crate) fn try_run_scalar(
     }
     stats.fault_sim_time = t.elapsed();
     stats.faults = results.len();
+    let table = VerdictTable::uncollapsed("pair_scalar", faults.len(), summaries);
+    let cancelled = table.cancelled();
     if obs {
         observer.on_event(&CampaignEvent::PhaseEnd {
             phase: Phase::FaultSim,
@@ -312,7 +323,7 @@ pub(crate) fn try_run_scalar(
             cancelled,
         });
     }
-    Ok((results, stats, cancelled))
+    Ok((results, stats, table))
 }
 
 /// Evaluates output values for every minterm using 64-lane sweeps, invoking

@@ -1,7 +1,7 @@
 //! Fault types and fault-universe enumeration.
 
 use scal_netlist::{Circuit, NodeView, Override, Site, Structure};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A single stuck-at fault (paper Definition 2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,19 +35,37 @@ impl Fault {
     /// (`"a->sum[0] s-a-1"`).
     #[must_use]
     pub fn describe(&self, circuit: &Circuit) -> String {
-        let name_of = |id: scal_netlist::NodeId| {
-            circuit
-                .name(id)
-                .map_or_else(|| format!("n{}", id.index()), str::to_string)
+        let mut out = String::new();
+        self.describe_into(circuit, &mut out);
+        out
+    }
+
+    /// Appends [`Fault::describe`]'s text to `out`, with no allocation
+    /// besides `out` growing — once, for the usual label of up to 24
+    /// bytes.
+    pub fn describe_into(&self, circuit: &Circuit, out: &mut String) {
+        out.reserve(24);
+        let name_into = |out: &mut String, id: scal_netlist::NodeId| match circuit.name(id) {
+            Some(name) => out.push_str(name),
+            None => {
+                let _ = write!(out, "n{}", id.index());
+            }
         };
-        let site = match self.site {
-            Site::Stem(id) => name_of(id),
+        match self.site {
+            Site::Stem(id) => name_into(out, id),
             Site::Branch { node, pin } => match circuit.fanins(node).get(pin) {
-                Some(&src) => format!("{}->{}[{pin}]", name_of(src), name_of(node)),
-                None => self.site.to_string(),
+                Some(&src) => {
+                    name_into(out, src);
+                    out.push_str("->");
+                    name_into(out, node);
+                    let _ = write!(out, "[{pin}]");
+                }
+                None => {
+                    let _ = write!(out, "{}", self.site);
+                }
             },
-        };
-        format!("{site} s-a-{}", u8::from(self.stuck))
+        }
+        out.push_str(if self.stuck { " s-a-1" } else { " s-a-0" });
     }
 }
 
@@ -264,6 +282,18 @@ mod tests {
         assert_eq!(
             Fault::new(Site::Stem(h), true).describe(&plain),
             format!("n{} s-a-1", h.index())
+        );
+        // `describe_into` appends the same text, including the positional
+        // fallback of a branch whose pin does not exist.
+        let mut out = String::from("#");
+        Fault::new(Site::Branch { node: g, pin: 0 }, false).describe_into(&c, &mut out);
+        Fault::new(Site::Branch { node: h, pin: 5 }, true).describe_into(&plain, &mut out);
+        assert_eq!(
+            out,
+            format!(
+                "#a->carry[0] s-a-0{}",
+                Fault::new(Site::Branch { node: h, pin: 5 }, true).describe(&plain)
+            )
         );
     }
 

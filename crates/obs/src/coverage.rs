@@ -1,21 +1,19 @@
 //! Per-fault coverage maps.
 //!
-//! A [`CoverageObserver`] listens to a campaign's event stream and builds a
-//! [`CoverageMap`]: one [`FaultRecord`] per fault, in fault-list order,
-//! carrying the detection verdict, the first detecting pair (and hence
-//! time-to-detection), alternation-violation counts, and — when fault
+//! A [`CoverageMap`] holds one [`FaultRecord`] per fault, in fault-list
+//! order, carrying the detection verdict, the first detecting pair (and
+//! hence time-to-detection), alternation-violation counts, and — when fault
 //! dropping or cancellation cut the sweep short — where the sweep stopped.
 //! This is the per-line feedback Algorithm 3.1 reasons about: not *how many*
 //! faults a SCAL network detects, but *which ones* and *how fast*.
 //!
-//! Fault events are replayed deterministically in fault order by every
-//! campaign flavour, so a coverage map is bit-identical across backends and
-//! thread counts, and a cancelled campaign yields a valid fault-ordered
-//! prefix map.
+//! Campaigns gather their map from the verdicts they decided (the engine's
+//! verdict table) and push it into a [`CoverageObserver`]; no event stream is
+//! involved. Verdicts are merged in fault order by every campaign flavour,
+//! so a coverage map is bit-identical across backends and thread counts, and
+//! a cancelled campaign yields a valid fault-ordered prefix map.
 
-use crate::event::CampaignEvent;
 use crate::json::JsonObject;
-use crate::observer::CampaignObserver;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
@@ -57,8 +55,8 @@ pub struct FaultRecord {
     pub frontier_died_at_level: Option<u32>,
     /// Fault-list index of this fault's structural-equivalence
     /// representative, when fault collapsing merged it into a class of
-    /// size > 1 (`None` for singleton classes or uncollapsed runs). Equals
-    /// `fault` for the representative itself.
+    /// size > 1 and another fault of the class represents it (`None` for
+    /// the representative itself, singleton classes and uncollapsed runs).
     pub class_rep: Option<usize>,
     /// Members of the fault's collapsed class (`None` alongside
     /// `class_rep = None`).
@@ -160,6 +158,8 @@ impl CoverageMap {
     /// Appends [`CoverageMap::to_json`]'s text to `out`, every record
     /// written in place.
     pub fn write_json(&self, out: &mut String) {
+        // A labelled record takes about 200 bytes.
+        out.reserve(160 + 200 * self.records.len());
         let mut o = JsonObject::within(out);
         o.str("campaign", &self.campaign);
         o.num("faults", self.records.len() as u64);
@@ -255,34 +255,17 @@ impl CoverageMap {
     }
 }
 
-/// Builds [`CoverageMap`]s from a campaign event stream.
+/// Collects the [`CoverageMap`]s of the campaigns it is attached to.
 ///
 /// Attach one to a campaign (every `Campaign` builder has a `.coverage()`
-/// hook) and read [`CoverageObserver::latest`] after the run. Labels are
-/// per-fault-index strings, usually `"<line> s-a-<v>"`; campaigns that know
-/// their fault list set them via [`CoverageObserver::set_labels`]. An
-/// observer survives several campaigns back-to-back — each
-/// `CampaignStart` archives the map under construction, and
-/// [`CoverageObserver::maps`] returns all finished maps in run order.
+/// hook) and read [`CoverageObserver::latest`] after the run. The campaign
+/// labels every record, usually `"<line> s-a-<v>"`, and pushes the finished
+/// map when it returns `Ok`; a campaign that fails pushes nothing. One
+/// observer survives several campaigns back-to-back, and
+/// [`CoverageObserver::maps`] returns all maps in run order.
 #[derive(Debug, Default)]
 pub struct CoverageObserver {
-    inner: Mutex<CoverageState>,
-}
-
-#[derive(Debug, Default)]
-struct CoverageState {
-    labels: Vec<String>,
-    current: Option<CoverageMap>,
-    /// `FaultDropped` precedes its `FaultFinish` in the replayed stream;
-    /// this carries the batch ordinal across.
-    pending_drop: Vec<(usize, usize)>,
-    /// `ConeStats` precedes its `FaultFinish` in the replayed stream; this
-    /// carries `(fault, cone_ops, ops_skipped, died_at_level)` across.
-    pending_cone: Vec<(usize, u64, u64, Option<u32>)>,
-    /// `FaultClass` precedes its `FaultFinish` in the replayed stream; this
-    /// carries `(fault, representative, size)` across.
-    pending_class: Vec<(usize, usize, usize)>,
-    finished: Vec<CoverageMap>,
+    maps: Mutex<Vec<CoverageMap>>,
 }
 
 impl CoverageObserver {
@@ -292,29 +275,23 @@ impl CoverageObserver {
         CoverageObserver::default()
     }
 
-    /// Supplies per-fault-index labels (netlist line names) for the current
-    /// and subsequent campaigns.
+    /// Appends the finished map of one campaign.
     ///
     /// # Panics
     ///
     /// Panics if the observer lock was poisoned.
-    pub fn set_labels(&self, labels: Vec<String>) {
-        self.inner.lock().expect("coverage lock").labels = labels;
+    pub fn push(&self, map: CoverageMap) {
+        self.maps.lock().expect("coverage lock").push(map);
     }
 
-    /// The most recently *finished* map, if any campaign has ended.
+    /// The most recently finished map, if any campaign has ended.
     ///
     /// # Panics
     ///
     /// Panics if the observer lock was poisoned.
     #[must_use]
     pub fn latest(&self) -> Option<CoverageMap> {
-        self.inner
-            .lock()
-            .expect("coverage lock")
-            .finished
-            .last()
-            .cloned()
+        self.maps.lock().expect("coverage lock").last().cloned()
     }
 
     /// All finished maps, in campaign order.
@@ -324,344 +301,59 @@ impl CoverageObserver {
     /// Panics if the observer lock was poisoned.
     #[must_use]
     pub fn maps(&self) -> Vec<CoverageMap> {
-        self.inner.lock().expect("coverage lock").finished.clone()
-    }
-}
-
-impl CampaignObserver for CoverageObserver {
-    fn on_event(&self, event: &CampaignEvent) {
-        let mut state = self.inner.lock().expect("coverage lock");
-        match *event {
-            CampaignEvent::CampaignStart {
-                campaign, faults, ..
-            } => {
-                if let Some(map) = state.current.take() {
-                    // A start without an end: archive what we have.
-                    state.finished.push(map);
-                }
-                state.pending_drop.clear();
-                state.pending_cone.clear();
-                state.pending_class.clear();
-                state.current = Some(CoverageMap {
-                    campaign: campaign.to_string(),
-                    records: Vec::with_capacity(faults),
-                    total_faults: faults,
-                    cancelled: false,
-                });
-            }
-            CampaignEvent::FaultDropped { fault, batch, .. } => {
-                state.pending_drop.push((fault, batch));
-            }
-            CampaignEvent::ConeStats {
-                fault,
-                cone_ops,
-                ops_skipped,
-                frontier_died_at_level,
-                ..
-            } => {
-                state
-                    .pending_cone
-                    .push((fault, cone_ops, ops_skipped, frontier_died_at_level));
-            }
-            CampaignEvent::FaultClass {
-                fault,
-                representative,
-                size,
-            } => {
-                state.pending_class.push((fault, representative, size));
-            }
-            CampaignEvent::FaultFinish {
-                fault,
-                detected,
-                violations,
-                observable,
-                dropped,
-                pairs,
-                first_detected,
-                ..
-            } => {
-                let dropped_at = state
-                    .pending_drop
-                    .iter()
-                    .position(|&(f, _)| f == fault)
-                    .map(|i| state.pending_drop.swap_remove(i).1);
-                let cone = state
-                    .pending_cone
-                    .iter()
-                    .position(|&(f, ..)| f == fault)
-                    .map(|i| state.pending_cone.swap_remove(i));
-                let class = state
-                    .pending_class
-                    .iter()
-                    .position(|&(f, ..)| f == fault)
-                    .map(|i| state.pending_class.swap_remove(i));
-                let label = state.labels.get(fault).cloned().unwrap_or_default();
-                if let Some(map) = state.current.as_mut() {
-                    map.records.push(FaultRecord {
-                        fault,
-                        label,
-                        detected,
-                        first_detected,
-                        violations,
-                        observable,
-                        dropped,
-                        dropped_at,
-                        pairs,
-                        cone_ops: cone.map(|(_, c, _, _)| c),
-                        ops_skipped: cone.map(|(_, _, s, _)| s),
-                        frontier_died_at_level: cone.and_then(|(_, _, _, l)| l),
-                        class_rep: class.map(|(_, rep, _)| rep),
-                        class_size: class.map(|(_, _, sz)| sz),
-                    });
-                }
-            }
-            CampaignEvent::Cancelled { .. } => {
-                if let Some(map) = state.current.as_mut() {
-                    map.cancelled = true;
-                }
-            }
-            CampaignEvent::CampaignEnd { cancelled, .. } => {
-                if let Some(mut map) = state.current.take() {
-                    map.cancelled |= cancelled;
-                    state.finished.push(map);
-                }
-                state.pending_drop.clear();
-                state.pending_cone.clear();
-                state.pending_class.clear();
-            }
-            _ => {}
-        }
+        self.maps.lock().expect("coverage lock").clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse, validate_jsonl, JsonValue};
 
-    fn feed(obs: &CoverageObserver, events: &[CampaignEvent]) {
-        for e in events {
-            obs.on_event(e);
-        }
-    }
-
-    fn start(faults: usize) -> CampaignEvent {
-        CampaignEvent::CampaignStart {
-            campaign: "pair",
-            faults,
-            inputs: 2,
-            outputs: 1,
-            threads: 1,
-        }
-    }
-
-    fn finish(fault: usize, detected: usize, first: Option<u32>) -> CampaignEvent {
-        CampaignEvent::FaultFinish {
-            fault,
-            worker: 0,
-            detected,
-            violations: if detected == 0 { 1 } else { 0 },
-            observable: true,
-            dropped: false,
-            pairs: 4,
-            first_detected: first,
-        }
-    }
-
-    fn end(faults: usize, cancelled: bool) -> CampaignEvent {
-        CampaignEvent::CampaignEnd {
-            faults,
-            dropped: 0,
-            pairs: 8,
-            words: 10,
-            micros: 100,
-            cancelled,
+    fn map(campaign: &str, detected: usize) -> CoverageMap {
+        CoverageMap {
+            campaign: campaign.to_string(),
+            records: vec![FaultRecord {
+                fault: 0,
+                label: "n1 s-a-1".into(),
+                detected,
+                first_detected: (detected > 0).then_some(0),
+                violations: 0,
+                observable: true,
+                dropped: false,
+                dropped_at: None,
+                pairs: 4,
+                cone_ops: None,
+                ops_skipped: None,
+                frontier_died_at_level: None,
+                class_rep: None,
+                class_size: None,
+            }],
+            total_faults: 1,
+            cancelled: false,
         }
     }
 
     #[test]
-    fn builds_a_map_with_ttd_and_labels() {
+    fn keeps_every_pushed_map_in_campaign_order() {
         let obs = CoverageObserver::new();
-        obs.set_labels(vec!["a s-a-0".into(), "a s-a-1".into()]);
-        feed(
-            &obs,
-            &[
-                start(2),
-                finish(0, 2, Some(1)),
-                finish(1, 0, None),
-                end(2, false),
-            ],
-        );
-        let map = obs.latest().expect("finished map");
-        assert_eq!(map.records.len(), 2);
-        assert_eq!(map.detected_count(), 1);
-        assert!((map.coverage_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(map.records[0].time_to_detection(), Some(2));
-        assert_eq!(map.records[0].label, "a s-a-0");
-        assert_eq!(map.undetected().count(), 1);
-        let report = map.undetected_report();
-        assert!(report.contains("1/2 faults detected"), "{report}");
-        assert!(report.contains("#1 a s-a-1"), "{report}");
-    }
-
-    #[test]
-    fn dropped_at_carries_the_batch_ordinal() {
-        let obs = CoverageObserver::new();
-        feed(
-            &obs,
-            &[
-                start(1),
-                CampaignEvent::FaultDropped {
-                    fault: 0,
-                    worker: 0,
-                    batch: 3,
-                },
-                CampaignEvent::FaultFinish {
-                    fault: 0,
-                    worker: 0,
-                    detected: 1,
-                    violations: 0,
-                    observable: true,
-                    dropped: true,
-                    pairs: 192,
-                    first_detected: Some(130),
-                },
-                end(1, false),
-            ],
-        );
-        let map = obs.latest().expect("map");
-        assert_eq!(map.records[0].dropped_at, Some(3));
-        assert!(map.records[0].dropped);
-    }
-
-    #[test]
-    fn cone_stats_attach_to_their_fault_record() {
-        let obs = CoverageObserver::new();
-        feed(
-            &obs,
-            &[
-                start(2),
-                CampaignEvent::ConeStats {
-                    fault: 1,
-                    worker: 0,
-                    cone_ops: 3,
-                    ops_evaluated: 6,
-                    ops_skipped: 22,
-                    frontier_died_at_level: Some(2),
-                },
-                finish(0, 1, Some(0)),
-                finish(1, 0, None),
-                end(2, false),
-            ],
-        );
-        let map = obs.latest().expect("map");
-        assert_eq!(map.records[0].cone_ops, None);
-        assert_eq!(map.records[1].cone_ops, Some(3));
-        assert_eq!(map.records[1].ops_skipped, Some(22));
-        assert_eq!(map.records[1].frontier_died_at_level, Some(2));
-        let json = map.to_json();
-        let v = parse(&json).expect("parses");
-        let recs = v.get("records").and_then(JsonValue::as_array).unwrap();
-        assert!(recs[0].get("cone_ops").is_none());
-        assert_eq!(
-            recs[1].get("cone_ops").and_then(JsonValue::as_f64),
-            Some(3.0)
-        );
-        assert_eq!(
-            recs[1]
-                .get("frontier_died_at_level")
-                .and_then(JsonValue::as_f64),
-            Some(2.0)
-        );
-    }
-
-    #[test]
-    fn fault_class_attaches_and_strips() {
-        let obs = CoverageObserver::new();
-        feed(
-            &obs,
-            &[
-                start(2),
-                CampaignEvent::FaultClass {
-                    fault: 1,
-                    representative: 0,
-                    size: 2,
-                },
-                finish(0, 1, Some(0)),
-                finish(1, 1, Some(0)),
-                end(2, false),
-            ],
-        );
-        let map = obs.latest().expect("map");
-        assert_eq!(map.records[0].class_rep, None);
-        assert_eq!(map.records[1].class_rep, Some(0));
-        assert_eq!(map.records[1].class_size, Some(2));
-        let json = map.to_json();
-        let v = parse(&json).expect("parses");
-        let recs = v.get("records").and_then(JsonValue::as_array).unwrap();
-        assert!(recs[0].get("class_rep").is_none());
-        assert_eq!(
-            recs[1].get("class_rep").and_then(JsonValue::as_f64),
-            Some(0.0)
-        );
-        assert_eq!(
-            recs[1].get("class_size").and_then(JsonValue::as_f64),
-            Some(2.0)
-        );
-        let stripped = map.without_annotations();
-        assert!(stripped
-            .records
-            .iter()
-            .all(|r| r.class_rep.is_none() && r.class_size.is_none() && r.cone_ops.is_none()));
-        assert_eq!(stripped.records[1].detected, map.records[1].detected);
-    }
-
-    #[test]
-    fn cancellation_marks_the_prefix_map() {
-        let obs = CoverageObserver::new();
-        feed(
-            &obs,
-            &[
-                start(5),
-                finish(0, 1, Some(0)),
-                finish(1, 1, Some(2)),
-                CampaignEvent::Cancelled { completed: 2 },
-                end(2, true),
-            ],
-        );
-        let map = obs.latest().expect("map");
-        assert!(map.cancelled);
-        assert_eq!(map.records.len(), 2);
-        assert_eq!(map.total_faults, 5);
-    }
-
-    #[test]
-    fn json_form_is_valid_and_complete() {
-        let obs = CoverageObserver::new();
-        obs.set_labels(vec!["n1 s-a-1".into()]);
-        feed(&obs, &[start(1), finish(0, 0, None), end(1, false)]);
-        let json = obs.latest().expect("map").to_json();
-        assert_eq!(validate_jsonl(&json), Ok(1));
-        let v = parse(&json).expect("parses");
-        assert_eq!(v.get("coverage").and_then(JsonValue::as_f64), Some(0.0));
-        let recs = v.get("records").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].get("detected"), Some(&JsonValue::Bool(false)));
-        assert_eq!(
-            recs[0].get("label").and_then(JsonValue::as_str),
-            Some("n1 s-a-1")
-        );
-        assert!(recs[0].get("first_pair").is_none());
-    }
-
-    #[test]
-    fn survives_back_to_back_campaigns() {
-        let obs = CoverageObserver::new();
-        feed(&obs, &[start(1), finish(0, 1, Some(0)), end(1, false)]);
-        feed(&obs, &[start(1), finish(0, 0, None), end(1, false)]);
+        assert!(obs.latest().is_none());
+        obs.push(map("pair", 1));
+        obs.push(map("seq", 0));
         let maps = obs.maps();
         assert_eq!(maps.len(), 2);
         assert_eq!(maps[0].detected_count(), 1);
         assert_eq!(maps[1].detected_count(), 0);
+        assert_eq!(obs.latest().expect("latest").campaign, "seq");
+    }
+
+    #[test]
+    fn undetected_report_names_labels_and_kinds() {
+        let m = map("pair", 0);
+        let report = m.undetected_report();
+        assert!(report.contains("0/1 faults detected"), "{report}");
+        assert!(report.contains("#0 n1 s-a-1: masked"), "{report}");
+        assert!(map("pair", 1)
+            .undetected_report()
+            .contains("no undetected faults"));
     }
 }

@@ -65,31 +65,51 @@ impl<B: BorrowMut<String>> JsonObject<B> {
 
     /// Writes key `k` and returns the buffer positioned for its value: the
     /// caller appends exactly one JSON value — the splice point for values
-    /// that serialize themselves (`write_json`).
-    pub fn value(&mut self, k: &str) -> &mut String {
-        let buf = self.buf.borrow_mut();
-        if !self.empty {
-            buf.push(',');
-        }
-        self.empty = false;
+    /// that serialize themselves (`write_json`). Keys are literals that
+    /// need no escaping, so they are copied verbatim; a key that comes from
+    /// data goes through [`JsonObject::value_dyn`].
+    pub fn value(&mut self, k: &'static str) -> &mut String {
+        debug_assert!(is_plain_key(k), "JSON key {k:?} needs escaping");
+        let buf = self.separator();
+        buf.push('"');
+        buf.push_str(k);
+        buf.push_str("\":");
+        buf
+    }
+
+    /// [`JsonObject::value`] for a key that comes from data: `k` is
+    /// escaped.
+    pub fn value_dyn(&mut self, k: &str) -> &mut String {
+        let buf = self.separator();
         push_str_value(buf, k);
         buf.push(':');
         buf
     }
 
+    /// The buffer, after the comma that separates a field from the one
+    /// before it.
+    fn separator(&mut self) -> &mut String {
+        let buf = self.buf.borrow_mut();
+        if !self.empty {
+            buf.push(',');
+        }
+        self.empty = false;
+        buf
+    }
+
     /// Appends a string field.
-    pub fn str(&mut self, k: &str, v: &str) {
+    pub fn str(&mut self, k: &'static str, v: &str) {
         push_str_value(self.value(k), v);
     }
 
     /// Appends an unsigned integer field.
-    pub fn num(&mut self, k: &str, v: u64) {
+    pub fn num(&mut self, k: &'static str, v: u64) {
         push_u64(self.value(k), v);
     }
 
     /// Appends a finite float field (non-finite values render as `null`,
     /// which JSON has no float spelling for).
-    pub fn float(&mut self, k: &str, v: f64) {
+    pub fn float(&mut self, k: &'static str, v: f64) {
         let buf = self.value(k);
         if v.is_finite() {
             let _ = write!(buf, "{v}");
@@ -99,23 +119,23 @@ impl<B: BorrowMut<String>> JsonObject<B> {
     }
 
     /// Appends a boolean field.
-    pub fn bool(&mut self, k: &str, v: bool) {
+    pub fn bool(&mut self, k: &'static str, v: bool) {
         self.value(k).push_str(if v { "true" } else { "false" });
     }
 
     /// Appends a pre-serialized JSON value verbatim. The caller is
     /// responsible for `v` being valid JSON.
-    pub fn raw(&mut self, k: &str, v: &str) {
+    pub fn raw(&mut self, k: &'static str, v: &str) {
         self.value(k).push_str(v);
     }
 
     /// Opens a nested object under key `k`.
-    pub fn object(&mut self, k: &str) -> JsonObject<&mut String> {
+    pub fn object(&mut self, k: &'static str) -> JsonObject<&mut String> {
         JsonObject::within(self.value(k))
     }
 
     /// Opens a nested array under key `k`.
-    pub fn array(&mut self, k: &str) -> JsonArray<'_> {
+    pub fn array(&mut self, k: &'static str) -> JsonArray<'_> {
         JsonArray::within(self.value(k))
     }
 }
@@ -174,21 +194,66 @@ impl<'a> JsonArray<'a> {
     }
 }
 
-/// Appends `v` in decimal, without going through `fmt`.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+/// `true` iff `k` is printable ASCII without `"` or `\\`, so it needs no
+/// escape. A plain byte loop: it runs for every key of every frame in
+/// debug builds.
+fn is_plain_key(k: &str) -> bool {
+    let bytes = k.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if !matches!(b, 0x20..=0x7e) || b == b'"' || b == b'\\' {
+            return false;
         }
+        i += 1;
     }
-    for &d in &digits[i..] {
-        out.push(char::from(d));
+    true
+}
+
+/// `"00"`, `"01"`, …, `"99"`: every two-digit group, ready to append.
+const DIGIT_PAIRS: &str = {
+    const BYTES: [u8; 200] = {
+        let mut b = [0u8; 200];
+        let mut i = 0;
+        while i < 100 {
+            b[2 * i] = b'0' + (i / 10) as u8;
+            b[2 * i + 1] = b'0' + (i % 10) as u8;
+            i += 1;
+        }
+        b
+    };
+    match std::str::from_utf8(&BYTES) {
+        Ok(s) => s,
+        Err(_) => panic!("ASCII digits"),
     }
+};
+
+/// Appends `v` in decimal, without going through `fmt`: one append per
+/// two digits, sliced from [`DIGIT_PAIRS`]. (Collecting the digits in a
+/// buffer for a single `push_str` costs more: the buffer must go through
+/// `str::from_utf8`, which dominated the coverage-map writer.)
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut low = [0u8; 10];
+    let mut n = 0;
+    while v >= 100 {
+        low[n] = (v % 100) as u8;
+        v /= 100;
+        n += 1;
+    }
+    if v < 10 {
+        out.push(char::from(b'0' + v as u8));
+    } else {
+        push_digit_pair(out, v as u8);
+    }
+    for &pair in low[..n].iter().rev() {
+        push_digit_pair(out, pair);
+    }
+}
+
+/// Appends `pair` (< 100) as exactly two digits.
+fn push_digit_pair(out: &mut String, pair: u8) {
+    let i = 2 * usize::from(pair);
+    out.push_str(&DIGIT_PAIRS[i..i + 2]);
 }
 
 /// Appends `s` as a quoted, escaped JSON string literal.
@@ -377,7 +442,7 @@ impl JsonValue {
             JsonValue::Object(members) => {
                 let mut o = JsonObject::within(out);
                 for (k, v) in members {
-                    v.write(o.value(k));
+                    v.write(o.value_dyn(k));
                 }
                 o.finish();
             }
@@ -733,8 +798,42 @@ mod tests {
     }
 
     #[test]
+    fn literal_keys_are_verbatim_and_data_keys_escaped() {
+        let mut o = JsonObject::new();
+        o.num("total_faults", 3);
+        o.value_dyn("a\"b").push('1');
+        let s = o.finish();
+        assert_eq!(s, "{\"total_faults\":3,\"a\\\"b\":1}");
+        assert_eq!(validate_jsonl(&s), Ok(1));
+        assert!(is_plain_key("frontier_died_at_level"));
+        for bad in ["a\"b", "a\\b", "a\nb", "\u{7f}", "é"] {
+            assert!(!is_plain_key(bad), "{bad:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "needs escaping")]
+    fn a_literal_key_that_needs_escaping_is_caught() {
+        JsonObject::new().num("a\"b", 1);
+    }
+
+    #[test]
     fn integers_match_their_display_form() {
-        for v in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            101,
+            1_000,
+            12_345,
+            1_000_000,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
             let mut out = String::from("x");
             push_u64(&mut out, v);
             assert_eq!(out, format!("x{v}"));

@@ -15,11 +15,12 @@
 //!   summary (throughput-EWMA ETA included), the [`Metrics`] registry
 //!   (counters + wall-time histograms), plus [`NullObserver`],
 //!   [`MultiObserver`] and the test-oriented [`CollectObserver`].
-//! * **Coverage maps** ([`CoverageObserver`] → [`CoverageMap`]): one
-//!   [`FaultRecord`] per fault site — detected or not, first detecting
-//!   pair / time-to-detection, violation counts, dropped-at batch — with
-//!   JSON output and a human-readable undetected-fault report
-//!   cross-referencing netlist line names.
+//! * **Coverage maps** ([`CoverageMap`], collected by a
+//!   [`CoverageObserver`]): one [`FaultRecord`] per fault site — detected
+//!   or not, first detecting pair / time-to-detection, violation counts,
+//!   dropped-at batch — with JSON output and a human-readable
+//!   undetected-fault report cross-referencing netlist line names.
+//!   Campaigns gather the map from their verdicts, not from events.
 //! * **Profiles** ([`Profiler`] → [`Profile`]): phase wall times with
 //!   engine sub-phase [`CampaignEvent::Span`]s (levelize/pack/eval-batch)
 //!   nested beneath, per-level gate populations, and eval-phase pair

@@ -327,9 +327,9 @@ impl Profile {
 
 /// Builds [`Profile`]s from a campaign event stream.
 ///
-/// Like [`crate::CoverageObserver`], a profiler survives several campaigns:
-/// each `CampaignStart` archives the profile under construction and
-/// [`Profiler::profiles`] returns all finished profiles in run order.
+/// A profiler survives several campaigns: each `CampaignStart` archives
+/// the profile under construction and [`Profiler::profiles`] returns all
+/// finished profiles in run order.
 #[derive(Debug, Default)]
 pub struct Profiler {
     inner: Mutex<ProfilerState>,

@@ -25,14 +25,14 @@
 
 use crate::dual_ff::{AltSeqDriver, ScalMachine};
 use scal_engine::{
-    drive, duration_micros, fan_out, phase_event, resolve_word_width, CompiledCircuit, EngineError,
-    FaultSummary, Kernel, Setup, Toggle, Unit, UnitResult, WidePackedBatchPlan, WidePackedSeqSim,
-    Word,
+    drive, duration_micros, phase_event, resolve_word_width, CompiledCircuit, EngineError,
+    FaultSummary, Kernel, Setup, Toggle, Unit, UnitResult, VerdictTable, WidePackedBatchPlan,
+    WidePackedSeqSim, Word,
 };
 use scal_faults::Fault;
 use scal_netlist::Override;
 use scal_obs::{
-    CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, MultiObserver, Phase,
+    CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, NullObserver, Phase,
 };
 use std::time::Instant;
 
@@ -231,10 +231,11 @@ impl<'a> Campaign<'a> {
     /// with [`Fault::describe`] line names, alongside any plain
     /// [`Campaign::observer`]. Read `coverage.latest()` after the run; a
     /// record's `first_detected` is the first detecting *word* index of the
-    /// driven sequence.
+    /// driven sequence. The map is gathered from the campaign's verdicts,
+    /// so it needs no event stream; `None` attaches nothing.
     #[must_use]
-    pub fn coverage(mut self, coverage: &'a CoverageObserver) -> Self {
-        self.coverage = Some(coverage);
+    pub fn coverage(mut self, coverage: impl Into<Option<&'a CoverageObserver>>) -> Self {
+        self.coverage = coverage.into();
         self
     }
 
@@ -284,15 +285,18 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// The observer fan-out: the plain observer and/or the coverage map,
+    /// The plain observer, or a disabled one.
+    fn plain_observer(&self) -> &'a dyn CampaignObserver {
+        self.observer.unwrap_or(&NullObserver)
+    }
+
+    /// Pushes the coverage map of `table` into the attached collector,
     /// labelled with [`Fault::describe`] line names.
-    fn fan_out(&self, faults: &[Fault]) -> MultiObserver<'a> {
-        fan_out(self.observer, self.coverage, || {
-            faults
-                .iter()
-                .map(|f| f.describe(&self.machine.circuit))
-                .collect()
-        })
+    fn push_coverage(&self, table: &VerdictTable, faults: &[Fault]) {
+        if let Some(cov) = self.coverage {
+            let circuit = &self.machine.circuit;
+            cov.push(table.coverage_map(|i, out| faults[i].describe_into(circuit, out)));
+        }
     }
 
     /// Runs the campaign.
@@ -330,7 +334,6 @@ impl<'a> Campaign<'a> {
     /// [`SeqKernel`] over the collapsed fault list.
     fn run_packed<const W: usize>(self) -> Result<SeqCampaign, EngineError> {
         let faults = self.machine.checkable_faults();
-        let fan = self.fan_out(&faults);
         let started = Instant::now();
         let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
         let compiled = CompiledCircuit::try_compile(&self.machine.circuit)?;
@@ -342,7 +345,7 @@ impl<'a> Campaign<'a> {
             faults: &overrides,
             compiled: Some(&compiled),
             collapse: self.fault_collapse,
-            observer: &fan,
+            observer: self.plain_observer(),
             cancel: self.cancel,
             started,
         };
@@ -364,10 +367,11 @@ impl<'a> Campaign<'a> {
                 periods: Vec::new(),
             })
         })?;
-        let cancelled = driven.cancelled;
+        let (outcomes, table) = driven.into_expanded();
+        self.push_coverage(&table, &faults);
         Ok(SeqCampaign {
-            outcomes: faults.into_iter().zip(driven.into_expanded()).collect(),
-            cancelled,
+            outcomes: faults.into_iter().zip(outcomes).collect(),
+            cancelled: table.cancelled(),
         })
     }
 
@@ -376,8 +380,7 @@ impl<'a> Campaign<'a> {
     fn run_graph(self) -> Result<SeqCampaign, EngineError> {
         let total_t = Instant::now();
         let faults = self.machine.checkable_faults();
-        let fan = self.fan_out(&faults);
-        let observer: &dyn CampaignObserver = &fan;
+        let observer = self.plain_observer();
         let obs = observer.enabled();
         if obs {
             observer.on_event(&CampaignEvent::CampaignStart {
@@ -427,13 +430,13 @@ impl<'a> Campaign<'a> {
         let merge_t = Instant::now();
         phase_event(observer, Phase::Merge, None);
         let completed = outcomes_sim.len();
-        let cancelled = completed < faults.len();
-        let mut outcomes = Vec::with_capacity(completed);
-        let mut pairs_total = 0u64;
-        for (i, (fault, outcome)) in faults.into_iter().zip(outcomes_sim).enumerate() {
-            let s = summary(&outcome, self.words.len());
-            pairs_total += s.pairs;
-            if obs {
+        let summaries: Vec<FaultSummary> = outcomes_sim
+            .iter()
+            .map(|o| summary(o, self.words.len()))
+            .collect();
+        let pairs_total = summaries.iter().map(|s| s.pairs).sum::<u64>();
+        if obs {
+            for (i, s) in summaries.iter().enumerate() {
                 observer.on_event(&CampaignEvent::FaultStart {
                     fault: i,
                     worker: 0,
@@ -449,8 +452,11 @@ impl<'a> Campaign<'a> {
                     pairs: s.pairs,
                 });
             }
-            outcomes.push((fault, outcome));
         }
+        let table = VerdictTable::uncollapsed("seq_scalar", faults.len(), summaries);
+        let cancelled = table.cancelled();
+        self.push_coverage(&table, &faults);
+        let outcomes = faults.into_iter().zip(outcomes_sim).collect();
         phase_event(observer, Phase::Merge, Some(merge_t));
         if obs {
             if cancelled {
@@ -629,6 +635,7 @@ fn summary(outcome: &SeqOutcome, total: usize) -> FaultSummary {
         dropped_at: None,
         pairs: pairs as u64,
         first_detected,
+        ..FaultSummary::default()
     }
 }
 

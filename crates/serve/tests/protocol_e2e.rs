@@ -400,7 +400,22 @@ fn frame_and_byte_counters_equal_what_the_client_read() {
     let metrics = server.telemetry().metrics();
     let frames_sent = metrics.counter("scal_serve_frames_sent_total");
     let bytes_sent = metrics.counter("scal_serve_bytes_sent_total");
+    // `start()`'s readiness probe can read its status reply before the
+    // handler counts it (the counters move after `write_all` returns):
+    // snapshot only once that frame, the only one sent so far, is counted.
+    let ready = std::time::Instant::now();
+    while frames_sent.get() == 0 || bytes_sent.get() == 0 {
+        assert!(
+            ready.elapsed() < Duration::from_secs(10),
+            "readiness frame never counted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let (frames_before, bytes_before) = (frames_sent.get(), bytes_sent.get());
+    assert_eq!(
+        frames_before, 1,
+        "only the readiness frame precedes the job"
+    );
 
     let lines = read_raw_lines(&server.addr().to_string(), &adder_stream(8, true), |_| {});
     assert!(lines.len() > 1000, "a streamed job: {} frames", lines.len());

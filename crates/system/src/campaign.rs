@@ -13,8 +13,8 @@
 use crate::cpu::{Cpu, CpuMode, Program};
 use crate::programs::{checksum, popcount, ARG0, RESULT};
 use scal_engine::{
-    drive, duration_micros, fan_out, CompiledCircuit, EngineError, FaultSummary, Kernel, Setup,
-    Toggle, Unit, UnitResult,
+    drive, duration_micros, CompiledCircuit, EngineError, FaultSummary, Kernel, Setup, Toggle,
+    Unit, UnitResult,
 };
 use scal_faults::{enumerate_faults, Fault};
 use scal_netlist::Override;
@@ -179,10 +179,12 @@ impl<'a> Campaign<'a> {
 
     /// Builds a per-fault [`scal_obs::CoverageMap`] into `coverage`, labelled
     /// with [`Fault::describe`] line names. A record's `first_detected` is
-    /// the index of the first workload whose run tripped a check.
+    /// the index of the first workload whose run tripped a check. The map
+    /// is gathered from the campaign's verdicts, so it needs no event
+    /// stream; `None` attaches nothing.
     #[must_use]
-    pub fn coverage(mut self, coverage: &'a CoverageObserver) -> Self {
-        self.coverage = Some(coverage);
+    pub fn coverage(mut self, coverage: impl Into<Option<&'a CoverageObserver>>) -> Self {
+        self.coverage = coverage.into();
         self
     }
 
@@ -216,9 +218,6 @@ impl<'a> Campaign<'a> {
         // The driver collapses over the compiled unit netlist; were it ever
         // not engine-compatible, the campaign would run uncollapsed.
         let compiled = CompiledCircuit::try_compile(&unit_circuit).ok();
-        let fan = fan_out(Some(self.observer), self.coverage, || {
-            faults.iter().map(|f| f.describe(&unit_circuit)).collect()
-        });
         let setup = Setup {
             campaign: match self.unit {
                 CpuUnit::Adder => "cpu_adder",
@@ -230,7 +229,7 @@ impl<'a> Campaign<'a> {
             faults: &overrides,
             compiled: compiled.as_ref(),
             collapse: self.fault_collapse,
-            observer: &fan,
+            observer: self.observer,
             cancel: self.cancel,
             started,
         };
@@ -241,16 +240,20 @@ impl<'a> Campaign<'a> {
                 budget: self.budget,
             })
         })?;
-        let (periods, cancelled) = (driven.stats.words_evaluated, driven.cancelled);
+        let periods = driven.stats.words_evaluated;
+        let (verdicts, table) = driven.into_expanded();
+        if let Some(cov) = self.coverage {
+            cov.push(table.coverage_map(|i, out| faults[i].describe_into(&unit_circuit, out)));
+        }
         let results = faults
             .iter()
-            .zip(driven.into_expanded())
+            .zip(verdicts)
             .map(|(&fault, r)| CpuFaultResult { fault, ..r })
             .collect();
         Ok(CpuCampaign {
             results,
             periods,
-            cancelled,
+            cancelled: table.cancelled(),
         })
     }
 }
@@ -360,6 +363,7 @@ impl Kernel for CpuKernel<'_> {
             dropped_at: None,
             pairs: periods / 2,
             first_detected,
+            ..FaultSummary::default()
         };
         Some(UnitResult {
             verdicts: vec![r],

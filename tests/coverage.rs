@@ -55,22 +55,117 @@ fn fig3_4_coverage_map_matches_golden_file() {
             "line20 s-a-1"
         ]
     );
+    assert_matches_golden(
+        &map,
+        "fig3_4_coverage.json",
+        include_str!("golden/fig3_4_coverage.json"),
+    );
+}
+
+/// Compares `map`'s JSON line byte for byte with the golden file `file`
+/// (whose text is `want`), or rewrites the file under `UPDATE_GOLDEN`.
+fn assert_matches_golden(map: &CoverageMap, file: &str, want: &str) {
     let got = map.to_json() + "\n";
     assert_eq!(validate_jsonl(&got), Ok(1));
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/fig3_4_coverage.json"
-    );
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
         std::fs::write(path, &got).expect("write golden file");
         return;
     }
-    let want = include_str!("golden/fig3_4_coverage.json");
     assert_eq!(
         got, want,
-        "coverage map drifted from tests/golden/fig3_4_coverage.json; \
+        "coverage map drifted from tests/golden/{file}; \
          if intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// The 4-bit ripple adder's map under default knobs is pinned byte for
+/// byte: collapsing is on, so class members carry `class_rep`/`class_size`
+/// (never their own index), and the cone path annotates representatives.
+#[test]
+fn adder4_default_coverage_map_matches_golden_file() {
+    let cov = CoverageObserver::new();
+    Campaign::new(&paper::ripple_adder(4))
+        .coverage(&cov)
+        .run()
+        .expect("adder campaign");
+    let map = cov.latest().expect("finished map");
+    let members = map.records.iter().filter(|r| r.class_rep.is_some());
+    assert_eq!(members.clone().count(), 124);
+    assert!(members.clone().all(|r| r.cone_ops.is_none()));
+    assert!(members.clone().all(|r| r.class_rep != Some(r.fault)));
+    assert!(map.records.iter().any(|r| r.cone_ops.is_some()));
+    assert_matches_golden(
+        &map,
+        "adder4_coverage.json",
+        include_str!("golden/adder4_coverage.json"),
+    );
+}
+
+/// The code-conversion Kohavi machine's map under the 16-word suite drive
+/// is pinned byte for byte: word-indexed first detections, collapsed
+/// classes on the packed sequential backend.
+#[test]
+fn kohavi_codeconv_coverage_map_matches_golden_file() {
+    let m = scal::seq::kohavi::kohavi_0101();
+    let machine = scal::seq::code_conversion_machine(&m);
+    let map = seq_row(&machine, true, 0);
+    assert_eq!(map.undetected().count(), 28);
+    assert_matches_golden(
+        &map,
+        "kohavi_codeconv_coverage.json",
+        include_str!("golden/kohavi_codeconv_coverage.json"),
+    );
+}
+
+/// A campaign that returns `Err` pushes no map, whichever kind it is and
+/// however far it got; the next good campaign's map is the only one.
+#[test]
+fn an_errored_campaign_leaves_no_map() {
+    use scal::engine::EngineError;
+    use scal::system::campaign::Campaign as CpuCampaign;
+    use scal::system::{CpuUnit, Workload};
+
+    let cov = CoverageObserver::new();
+    // A plain AND gate does not alternate: the golden run rejects it.
+    let mut and = scal::netlist::Circuit::new();
+    let (a, b) = (and.input("a"), and.input("b"));
+    let g = and.and(&[a, b]);
+    and.mark_output("f", g);
+    for scalar in [false, true] {
+        let mut campaign = Campaign::new(&and).coverage(&cov);
+        if scalar {
+            campaign = campaign.scalar();
+        }
+        assert!(matches!(
+            campaign.run(),
+            Err(EngineError::NotAlternating { .. })
+        ));
+    }
+    // A workload that fails fault-free.
+    let broken = Workload {
+        name: "popcount, wrong answer",
+        program: scal::system::programs::popcount(),
+        setup: vec![(scal::system::programs::ARG0, 0xB7)],
+        expect: 7,
+    };
+    assert!(matches!(
+        CpuCampaign::new(CpuUnit::Logic)
+            .workloads(vec![broken])
+            .coverage(&cov)
+            .run(),
+        Err(EngineError::WorkloadFailed { .. })
+    ));
+    assert!(cov.maps().is_empty(), "an errored campaign pushed a map");
+    let good = fig3_4_map(false, 1);
+    Campaign::new(&paper::fig3_4().circuit)
+        .threads(1)
+        .fault_packing(false)
+        .fault_collapse(false)
+        .coverage(&cov)
+        .run()
+        .expect("fig 3.4 network is alternating");
+    assert_eq!(cov.maps(), [good]);
 }
 
 /// Strips the engine-only cone annotations so records can be compared

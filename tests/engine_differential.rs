@@ -101,36 +101,85 @@ fn engine_campaign_matches_scalar_on_paper_circuits() {
     );
 }
 
-/// Attaching an observer must not perturb a campaign: the observed run's
-/// results are bit-identical to the unobserved run's on every eligible
-/// circuit, and events actually flow.
+/// Attaching an observer must not perturb a campaign: under every eval
+/// mode, collapse and packing setting, the observed run's results and
+/// coverage map — annotations included — are bit-identical to the
+/// unobserved run's on every eligible circuit. Events flow only to the
+/// attached observer, and the map's cone statistics (gathered from the
+/// verdict table) are exactly the ones its `ConeStats` events carry.
 #[test]
 fn observed_campaign_is_bit_identical_to_unobserved() {
-    use scal::obs::CollectObserver;
+    use scal::obs::{CampaignEvent, CollectObserver, CoverageMap, CoverageObserver};
+    /// `(fault, cone_ops, ops_skipped, frontier_died_at_level)` per record
+    /// or event that carries cone statistics.
+    type Cone = (usize, u64, u64, Option<u32>);
+    fn map_cones(map: &CoverageMap) -> Vec<Cone> {
+        map.records
+            .iter()
+            .filter_map(|r| {
+                Some((
+                    r.fault,
+                    r.cone_ops?,
+                    r.ops_skipped?,
+                    r.frontier_died_at_level,
+                ))
+            })
+            .collect()
+    }
+    fn event_cones(events: &[CampaignEvent]) -> Vec<Cone> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                CampaignEvent::ConeStats {
+                    fault,
+                    cone_ops,
+                    ops_skipped,
+                    frontier_died_at_level,
+                    ..
+                } => Some((fault, cone_ops, ops_skipped, frontier_died_at_level)),
+                _ => None,
+            })
+            .collect()
+    }
     for (name, c) in all_paper_circuits() {
         if c.is_sequential() || c.inputs().len() > 12 || !is_alternating(&c) {
             continue;
         }
         let faults = enumerate_faults(&c);
         for mode in EVAL_MODES {
-            let bare = Campaign::new(&c)
-                .faults(faults.clone())
-                .eval_mode(mode)
-                .run()
-                .expect("campaign")
-                .results;
-            let collect = CollectObserver::default();
-            let observed = Campaign::new(&c)
-                .faults(faults.clone())
-                .eval_mode(mode)
-                .observer(&collect)
-                .run()
-                .expect("campaign");
-            assert_eq!(
-                bare, observed.results,
-                "{name} ({mode}): observer changed results"
-            );
-            assert!(!collect.events().is_empty(), "{name}: no events flowed");
+            for collapse in [false, true] {
+                for packing in [false, true] {
+                    let config = format!("{name} ({mode}, collapse {collapse}, packing {packing})");
+                    let mut runs = Vec::new();
+                    for observed in [false, true] {
+                        let collect = CollectObserver::default();
+                        let cov = CoverageObserver::new();
+                        let mut campaign = Campaign::new(&c)
+                            .faults(faults.clone())
+                            .eval_mode(mode)
+                            .fault_collapse(collapse)
+                            .fault_packing(packing)
+                            .coverage(&cov);
+                        if observed {
+                            campaign = campaign.observer(&collect);
+                        }
+                        let results = campaign.run().expect("campaign").results;
+                        let map = cov.latest().expect("coverage map");
+                        if observed {
+                            let events = collect.events();
+                            assert!(!events.is_empty(), "{config}: no events flowed");
+                            assert_eq!(
+                                map_cones(&map),
+                                event_cones(&events),
+                                "{config}: cone statistics"
+                            );
+                        }
+                        runs.push((results, map));
+                    }
+                    assert_eq!(runs[0].0, runs[1].0, "{config}: observer changed results");
+                    assert_eq!(runs[0].1, runs[1].1, "{config}: observer changed the map");
+                }
+            }
         }
     }
 }
@@ -395,11 +444,13 @@ fn seq_drive(width: usize) -> Vec<Vec<bool>> {
 /// The packed fault-per-lane backend is bit-identical to the graph oracle
 /// (`Campaign::scalar()`) — outcomes, `first_detected` words, and coverage
 /// maps — on every sequential design, across word widths, fault collapse
-/// and thread counts. (Sequential campaigns have no fault-dropping knob: a
-/// classified fault inherently stops consuming words.)
+/// and thread counts, and its map is the same, annotations included,
+/// whether or not a plain observer is attached. (Sequential campaigns have
+/// no fault-dropping knob: a classified fault inherently stops consuming
+/// words.)
 #[test]
 fn seq_packed_matches_scalar_backend() {
-    use scal::obs::CoverageObserver;
+    use scal::obs::{CollectObserver, CoverageObserver};
     for machine in seq_differential_machines() {
         let words = seq_drive(machine.circuit.inputs().len() - 1);
         let oracle_cov = CoverageObserver::new();
@@ -411,20 +462,36 @@ fn seq_packed_matches_scalar_backend() {
         let oracle_map = oracle_cov.latest().expect("graph map");
         for width in WORD_WIDTHS {
             for collapse in [false, true] {
-                for threads in [1, 2, 4] {
-                    let config = format!("W={width}, collapse {collapse}, threads {threads}");
+                let mut unobserved_map = None;
+                for (threads, observed) in [(1, false), (2, false), (4, false), (1, true)] {
+                    let config = format!(
+                        "W={width}, collapse {collapse}, threads {threads}, observed {observed}"
+                    );
                     let packed_cov = CoverageObserver::new();
-                    let packed = scal::seq::Campaign::new(&machine, &words)
+                    let collect = CollectObserver::default();
+                    let mut campaign = scal::seq::Campaign::new(&machine, &words)
                         .threads(threads)
                         .word_width(width)
                         .fault_collapse(collapse)
-                        .coverage(&packed_cov)
-                        .run()
-                        .expect("packed seq campaign");
+                        .coverage(&packed_cov);
+                    if observed {
+                        campaign = campaign.observer(&collect);
+                    }
+                    let packed = campaign.run().expect("packed seq campaign");
                     assert_eq!(packed, oracle, "{}: {config}", machine.design);
-                    for ((p, s), (fault, _)) in packed_cov
-                        .latest()
-                        .expect("packed map")
+                    let packed_map = packed_cov.latest().expect("packed map");
+                    if observed {
+                        assert!(!collect.is_empty(), "{}: {config}", machine.design);
+                        assert_eq!(
+                            Some(&packed_map),
+                            unobserved_map.as_ref(),
+                            "{}: {config}: observer changed the map",
+                            machine.design
+                        );
+                    } else if threads == 1 {
+                        unobserved_map = Some(packed_map.clone());
+                    }
+                    for ((p, s), (fault, _)) in packed_map
                         .records
                         .iter()
                         .zip(&oracle_map.records)
