@@ -36,6 +36,7 @@
 //! also checked here at every wide group (pattern-major) or pattern
 //! (fault-packed) boundary.
 
+use crate::collapse::CollapseCounts;
 use crate::compile::{CompileSpans, CompiledCircuit, FaultCone, LanePlan, CONE_SEED};
 use crate::driver::{
     drive, duration_micros, FaultSummary, Kernel, Setup, Unit, UnitResult, VerdictTable,
@@ -234,6 +235,9 @@ pub struct EngineStats {
     /// so throughput derived from it compares backends per-core,
     /// apples-to-apples.
     pub eval_time: Duration,
+    /// The collapsed fault list's size, when the campaign collapsed it
+    /// (`None` with collapsing off, or on a backend that never collapses).
+    pub collapse: Option<CollapseCounts>,
 }
 
 impl EngineStats {

@@ -82,6 +82,15 @@ impl CollapsedFaultList {
         self.reps.len()
     }
 
+    /// The list's size before and after collapsing.
+    #[must_use]
+    pub fn counts(&self) -> CollapseCounts {
+        CollapseCounts {
+            faults: self.num_faults(),
+            representatives: self.num_reps(),
+        }
+    }
+
     /// Ratio of original faults to representatives (1.0 for an empty list).
     #[must_use]
     pub fn ratio(&self) -> f64 {
@@ -104,6 +113,16 @@ impl CollapsedFaultList {
             .take_while(|&&r| (r as usize) < completed_reps)
             .count()
     }
+}
+
+/// How far collapsing shrank a campaign's fault list — the `FaultCollapse`
+/// event's counters, carried in a campaign's own results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CollapseCounts {
+    /// Original faults in the list.
+    pub faults: usize,
+    /// Representatives that simulated.
+    pub representatives: usize,
 }
 
 /// Union-find with path halving and union by size.

@@ -346,6 +346,7 @@ pub fn drive<K: Kernel>(
     let mut kernel = build(&sim)?;
     let mut stats = EngineStats {
         compile_time: setup.started.elapsed(),
+        collapse: collapsed.as_ref().map(CollapsedFaultList::counts),
         ..EngineStats::default()
     };
     let per_unit = kernel.unit_len();

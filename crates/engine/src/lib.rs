@@ -79,7 +79,9 @@ pub use campaign::{
     try_run_pair_campaign, EngineConfig, EngineStats, EvalMode, PairCampaign, PairReport, Toggle,
     MAX_THREADS,
 };
-pub use collapse::{collapse_overrides, resolve_fault_collapse, CollapsedFaultList};
+pub use collapse::{
+    collapse_overrides, resolve_fault_collapse, CollapseCounts, CollapsedFaultList,
+};
 pub use compile::{CompileSpans, CompiledCircuit};
 pub use driver::{
     drive, duration_micros, phase_event, Driven, FaultSummary, Kernel, Setup, Unit, UnitResult,

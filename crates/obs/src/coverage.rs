@@ -294,6 +294,16 @@ impl CoverageObserver {
         self.maps.lock().expect("coverage lock").last().cloned()
     }
 
+    /// The most recently finished map, handed over without a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the observer lock was poisoned.
+    #[must_use]
+    pub fn into_latest(self) -> Option<CoverageMap> {
+        self.maps.into_inner().expect("coverage lock").pop()
+    }
+
     /// All finished maps, in campaign order.
     ///
     /// # Panics
@@ -344,6 +354,7 @@ mod tests {
         assert_eq!(maps[0].detected_count(), 1);
         assert_eq!(maps[1].detected_count(), 0);
         assert_eq!(obs.latest().expect("latest").campaign, "seq");
+        assert_eq!(obs.into_latest().expect("handed over").campaign, "seq");
     }
 
     #[test]

@@ -330,10 +330,7 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let mut p = Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(line);
         p.skip_ws();
         p.value().map_err(|e| format!("line {}: {e}", ln + 1))?;
         p.skip_ws();
@@ -456,10 +453,7 @@ impl JsonValue {
 ///
 /// Returns a message naming the first offending byte position.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(text);
     p.skip_ws();
     let v = p.build_value()?;
     p.skip_ws();
@@ -471,11 +465,20 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 
 /// A recursive-descent JSON syntax checker (no value construction).
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -688,6 +691,20 @@ impl Parser<'_> {
 
     fn build_string(&mut self) -> Result<String, String> {
         let start = self.pos;
+        // A string with no escape and no control byte is one slice of the
+        // input: the quotes are ASCII, so the slice is whole UTF-8.
+        if self.peek() == Some(b'"') {
+            let body = &self.bytes[start + 1..];
+            if let Some(len) = body
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            {
+                if body[len] == b'"' {
+                    self.pos = start + len + 2;
+                    return Ok(self.text[start + 1..start + 1 + len].to_owned());
+                }
+            }
+        }
         self.string()?;
         // Re-walk the validated span (quotes excluded) decoding escapes.
         let body = &self.bytes[start + 1..self.pos - 1];
@@ -727,6 +744,19 @@ impl Parser<'_> {
     fn build_number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
         self.number()?;
+        // An integer of up to 15 digits is below 2^53: accumulated in a
+        // `u64`, it converts to `f64` exactly, as the decimal parse would.
+        let lexeme = &self.bytes[start..self.pos];
+        let (negative, digits) = match lexeme.split_first() {
+            Some((b'-', rest)) => (true, rest),
+            _ => (false, lexeme),
+        };
+        if digits.len() <= 15 && digits.iter().all(u8::is_ascii_digit) {
+            let n = digits
+                .iter()
+                .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0')) as f64;
+            return Ok(JsonValue::Num(if negative { -n } else { n }));
+        }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("invalid UTF-8 in number at byte {start}"))?;
         let n: f64 = text

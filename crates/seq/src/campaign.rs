@@ -25,9 +25,9 @@
 
 use crate::dual_ff::{AltSeqDriver, ScalMachine};
 use scal_engine::{
-    drive, duration_micros, phase_event, resolve_word_width, CompiledCircuit, EngineError,
-    FaultSummary, Kernel, Setup, Toggle, Unit, UnitResult, VerdictTable, WidePackedBatchPlan,
-    WidePackedSeqSim, Word,
+    drive, duration_micros, phase_event, resolve_word_width, CollapseCounts, CompiledCircuit,
+    EngineError, FaultSummary, Kernel, Setup, Toggle, Unit, UnitResult, VerdictTable,
+    WidePackedBatchPlan, WidePackedSeqSim, Word,
 };
 use scal_faults::Fault;
 use scal_netlist::Override;
@@ -54,7 +54,11 @@ pub enum SeqOutcome {
 }
 
 /// Summary of a sequential campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two summaries are equal when they hold the same outcomes and
+/// cancellation state: [`SeqCampaign::collapse`] records how the work was
+/// done, not what was decided, so it takes no part.
+#[derive(Debug, Clone)]
 pub struct SeqCampaign {
     /// Per-fault outcomes, in [`ScalMachine::checkable_faults`] order; a
     /// contiguous prefix of that list when [`SeqCampaign::cancelled`].
@@ -62,7 +66,18 @@ pub struct SeqCampaign {
     /// `true` iff a [`CancelToken`] stopped the run before every fault was
     /// simulated.
     pub cancelled: bool,
+    /// The collapsed fault list's size, when the run collapsed it (`None`
+    /// with collapsing off and on the graph backend).
+    pub collapse: Option<CollapseCounts>,
 }
+
+impl PartialEq for SeqCampaign {
+    fn eq(&self, other: &Self) -> bool {
+        self.outcomes == other.outcomes && self.cancelled == other.cancelled
+    }
+}
+
+impl Eq for SeqCampaign {}
 
 impl SeqCampaign {
     /// Number of faults with each outcome: `(dormant, detected, violations)`.
@@ -367,11 +382,13 @@ impl<'a> Campaign<'a> {
                 periods: Vec::new(),
             })
         })?;
+        let collapse = driven.stats.collapse;
         let (outcomes, table) = driven.into_expanded();
         self.push_coverage(&table, &faults);
         Ok(SeqCampaign {
             outcomes: faults.into_iter().zip(outcomes).collect(),
             cancelled: table.cancelled(),
+            collapse,
         })
     }
 
@@ -476,6 +493,7 @@ impl<'a> Campaign<'a> {
         Ok(SeqCampaign {
             outcomes,
             cancelled,
+            collapse: None,
         })
     }
 }

@@ -5,9 +5,7 @@
 use crate::proto::{JobKind, ProtoError};
 use scal_engine::EngineError;
 use scal_obs::json::JsonObject;
-use scal_obs::{
-    CampaignObserver, CancelToken, CoverageMap, CoverageObserver, MultiObserver, Profiler,
-};
+use scal_obs::{CampaignObserver, CancelToken, CoverageMap, CoverageObserver};
 use scal_seq::SeqOutcome;
 use std::time::Instant;
 
@@ -85,15 +83,7 @@ pub fn run_job(
 ) -> Result<JobOutput, ServeError> {
     let t = Instant::now();
     let cov = CoverageObserver::new();
-    // The profiler rides along to surface the collapse ratio in the result
-    // frame; everything it collects is derived from the same deterministic
-    // event stream the client sees.
-    let prof = Profiler::new();
-    let mut fan = MultiObserver::new();
-    fan.push(observer);
-    fan.push(&prof);
-    let observer: &dyn CampaignObserver = &fan;
-    let (mut o, cancelled) = match kind {
+    let (mut o, cancelled, collapse) = match kind {
         JobKind::Pair {
             circuit,
             faults,
@@ -130,7 +120,7 @@ pub fn run_job(
             o.num("words", report.stats.words_evaluated);
             o.num("dropped", report.stats.faults_dropped as u64);
             o.bool("cancelled", report.cancelled);
-            (o, report.cancelled)
+            (o, report.cancelled, report.stats.collapse)
         }
         JobKind::Seq {
             machine,
@@ -171,7 +161,7 @@ pub fn run_job(
                 o.num("first_violation_word", w);
             }
             o.bool("cancelled", out.cancelled);
-            (o, out.cancelled)
+            (o, out.cancelled, out.collapse)
         }
         JobKind::Cpu {
             unit,
@@ -208,21 +198,20 @@ pub fn run_job(
             o.num("undetected_wrong", out.undetected_wrong() as u64);
             o.num("periods", out.periods);
             o.bool("cancelled", out.cancelled);
-            (o, out.cancelled)
+            (o, out.cancelled, out.collapse)
         }
     };
-    // The collapse counters come from the campaign's own event stream and
-    // are deterministic; they are absent when collapsing did not run (knob
-    // off, or an oracle backend that never collapses).
-    if let Some(profile) = prof.latest() {
-        if let Some(ratio) = profile.collapse_ratio() {
-            o.num("collapse_faults", profile.collapse_faults);
-            o.num("collapse_representatives", profile.collapse_representatives);
-            o.float("collapse_ratio", ratio);
-        }
+    // The collapse counters come from the campaign's own results and are
+    // deterministic; they are absent when collapsing did not run (knob off,
+    // or an oracle backend that never collapses) or left nothing to
+    // simulate.
+    if let Some(c) = collapse.filter(|c| c.representatives > 0) {
+        o.num("collapse_faults", c.faults as u64);
+        o.num("collapse_representatives", c.representatives as u64);
+        o.float("collapse_ratio", c.faults as f64 / c.representatives as f64);
     }
     let report = o.finish();
-    let coverage = cov.latest().unwrap_or_default();
+    let coverage = cov.into_latest().unwrap_or_default();
     Ok(JobOutput {
         cancelled,
         coverage,
@@ -313,6 +302,48 @@ mod tests {
         };
         let err = run_job(&kind, 1, None, &NullObserver, None).unwrap_err();
         assert_eq!(err.code(), "engine");
+    }
+
+    #[test]
+    fn collapse_counters_match_the_event_stream() {
+        use crate::client::demo;
+        use scal_obs::json::{parse, JsonValue};
+        use scal_obs::Profiler;
+        let specs = [
+            demo::pair_spec(0, false),
+            demo::pair_spec(0, true),
+            demo::seq_spec(0, SeqBackend::Packed, 12),
+            demo::seq_spec(0, SeqBackend::Graph, 12),
+            demo::cpu_spec(0),
+        ];
+        for spec in specs {
+            for collapse in [None, Some(false)] {
+                let prof = Profiler::new();
+                let observed = run_job(&spec.kind, 1, collapse, &prof, None).unwrap();
+                let quiet = run_job(&spec.kind, 1, collapse, &NullObserver, None).unwrap();
+                assert_eq!(
+                    observed.report, quiet.report,
+                    "observing changed the report"
+                );
+                let report = parse(&quiet.report).unwrap();
+                let field = |k: &str| report.get(k).and_then(JsonValue::as_f64);
+                let profile = prof.latest().expect("a finished campaign");
+                match profile.collapse_ratio() {
+                    Some(ratio) => {
+                        assert_eq!(
+                            field("collapse_faults"),
+                            Some(profile.collapse_faults as f64)
+                        );
+                        assert_eq!(
+                            field("collapse_representatives"),
+                            Some(profile.collapse_representatives as f64)
+                        );
+                        assert_eq!(field("collapse_ratio"), Some(ratio));
+                    }
+                    None => assert_eq!(field("collapse_faults"), None, "{}", quiet.report),
+                }
+            }
+        }
     }
 
     #[test]

@@ -711,12 +711,19 @@ pub fn frame_accepted(id: u64, trace: u64, kind: &str, priority: u8, queued: usi
 /// envelope carrying the job's id and trace.
 #[must_use]
 pub fn frame_event(id: u64, trace: u64, event: &CampaignEvent) -> String {
-    let mut o = JsonObject::new();
+    let mut out = String::new();
+    write_frame_event(&mut out, id, trace, event);
+    out
+}
+
+/// Appends [`frame_event`]'s text to `out` (no newline).
+pub fn write_frame_event(out: &mut String, id: u64, trace: u64, event: &CampaignEvent) {
+    let mut o = JsonObject::within(out);
     o.str("frame", "event");
     o.num("id", id);
     o.num("trace", trace);
     event.write_json(o.value("event"));
-    o.finish()
+    o.finish();
 }
 
 /// `{"frame":"result",...}` — the final summary. `report` and `coverage`

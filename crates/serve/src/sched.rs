@@ -27,7 +27,7 @@
 use crate::job::{run_job, ServeError};
 use crate::proto::{frame_error, frame_result, JobSpec, StatusInfo, MAX_PRIORITY};
 use crate::telemetry::Telemetry;
-use crate::wire::WireObserver;
+use crate::wire::{FrameBatch, WireObserver};
 use scal_obs::{CancelToken, Counter, Gauge, Histogram, NullObserver};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,7 +71,7 @@ struct QueuedJob {
     trace: u64,
     spec: JobSpec,
     token: CancelToken,
-    tx: SyncSender<String>,
+    tx: SyncSender<FrameBatch>,
     arrival: u64,
     submitted: Instant,
 }
@@ -200,9 +200,9 @@ impl Scheduler {
         &self.inner.telemetry
     }
 
-    /// Queues a job. Frames stream down `tx`. Returns `(id, trace_id,
-    /// queue_len)`, or an error when the queue is full or the scheduler is
-    /// shutting down.
+    /// Queues a job. Its frames stream down `tx` in batches. Returns `(id,
+    /// trace_id, queue_len)`, or an error when the queue is full or the
+    /// scheduler is shutting down.
     ///
     /// # Errors
     ///
@@ -211,7 +211,7 @@ impl Scheduler {
     pub fn submit(
         &self,
         spec: JobSpec,
-        tx: SyncSender<String>,
+        tx: SyncSender<FrameBatch>,
     ) -> Result<(u64, u64, usize), (&'static str, String)> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(("shutting_down", "server is draining".to_owned()));
@@ -414,16 +414,17 @@ fn run_one(inner: &SchedInner, job: &QueuedJob) {
         .spec
         .timeout_ms
         .map(|ms| job.token.cancel_after(Duration::from_millis(ms)));
-    let wire = WireObserver::new(
-        job.id,
-        job.trace,
-        job.tx.clone(),
-        Some(Arc::clone(&inner.instruments.frame_stall)),
-    );
-    let observer: &dyn scal_obs::CampaignObserver = if job.spec.stream {
-        &wire
-    } else {
-        &NullObserver
+    let wire = job.spec.stream.then(|| {
+        WireObserver::new(
+            job.id,
+            job.trace,
+            job.tx.clone(),
+            Some(Arc::clone(&inner.instruments.frame_stall)),
+        )
+    });
+    let observer: &dyn scal_obs::CampaignObserver = match &wire {
+        Some(wire) => wire,
+        None => &NullObserver,
     };
     let started = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -484,7 +485,11 @@ fn run_one(inner: &SchedInner, job: &QueuedJob) {
             frame_error(Some(job.id), Some(job.trace), e.code(), &e.to_string())
         }
     };
-    let _ = job.tx.send(frame);
+    // Every event precedes the terminal frame, the panic path's included.
+    if let Some(wire) = &wire {
+        wire.flush();
+    }
+    let _ = job.tx.send(FrameBatch::single(frame));
 }
 
 impl SchedInner {
@@ -534,11 +539,13 @@ mod tests {
         }
     }
 
-    fn drain_result(rx: &std::sync::mpsc::Receiver<String>) -> String {
+    fn drain_result(rx: &std::sync::mpsc::Receiver<FrameBatch>) -> String {
         loop {
-            let frame = rx.recv().expect("frame");
-            if frame.contains("\"frame\":\"result\"") || frame.contains("\"frame\":\"error\"") {
-                return frame;
+            let batch = rx.recv().expect("frame");
+            for frame in batch.lines.lines() {
+                if frame.contains("\"frame\":\"result\"") || frame.contains("\"frame\":\"error\"") {
+                    return frame.to_owned();
+                }
             }
         }
     }
@@ -557,6 +564,44 @@ mod tests {
         assert!(result.contains("\"fault_secure\":true"));
         sched.shutdown();
         sched.join();
+    }
+
+    #[test]
+    fn an_erroring_job_sends_its_pending_events_before_the_error_frame() {
+        // A plain AND gate does not alternate: the golden phase fails after
+        // `phase_start` golden, with no boundary event to end the batch.
+        let mut c = Circuit::new();
+        let (a, b) = (c.input("a"), c.input("b"));
+        let g = c.gate(GateKind::And, &[a, b]);
+        c.mark_output("f", g);
+        let mut spec = pair_spec(4);
+        spec.kind = JobKind::Pair {
+            circuit: c,
+            faults: FaultSpec::All,
+            drop_after_detection: false,
+            eval_mode: EvalMode::Cone,
+            scalar: false,
+        };
+        let collect = scal_obs::CollectObserver::new();
+        assert!(run_job(&spec.kind, 1, None, &collect, None).is_err());
+        let sched = Scheduler::new(SchedConfig {
+            workers: 1,
+            ..SchedConfig::default()
+        });
+        let (tx, rx) = sync_channel(64);
+        let _ = sched.submit(spec, tx).unwrap();
+        let lines: Vec<String> = rx
+            .iter()
+            .flat_map(|b| b.lines.lines().map(str::to_owned).collect::<Vec<_>>())
+            .collect();
+        sched.shutdown();
+        sched.join();
+        let (last, events) = lines.split_last().expect("frames");
+        assert!(last.contains("\"frame\":\"error\""), "{last}");
+        assert_eq!(events.len(), collect.events().len());
+        assert!(events
+            .last()
+            .is_some_and(|e| e.contains("\"ev\":\"phase_start\"")));
     }
 
     #[test]

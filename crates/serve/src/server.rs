@@ -7,9 +7,13 @@
 //! ack frame). Campaigns themselves run on the shared [`Scheduler`] pool,
 //! so a thousand connections never mean a thousand campaigns at once.
 //!
-//! Each socket write carries every frame of the job already queued (up to
-//! [`FRAME_COALESCE`]), so one read may return several frames; every frame
-//! is still one newline-terminated line.
+//! A job's event frames reach the handler in batches
+//! ([`FrameBatch`]): the campaign's [`WireObserver`](crate::wire::WireObserver)
+//! renders up to [`FRAME_COALESCE`] frames into one buffer, sends it at a
+//! phase or campaign boundary, when full, or at once when the event came
+//! [`FRAME_LINGER`] or more after the previous batch, and the handler
+//! writes each batch with one `write_all`. One read may therefore return
+//! several frames; every frame is still one newline-terminated line.
 //!
 //! Client death is detected at the first failed frame write: the handler
 //! cancels the job's token and then *drains* the job's channel (discarding
@@ -28,6 +32,7 @@ use crate::proto::{
 };
 use crate::sched::{SchedConfig, Scheduler};
 use crate::telemetry::Telemetry;
+use crate::wire::FrameBatch;
 use scal_obs::{Counter, Histogram};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -37,15 +42,23 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-job frame-channel depth: how many rendered frames may sit between a
-/// campaign worker and a slow client before backpressure throttles the
-/// campaign.
-pub const FRAME_BUFFER: usize = 256;
+/// Per-job frame-channel bound, in frames: how many rendered frames may sit
+/// between a campaign worker and a slow client before backpressure
+/// throttles the campaign. The channel holds `FRAME_BUFFER /
+/// FRAME_COALESCE` batches (about 120 KB of event frames).
+pub const FRAME_BUFFER: usize = 1024;
 
-/// Most frames one socket write carries: after each blocking receive the
-/// connection handler also takes the job's frames already queued, up to
-/// this many in all, and sends them with one `write_all`.
+/// Most frames one batch — one channel message, one socket write —
+/// carries.
 pub const FRAME_COALESCE: usize = 64;
+
+// Whole batches of at most FRAME_COALESCE frames fill the channel exactly.
+const _: () = assert!(FRAME_BUFFER % FRAME_COALESCE == 0);
+
+/// An event that arrives this long or longer after its job's previous
+/// batch went out is sent at once, with whatever was pending, so a slow
+/// trickle of events is not held back waiting for a full batch.
+pub const FRAME_LINGER: Duration = Duration::from_millis(1);
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -409,7 +422,7 @@ fn handle_connection(
         Request::Submit(spec) => {
             let kind = spec.kind.name();
             let priority = spec.priority;
-            let (tx, rx) = sync_channel::<String>(FRAME_BUFFER);
+            let (tx, rx) = sync_channel::<FrameBatch>(FRAME_BUFFER / FRAME_COALESCE);
             let submitted = cell.with(|s| s.submit(*spec, tx));
             match submitted {
                 Some(Ok((id, trace, queued))) => {
@@ -424,28 +437,15 @@ fn handle_connection(
                     if !client_alive {
                         let _ = cell.with(|s| s.cancel(id));
                     }
-                    // Stream frames until the worker drops its sender, each
-                    // write carrying every frame already queued (up to
-                    // FRAME_COALESCE). On a failed write, cancel the job but
+                    // Stream batches until the worker drops its sender, one
+                    // write per batch. On a failed write, cancel the job but
                     // KEEP draining the channel: a worker blocked on the
                     // bounded channel's backpressure must be released to
                     // reach its next cancellation checkpoint.
-                    let mut lines = String::new();
-                    while let Ok(frame) = rx.recv() {
-                        if !client_alive {
-                            continue;
-                        }
-                        lines.clear();
-                        lines.push_str(&frame);
-                        lines.push('\n');
-                        let mut frames = 1;
-                        while frames < FRAME_COALESCE {
-                            let Ok(frame) = rx.try_recv() else { break };
-                            lines.push_str(&frame);
-                            lines.push('\n');
-                            frames += 1;
-                        }
-                        if !send_lines(&mut stream, &lines, frames as u64, stats) {
+                    while let Ok(batch) = rx.recv() {
+                        if client_alive
+                            && !send_lines(&mut stream, &batch.lines, batch.frames as u64, stats)
+                        {
                             client_alive = false;
                             let _ = cell.with(|s| s.cancel(id));
                         }

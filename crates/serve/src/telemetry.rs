@@ -15,7 +15,7 @@
 //! | `scal_serve_submit_accept_micros` | histogram | request line read → accepted frame sent |
 //! | `scal_serve_queue_wait_micros` | histogram | accepted → execution start |
 //! | `scal_serve_run_micros` | histogram | campaign wall time |
-//! | `scal_serve_frame_stall_micros` | histogram | event-frame channel send (backpressure) |
+//! | `scal_serve_frame_stall_micros` | histogram | event-batch channel send, per batch (backpressure) |
 //! | `scal_serve_connections_total` | counter | accepted TCP connections |
 //! | `scal_serve_frames_sent_total` / `scal_serve_bytes_sent_total` | counter | frames/bytes written to clients |
 
@@ -177,7 +177,7 @@ impl Telemetry {
         metrics.describe("scal_serve_run_micros", "Campaign wall time");
         metrics.describe(
             "scal_serve_frame_stall_micros",
-            "Event-frame channel send time (client backpressure)",
+            "Event-batch channel send time (client backpressure)",
         );
         metrics.describe("scal_serve_connections_total", "Accepted TCP connections");
         metrics.describe("scal_serve_frames_sent_total", "Frames written to clients");

@@ -13,8 +13,8 @@
 use crate::cpu::{Cpu, CpuMode, Program};
 use crate::programs::{checksum, popcount, ARG0, RESULT};
 use scal_engine::{
-    drive, duration_micros, CompiledCircuit, EngineError, FaultSummary, Kernel, Setup, Toggle,
-    Unit, UnitResult,
+    drive, duration_micros, CollapseCounts, CompiledCircuit, EngineError, FaultSummary, Kernel,
+    Setup, Toggle, Unit, UnitResult,
 };
 use scal_faults::{enumerate_faults, Fault};
 use scal_netlist::Override;
@@ -86,6 +86,8 @@ pub struct CpuCampaign {
     pub periods: u64,
     /// True when a [`CancelToken`] stopped the campaign early.
     pub cancelled: bool,
+    /// The collapsed fault list's size, when the campaign collapsed it.
+    pub collapse: Option<CollapseCounts>,
 }
 
 impl CpuCampaign {
@@ -240,7 +242,7 @@ impl<'a> Campaign<'a> {
                 budget: self.budget,
             })
         })?;
-        let periods = driven.stats.words_evaluated;
+        let (periods, collapse) = (driven.stats.words_evaluated, driven.stats.collapse);
         let (verdicts, table) = driven.into_expanded();
         if let Some(cov) = self.coverage {
             cov.push(table.coverage_map(|i, out| faults[i].describe_into(&unit_circuit, out)));
@@ -254,6 +256,7 @@ impl<'a> Campaign<'a> {
             results,
             periods,
             cancelled: table.cancelled(),
+            collapse,
         })
     }
 }
