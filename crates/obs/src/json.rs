@@ -6,7 +6,9 @@
 //! the same buffer, so a whole coverage map or frame is serialized without
 //! a per-field or per-record allocation. [`validate_jsonl`] is a strict
 //! syntax checker for JSON-lines streams, used by the golden tests and the
-//! CI smoke job.
+//! CI smoke job; [`validate_member`] runs the same check on one line and
+//! builds only one top-level member, for readers that need a line's tag
+//! before (or instead of) its whole [`JsonValue`] tree.
 
 use std::borrow::BorrowMut;
 use std::fmt::Write;
@@ -330,20 +332,40 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let mut p = Parser::new(line);
-        p.skip_ws();
-        p.value().map_err(|e| format!("line {}: {e}", ln + 1))?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!(
-                "line {}: trailing garbage at byte {}",
-                ln + 1,
-                p.pos
-            ));
-        }
+        validate(line, None).map_err(|e| format!("line {}: {e}", ln + 1))?;
         checked += 1;
     }
     Ok(checked)
+}
+
+/// Checks that `text` is one JSON value, by [`parse`]'s grammar, and
+/// returns the value of its last top-level member named `key` (`None` when
+/// `text` is not an object or has no such member). Only that member's value
+/// is built; the rest of the text is checked and skipped, so reading one
+/// member costs a syntax check of the line rather than a whole tree.
+///
+/// # Errors
+///
+/// The message [`parse`] returns for the same text.
+pub fn validate_member(text: &str, key: &str) -> Result<Option<JsonValue>, String> {
+    validate(text, Some(key))
+}
+
+/// The syntax check behind [`validate_jsonl`] and [`validate_member`].
+fn validate(text: &str, key: Option<&str>) -> Result<Option<JsonValue>, String> {
+    let mut p = Parser::new(text);
+    p.skip_ws();
+    let member = if p.peek() == Some(b'{') {
+        p.object(key)?
+    } else {
+        p.value()?;
+        None
+    };
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing garbage at byte {}", p.pos));
+    }
+    Ok(member)
 }
 
 /// A parsed JSON value — the reading counterpart of [`JsonObject`], used by
@@ -463,11 +485,20 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
-/// A recursive-descent JSON syntax checker (no value construction).
+/// A recursive-descent JSON reader: the `value`/`object`/`array`/`string`/
+/// `number` methods check syntax without building anything, and the
+/// `build_*` methods build a [`JsonValue`] under the same grammar and error
+/// messages.
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Members of the objects being built, innermost last. An object takes
+    /// its own off the top when it closes, into a `Vec` of exact length, so
+    /// building one allocates once instead of growing a `Vec` per member.
+    members: Vec<(String, JsonValue)>,
+    /// The same for the arrays being built.
+    items: Vec<JsonValue>,
 }
 
 impl<'a> Parser<'a> {
@@ -476,6 +507,8 @@ impl<'a> Parser<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            members: Vec::new(),
+            items: Vec::new(),
         }
     }
 
@@ -520,7 +553,7 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<(), String> {
         match self.peek() {
-            Some(b'{') => self.object(),
+            Some(b'{') => self.object(None).map(|_| ()),
             Some(b'[') => self.array(),
             Some(b'"') => self.string(),
             Some(b't') => self.literal("true"),
@@ -532,24 +565,33 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
+    /// Checks an object. With `watch`, the value of its last member named
+    /// `watch` is built and returned; every other value is only checked.
+    fn object(&mut self, watch: Option<&str>) -> Result<Option<JsonValue>, String> {
         self.expect(b'{')?;
         self.skip_ws();
+        let mut found = None;
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(());
+            return Ok(found);
         }
         loop {
             self.skip_ws();
+            let key = self.pos;
             self.string()?;
+            let watched = watch.is_some_and(|w| self.key_is(key, w));
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            self.value()?;
+            if watched {
+                found = Some(self.build_value()?);
+            } else {
+                self.value()?;
+            }
             self.skip_ws();
             match self.bump()? {
                 b',' => {}
-                b'}' => return Ok(()),
+                b'}' => return Ok(found),
                 b => {
                     return Err(format!(
                         "expected ',' or '}}' at byte {}, got {:?}",
@@ -558,6 +600,19 @@ impl<'a> Parser<'a> {
                     ))
                 }
             }
+        }
+    }
+
+    /// Whether the string checked from byte `start` up to here decodes to
+    /// `want`.
+    fn key_is(&self, start: usize, want: &str) -> bool {
+        let raw = &self.text[start + 1..self.pos - 1];
+        if raw.contains('\\') {
+            Parser::new(&self.text[start..self.pos])
+                .build_string()
+                .is_ok_and(|k| k == want)
+        } else {
+            raw == want
         }
     }
 
@@ -586,9 +641,31 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skips a string body's plain run — every byte up to the next quote,
+    /// backslash or control byte — in one scan.
+    fn plain_run(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    /// Skips a run of ASCII digits in one scan; returns its length.
+    fn digits(&mut self) -> usize {
+        let rest = &self.bytes[self.pos..];
+        let n = rest
+            .iter()
+            .position(|b| !b.is_ascii_digit())
+            .unwrap_or(rest.len());
+        self.pos += n;
+        n
+    }
+
     fn string(&mut self) -> Result<(), String> {
         self.expect(b'"')?;
         loop {
+            self.plain_run();
             match self.bump()? {
                 b'"' => return Ok(()),
                 b'\\' => {
@@ -635,11 +712,11 @@ impl<'a> Parser<'a> {
     fn build_object(&mut self) -> Result<JsonValue, String> {
         self.expect(b'{')?;
         self.skip_ws();
-        let mut members = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(members));
+            return Ok(JsonValue::Object(Vec::new()));
         }
+        let base = self.members.len();
         loop {
             self.skip_ws();
             let key = self.build_string()?;
@@ -647,11 +724,11 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let val = self.build_value()?;
-            members.push((key, val));
+            self.members.push((key, val));
             self.skip_ws();
             match self.bump()? {
                 b',' => {}
-                b'}' => return Ok(JsonValue::Object(members)),
+                b'}' => return Ok(JsonValue::Object(self.members.drain(base..).collect())),
                 b => {
                     return Err(format!(
                         "expected ',' or '}}' at byte {}, got {:?}",
@@ -666,18 +743,19 @@ impl<'a> Parser<'a> {
     fn build_array(&mut self) -> Result<JsonValue, String> {
         self.expect(b'[')?;
         self.skip_ws();
-        let mut items = Vec::new();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(JsonValue::Array(Vec::new()));
         }
+        let base = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.build_value()?);
+            let item = self.build_value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.bump()? {
                 b',' => {}
-                b']' => return Ok(JsonValue::Array(items)),
+                b']' => return Ok(JsonValue::Array(self.items.drain(base..).collect())),
                 b => {
                     return Err(format!(
                         "expected ',' or ']' at byte {}, got {:?}",
@@ -694,16 +772,13 @@ impl<'a> Parser<'a> {
         // A string with no escape and no control byte is one slice of the
         // input: the quotes are ASCII, so the slice is whole UTF-8.
         if self.peek() == Some(b'"') {
-            let body = &self.bytes[start + 1..];
-            if let Some(len) = body
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-            {
-                if body[len] == b'"' {
-                    self.pos = start + len + 2;
-                    return Ok(self.text[start + 1..start + 1 + len].to_owned());
-                }
+            self.pos += 1;
+            self.plain_run();
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(self.text[start + 1..self.pos - 1].to_owned());
             }
+            self.pos = start;
         }
         self.string()?;
         // Re-walk the validated span (quotes excluded) decoding escapes.
@@ -769,22 +844,12 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut digits = 0;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-            digits += 1;
-        }
-        if digits == 0 {
+        if self.digits() == 0 {
             return Err(format!("expected digits at byte {}", self.pos));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                frac += 1;
-            }
-            if frac == 0 {
+            if self.digits() == 0 {
                 return Err(format!("expected fraction digits at byte {}", self.pos));
             }
         }
@@ -793,12 +858,7 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                exp += 1;
-            }
-            if exp == 0 {
+            if self.digits() == 0 {
                 return Err(format!("expected exponent digits at byte {}", self.pos));
             }
         }

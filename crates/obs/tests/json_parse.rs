@@ -1,8 +1,14 @@
 //! Property tests for the JSON reader: `json::parse` against the reader it
 //! replaced, kept here as the reference, on valid documents and on their
 //! truncated and corrupted variants — the same value for every document it
-//! accepts, and the same message for every one it rejects.
+//! accepts, and the same message for every one it rejects. The syntax check
+//! (`json::validate_member`) must accept and reject the same documents with
+//! the same messages.
 
+#[path = "support/json_gen.rs"]
+mod json_gen;
+
+use json_gen::{arb_document, arb_number, arb_string, arb_ws, floor_boundary, pick, NOISE};
 use proptest::prelude::*;
 use scal_obs::json::{self, JsonValue};
 
@@ -263,110 +269,13 @@ mod reference {
     }
 }
 
-/// Pieces of string bodies: plain text of every UTF-8 width, every escape
-/// (valid, malformed and truncated), raw control bytes and quotes.
-const STRING_PIECES: &[&str] = &[
-    "a", "s-a-0", "carry1", " ", "é", "中", "😀", "\u{7f}", "\u{85}", "\u{2028}", "\\\"", "\\\\",
-    "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u00e9", "\\u0041", "\\uD83D", "\\uzzzz", "\\u12",
-    "\\x", "\\", "\u{1}", "\t", "\n", "\"",
-];
-
-/// Tokens spliced into documents to corrupt them.
-const NOISE: &[&str] = &[
-    "{", "}", "[", "]", ",", ":", "\"", "\\", "-", ".", "e", "+", "0", "7", "tru", "nul", " ",
-    "\n", "\u{1}", "é", "x",
-];
-
-fn pick(items: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
-    (0..items.len()).prop_map(move |i| items[i])
-}
-
-fn arb_string() -> impl Strategy<Value = String> {
-    // Mostly escape-free bodies, the fast path, with pieces of every kind.
-    let plain = prop::collection::vec(pick(&STRING_PIECES[..10]), 0..6);
-    let any = prop::collection::vec(pick(STRING_PIECES), 0..6);
-    prop_oneof![plain, any].prop_map(|pieces| format!("\"{}\"", pieces.concat()))
-}
-
-fn arb_digits(max: usize) -> impl Strategy<Value = String> {
-    prop::collection::vec(0u8..10, 1..=max)
-        .prop_map(|ds| ds.into_iter().map(|d| char::from(b'0' + d)).collect())
-}
-
-fn arb_number() -> impl Strategy<Value = String> {
-    // Integers on both sides of the 15-digit fast-path limit, with and
-    // without sign, fraction and exponent; leading zeros included.
-    (
-        (
-            any::<bool>(),
-            prop_oneof![arb_digits(3), arb_digits(15), arb_digits(22)],
-        ),
-        (0u8..4, arb_digits(4)),
-        (0u8..6, arb_digits(3)),
-    )
-        .prop_map(|((negative, int), (frac_kind, frac), (exp_kind, exp))| {
-            let mut n = String::new();
-            if negative {
-                n.push('-');
-            }
-            n.push_str(&int);
-            if frac_kind == 0 {
-                n.push('.');
-                n.push_str(&frac);
-            }
-            match exp_kind {
-                0 => n.push_str(&format!("e{exp}")),
-                1 => n.push_str(&format!("E-{exp}")),
-                2 => n.push_str(&format!("e+{exp}")),
-                _ => {}
-            }
-            n
-        })
-}
-
-fn arb_ws() -> impl Strategy<Value = &'static str> {
-    prop_oneof![Just(""), Just(""), Just(" "), Just("\n\t ")]
-}
-
-fn arb_document() -> impl Strategy<Value = String> {
-    let leaf = prop_oneof![
-        arb_string(),
-        arb_number(),
-        Just("true".to_owned()),
-        Just("false".to_owned()),
-        Just("null".to_owned()),
-    ];
-    leaf.prop_recursive(3, 32, 4, |inner| {
-        let items = prop::collection::vec((arb_ws(), inner.clone()), 0..4);
-        let members = prop::collection::vec((arb_string(), arb_ws(), inner), 0..4);
-        prop_oneof![
-            items.prop_map(|items| {
-                let items: Vec<String> =
-                    items.into_iter().map(|(w, v)| format!("{w}{v}")).collect();
-                format!("[{}]", items.join(","))
-            }),
-            members.prop_map(|members| {
-                let members: Vec<String> = members
-                    .into_iter()
-                    .map(|(k, w, v)| format!("{k}{w}:{v}"))
-                    .collect();
-                format!("{{{}}}", members.join(","))
-            }),
-        ]
-    })
-}
-
-/// The largest char boundary of `s` at or below `at`.
-fn floor_boundary(s: &str, at: usize) -> usize {
-    (0..=at.min(s.len()))
-        .rev()
-        .find(|&i| s.is_char_boundary(i))
-        .unwrap_or(0)
-}
-
 fn check(text: &str) -> Result<(), TestCaseError> {
+    let want = reference::parse(text);
     let got = json::parse(text);
-    prop_assert_eq!(&got, &reference::parse(text), "on {:?}", text);
+    prop_assert_eq!(&got, &want, "on {:?}", text);
+    // The syntax check accepts and rejects exactly what the reader does.
+    let checked = json::validate_member(text, "a").map(|_| ());
+    prop_assert_eq!(checked, want.map(|_| ()), "check on {:?}", text);
     Ok(())
 }
 

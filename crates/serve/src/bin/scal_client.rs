@@ -10,10 +10,11 @@
 //! scal_client [--addr HOST:PORT] shutdown
 //! ```
 //!
-//! Every response frame is echoed to stdout as one JSON line, so output is
-//! itself valid JSONL. `submit` follows the stream to the terminal frame;
-//! `batch` runs a mixed pair/seq/cpu workload concurrently, and with
-//! `--cancel-one` cancels its first (deliberately slow) job mid-flight.
+//! Every response frame is echoed to stdout as the line received, so
+//! output is itself valid JSONL. `submit` follows the stream to the
+//! terminal frame; `batch` runs a mixed pair/seq/cpu workload concurrently,
+//! and with `--cancel-one` cancels its first (deliberately slow) job
+//! mid-flight.
 
 use scal_serve::client::demo;
 use scal_serve::{Client, JobSpec};
@@ -52,12 +53,11 @@ fn follow(client: &Client, spec: &JobSpec) -> bool {
     let mut ok = true;
     for frame in stream {
         match frame {
-            Ok(v) => {
-                let line = v.to_json_line();
-                if v.get("frame").and_then(scal_obs::json::JsonValue::as_str) == Some("error") {
+            Ok(frame) => {
+                if frame.kind() == Some("error") {
                     ok = false;
                 }
-                println!("{line}");
+                println!("{}", frame.line());
             }
             Err(e) => {
                 eprintln!("stream error: {e}");
@@ -105,10 +105,12 @@ fn run_batch(client: &Client, jobs: usize, cancel_one: bool) -> bool {
                 };
                 let mut ok = false;
                 for frame in stream {
-                    let Ok(v) = frame else { return false };
-                    let kind = v.get("frame").and_then(scal_obs::json::JsonValue::as_str);
+                    let Ok(frame) = frame else { return false };
+                    let kind = frame.kind();
                     if i == 0 && cancel_one && kind == Some("accepted") {
-                        if let Some(id) = v.get("id").and_then(scal_obs::json::JsonValue::as_f64) {
+                        if let Some(id) =
+                            frame.get("id").and_then(scal_obs::json::JsonValue::as_f64)
+                        {
                             match client.cancel(id as u64) {
                                 Ok(found) => eprintln!("job 0: cancelled (found={found})"),
                                 Err(e) => eprintln!("job 0: cancel failed: {e}"),
@@ -116,7 +118,7 @@ fn run_batch(client: &Client, jobs: usize, cancel_one: bool) -> bool {
                         }
                     }
                     ok = kind == Some("result");
-                    println!("{}", v.to_json_line());
+                    println!("{}", frame.line());
                 }
                 ok
             })
@@ -227,7 +229,7 @@ fn main() -> ExitCode {
                     let mut ok = true;
                     for frame in stream {
                         match frame {
-                            Ok(v) => println!("{}", v.to_json_line()),
+                            Ok(frame) => println!("{}", frame.line()),
                             Err(e) => {
                                 eprintln!("stream error: {e}");
                                 ok = false;
@@ -260,7 +262,7 @@ fn main() -> ExitCode {
         }
         "status" => match client.status_frame() {
             Ok(frame) => {
-                println!("{}", frame.to_json_line());
+                println!("{}", frame.line());
                 true
             }
             Err(e) => {

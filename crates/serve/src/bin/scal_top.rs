@@ -228,7 +228,7 @@ fn main() -> ExitCode {
             // Clear screen + home, ANSI; harmless when piped.
             print!("\x1b[2J\x1b[H");
         }
-        render(&status, prom.as_ref(), &recent, tick);
+        render(status.value(), prom.as_ref(), &recent, tick);
         if iterations.is_some_and(|n| tick >= n) {
             return ExitCode::SUCCESS;
         }

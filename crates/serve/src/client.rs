@@ -6,6 +6,7 @@ use crate::proto::{JobSpec, PROTOCOL_VERSION};
 use scal_obs::json::{self, JsonValue};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// A campaign-service client bound to one server address.
@@ -14,8 +15,66 @@ pub struct Client {
     addr: String,
 }
 
-/// One parsed response frame.
-pub type Frame = JsonValue;
+/// One response frame: the line as received, checked to be one JSON value.
+///
+/// The top-level `"frame"` member (the frame's kind) is read while the line
+/// is checked; the whole [`JsonValue`] tree is built only on the first read
+/// of any other member, so a client that looks only at kinds (an event
+/// stream followed to its `result`) builds no tree per frame.
+#[derive(Debug, Clone)]
+pub struct Frame {
+    line: String,
+    kind: Option<JsonValue>,
+    tree: OnceLock<JsonValue>,
+}
+
+impl Frame {
+    /// Checks `line` as one JSON value and keeps it as a frame.
+    ///
+    /// # Errors
+    ///
+    /// The message [`json::parse`] returns for the same line.
+    pub fn from_line(line: String) -> Result<Frame, String> {
+        let kind = json::validate_member(&line, "frame")?;
+        Ok(Frame {
+            line,
+            kind,
+            tree: OnceLock::new(),
+        })
+    }
+
+    /// The frame as received, without its newline.
+    #[must_use]
+    pub fn line(&self) -> &str {
+        &self.line
+    }
+
+    /// The frame's kind: its `"frame"` member, if that is a string.
+    #[must_use]
+    pub fn kind(&self) -> Option<&str> {
+        self.kind.as_ref().and_then(JsonValue::as_str)
+    }
+
+    /// Top-level member `key` (the last one, if repeated). `"frame"` is
+    /// answered from the member read while checking; any other key builds
+    /// the tree on its first read.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        if key == "frame" {
+            self.kind.as_ref()
+        } else {
+            self.value().get(key)
+        }
+    }
+
+    /// The whole frame as a tree, built on the first call. The parse
+    /// cannot fail: [`Frame::from_line`] checked the line by its grammar.
+    #[must_use]
+    pub fn value(&self) -> &JsonValue {
+        self.tree
+            .get_or_init(|| json::parse(&self.line).expect("a checked line parses"))
+    }
+}
 
 /// Iterates the frames of one request's response stream.
 #[derive(Debug)]
@@ -36,12 +95,13 @@ impl Iterator for FrameStream {
                 Ok(0) => return None,
                 Ok(_) if line.trim_end().is_empty() => {}
                 Ok(_) => {
-                    return Some(json::parse(line.trim_end()).map_err(|e| {
+                    line.truncate(line.trim_end().len());
+                    return Some(Frame::from_line(line).map_err(|e| {
                         std::io::Error::new(
                             std::io::ErrorKind::InvalidData,
                             format!("bad frame: {e}"),
                         )
-                    }))
+                    }));
                 }
                 Err(e) => return Some(Err(e)),
             }
@@ -125,12 +185,13 @@ impl Client {
     }
 
     /// Fetches the flight-recorder dump: the most recent job lifecycle
-    /// events as parsed JSON objects, oldest → newest.
+    /// events as parsed JSON objects, oldest → newest. They are values
+    /// inside the one `dump` frame, not frames of their own.
     ///
     /// # Errors
     ///
     /// Fails on connection errors or a non-`dump` response.
-    pub fn dump(&self) -> std::io::Result<Vec<Frame>> {
+    pub fn dump(&self) -> std::io::Result<Vec<JsonValue>> {
         let line = format!("{{\"cmd\":\"dump\",\"v\":{PROTOCOL_VERSION}}}");
         let frame = self.single_frame(&line)?;
         match frame.get("events").and_then(JsonValue::as_array) {
@@ -147,7 +208,7 @@ impl Client {
     pub fn shutdown(&self) -> std::io::Result<()> {
         let line = format!("{{\"cmd\":\"shutdown\",\"v\":{PROTOCOL_VERSION}}}");
         let frame = self.single_frame(&line)?;
-        match frame.get("frame").and_then(JsonValue::as_str) {
+        match frame.kind() {
             Some("shutdown_ack") => Ok(()),
             _ => Err(bad_frame("expected shutdown_ack")),
         }
@@ -309,11 +370,9 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    #[test]
-    fn long_runs_of_blank_lines_are_skipped_without_recursion() {
-        // A million blank lines — far past what one stack frame per line
-        // could survive — then one frame, then EOF.
-        const BLANK: usize = 1_000_000;
+    /// A one-connection peer that reads the request line, sends `reply`
+    /// and closes.
+    fn peer(reply: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let peer = std::thread::spawn(move || {
@@ -324,17 +383,38 @@ mod tests {
             BufReader::new(&stream)
                 .read_line(&mut request)
                 .expect("request");
-            let mut reply = "\n \r\n\t\n".repeat(BLANK / 3).into_bytes();
-            reply.extend_from_slice(b"{\"frame\":\"status\"}\n\n");
             stream.write_all(&reply).expect("reply");
         });
+        (addr, peer)
+    }
+
+    #[test]
+    fn long_runs_of_blank_lines_are_skipped_without_recursion() {
+        // A million blank lines — far past what one stack frame per line
+        // could survive — then one frame, then EOF.
+        const BLANK: usize = 1_000_000;
+        let mut reply = "\n \r\n\t\n".repeat(BLANK / 3).into_bytes();
+        reply.extend_from_slice(b"{\"frame\":\"status\"}\n\n");
+        let (addr, peer) = peer(reply);
         let mut frames = Client::new(addr).request("{}").expect("request");
         let frame = frames.next().expect("one frame").expect("valid frame");
-        assert_eq!(
-            frame.get("frame").and_then(JsonValue::as_str),
-            Some("status")
-        );
+        assert_eq!(frame.kind(), Some("status"));
+        assert_eq!(frame.line(), "{\"frame\":\"status\"}");
         assert!(frames.next().is_none(), "trailing blank line, then EOF");
+        peer.join().expect("peer");
+    }
+
+    #[test]
+    fn a_malformed_line_is_rejected_when_read() {
+        let bad = "{\"frame\":\"event\",\"id\":}";
+        let (addr, peer) = peer(format!("{bad}\r\n{{\"frame\":\"result\"}}\n").into_bytes());
+        let mut frames = Client::new(addr).request("{}").expect("request");
+        let err = frames.next().expect("a line").expect_err("malformed");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let want = json::parse(bad).expect_err("malformed");
+        assert_eq!(err.to_string(), format!("bad frame: {want}"));
+        let next = frames.next().expect("next line").expect("valid frame");
+        assert_eq!(next.kind(), Some("result"));
         peer.join().expect("peer");
     }
 }

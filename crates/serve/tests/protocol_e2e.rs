@@ -8,7 +8,9 @@ use scal_netlist::NetlistFormat;
 use scal_obs::json::{self, JsonValue};
 use scal_obs::CollectObserver;
 use scal_serve::client::demo;
-use scal_serve::{run_job, serve, Client, FaultSpec, JobKind, JobSpec, SchedConfig, ServeConfig};
+use scal_serve::{
+    run_job, serve, Client, FaultSpec, Frame, JobKind, JobSpec, SchedConfig, ServeConfig,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -30,7 +32,7 @@ fn start() -> (scal_serve::ServerHandle, Client) {
     (server, client)
 }
 
-fn field<'a>(frame: &'a JsonValue, key: &str) -> &'a str {
+fn field<'a>(frame: &'a Frame, key: &str) -> &'a str {
     frame
         .get(key)
         .and_then(JsonValue::as_str)
@@ -237,7 +239,7 @@ fn dump_returns_the_flight_recorder_as_events() {
     let states: Vec<&str> = events
         .iter()
         .filter(|e| e.get("trace").and_then(JsonValue::as_f64) == Some(trace))
-        .map(|e| field(e, "state"))
+        .map(|e| e.get("state").and_then(JsonValue::as_str).expect("state"))
         .collect();
     assert_eq!(states, ["submit", "start", "finish"], "{events:?}");
     // Timestamps are monotone oldest → newest.
@@ -359,20 +361,24 @@ fn adder_stream(bits: usize, drop: bool) -> JobSpec {
 }
 
 /// Submits `spec` on a raw connection and returns the response lines as
-/// read (newlines stripped), calling `pace` before each read.
-fn read_raw_lines(addr: &str, spec: &JobSpec, mut pace: impl FnMut(usize)) -> Vec<String> {
+/// read (newlines stripped), calling `pace` with the bytes read so far
+/// before each read.
+fn read_raw_lines(addr: &str, spec: &JobSpec, mut pace: impl FnMut(u64)) -> Vec<String> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut request = spec.to_request_line();
     request.push('\n');
     stream.write_all(request.as_bytes()).expect("request");
     let mut reader = BufReader::new(stream);
     let mut lines = Vec::new();
+    let mut read = 0;
     loop {
-        pace(lines.len());
+        pace(read);
         let mut line = String::new();
-        if reader.read_line(&mut line).expect("read") == 0 {
+        let n = reader.read_line(&mut line).expect("read");
+        if n == 0 {
             return lines;
         }
+        read += n as u64;
         assert_eq!(line.pop(), Some('\n'), "every frame ends in a newline");
         lines.push(line);
     }
@@ -436,23 +442,36 @@ fn frame_and_byte_counters_equal_what_the_client_read() {
 #[test]
 fn a_slow_reader_throttles_the_worker_and_loses_no_frame() {
     let (server, _client) = start();
-    let stall = server
-        .telemetry()
-        .metrics()
-        .histogram("scal_serve_frame_stall_micros");
+    let metrics = server.telemetry().metrics();
+    let stall = metrics.histogram("scal_serve_frame_stall_micros");
+    let bytes_sent = metrics.counter("scal_serve_bytes_sent_total");
     // The 7-bit adder without fault dropping streams ~67,000 event frames,
     // ~7 MB: more than the frame channel and the loopback socket buffers
     // hold, so a reader that holds back must block the worker.
     let spec = adder_stream(7, false);
-    // Hold the reader until a blocked send is recorded: while batches go
-    // out (the stall histogram counts every send) the reader waits, and it
-    // takes lines only while none has gone out since its last look — the
+    // A blocked send counts only once the handler has written at least
+    // `BACKLOG` bytes more than the reader took: those bytes sit in the
+    // socket (the reader's own buffer holds at most 8 KiB of them), so the
+    // reader, not the handler's pace, is what holds the channel full. A
+    // send blocked earlier, behind the handler's own writes, proves nothing.
+    const BACKLOG: u64 = 64 * 1024;
+    // Hold the reader until such a blocked send is recorded: while batches
+    // go out (the stall histogram counts every send) the reader waits, and
+    // it takes lines only while none has gone out since its last look — the
     // worker is then quiet or blocked on the full frame channel, and a
     // blocked send is recorded only once the reader frees room for it.
     let held = std::time::Instant::now();
+    let bytes_before = bytes_sent.get();
     let mut seen = stall.count();
-    let lines = read_raw_lines(&server.addr().to_string(), &spec, |_| {
-        while stall.sum() == 0 {
+    // The stall total when the backlog first reached `BACKLOG`.
+    let mut backlogged: Option<u64> = None;
+    let blocked_by_reader = |backlogged: Option<u64>| backlogged.is_some_and(|s| stall.sum() > s);
+    let lines = read_raw_lines(&server.addr().to_string(), &spec, |read| {
+        while !blocked_by_reader(backlogged) {
+            if backlogged.is_none() && bytes_sent.get() - bytes_before >= read + BACKLOG {
+                backlogged = Some(stall.sum());
+                continue;
+            }
             let sent = stall.count();
             if sent == seen {
                 break;
@@ -465,8 +484,11 @@ fn a_slow_reader_throttles_the_worker_and_loses_no_frame() {
             std::thread::sleep(Duration::from_millis(5));
         }
     });
-    assert!(stall.sum() > 0, "the worker never blocked");
-    let frame = |l: &str| json::parse(l).expect("frame");
+    assert!(
+        blocked_by_reader(backlogged),
+        "the worker never blocked behind a {BACKLOG}-byte socket backlog"
+    );
+    let frame = |l: &str| Frame::from_line(l.to_owned()).expect("frame");
     assert_eq!(field(&frame(&lines[0]), "frame"), "accepted");
     let result = frame(lines.last().expect("result"));
     assert_eq!(field(&result, "frame"), "result");

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use scal_obs::json::{self, JsonValue};
 use scal_obs::CollectObserver;
 use scal_serve::client::demo;
-use scal_serve::{run_job, Client, JobSpec, SchedConfig, ServeConfig};
+use scal_serve::{run_job, Client, Frame, JobSpec, SchedConfig, ServeConfig};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -165,7 +165,7 @@ fn soak_mixed_concurrent_campaigns_with_cancellations() {
         .cloned()
         .map(|(spec, cancel_after)| {
             let addr = addr.clone();
-            std::thread::spawn(move || -> (JobSpec, Vec<JsonValue>) {
+            std::thread::spawn(move || -> (JobSpec, Vec<Frame>) {
                 let client = Client::new(addr);
                 // The listener backlog can drop a burst of simultaneous
                 // connects; retry a few times.
@@ -200,7 +200,7 @@ fn soak_mixed_concurrent_campaigns_with_cancellations() {
         })
         .collect();
 
-    let responses: Vec<(JobSpec, Vec<JsonValue>)> = handles
+    let responses: Vec<(JobSpec, Vec<Frame>)> = handles
         .into_iter()
         .map(|h| h.join().expect("client"))
         .collect();
