@@ -3,84 +3,24 @@
 //! ```text
 //! # scal-netlist bench
 //! INPUT(a)
-//! INPUT(b)
 //! g = NAND(a, b)
 //! q = DFF(g)
 //! OUTPUT(q)
 //! ```
 //!
-//! The classic dialect (`INPUT`/`OUTPUT` declarations, `sig = KIND(…)`
-//! assignments, `DFF` for state) is extended with `CONST0()`/`CONST1()`
-//! sources and `MINORITY`/`MAJORITY` for the threshold gates. Everything
-//! bench cannot say natively — duplicate or non-identifier node names,
-//! flip-flop power-up values, output names that differ from their signal —
-//! rides in `#@` fidelity directives (`#@name <sig> <name>`,
-//! `#@init <sig> <0|1>`, `#@out <ord> <name>`), which foreign tools skip as
-//! comments. The writer emits node statements in id order, so round trips
-//! through the reader are bit-identical; hand-written files may list
-//! statements in any order (a deferral worklist resolves forward
-//! references, as ISCAS benchmarks require).
+//! The classic dialect is extended with `CONST0()`/`CONST1()` sources and
+//! `MINORITY`/`MAJORITY` gates. What bench cannot say natively — duplicate
+//! or non-identifier node names, flip-flop power-up values, output names
+//! that differ from their signal — rides in `#@` directives (`#@name <sig>
+//! <name>`, `#@init <sig> <0|1>`, `#@out <ord> <name>`), which other tools
+//! read as comments. Statements may come in any order, as ISCAS files need.
 
 use crate::circuit::NodeView;
-use crate::{Circuit, GateKind, NodeId};
-use std::collections::HashMap;
+use crate::reader::{err, is_blank, trim, trim_end, Builder, Cursor, Name, Op, ParseError, Words};
+use crate::{Circuit, GateKind, NetlistFormat};
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-
-/// Error from the bench reader: the offending 1-based line and a
-/// description of the first problem found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl core::fmt::Display for BenchError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for BenchError {}
-
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, BenchError> {
-    Err(BenchError {
-        line,
-        message: message.into(),
-    })
-}
-
-fn kind_name(kind: GateKind) -> &'static str {
-    match kind {
-        GateKind::Buf => "BUFF",
-        GateKind::Not => "NOT",
-        GateKind::And => "AND",
-        GateKind::Or => "OR",
-        GateKind::Nand => "NAND",
-        GateKind::Nor => "NOR",
-        GateKind::Xor => "XOR",
-        GateKind::Xnor => "XNOR",
-        GateKind::Minority => "MINORITY",
-        GateKind::Majority => "MAJORITY",
-    }
-}
-
-fn kind_from_name(name: &str) -> Option<GateKind> {
-    Some(match name.to_ascii_uppercase().as_str() {
-        "BUFF" | "BUF" => GateKind::Buf,
-        "NOT" => GateKind::Not,
-        "AND" => GateKind::And,
-        "OR" => GateKind::Or,
-        "NAND" => GateKind::Nand,
-        "NOR" => GateKind::Nor,
-        "XOR" => GateKind::Xor,
-        "XNOR" => GateKind::Xnor,
-        "MINORITY" | "MIN" => GateKind::Minority,
-        "MAJORITY" | "MAJ" => GateKind::Majority,
-        _ => return None,
-    })
-}
 
 /// `true` for signals the writer reserves for unnamed nodes (`N<digits>`).
 fn is_canonical(sig: &str) -> bool {
@@ -96,51 +36,36 @@ fn is_valid_signal(sig: &str) -> bool {
 pub(crate) fn emit(c: &Circuit) -> String {
     // Pick one signal per node: its own name when bench can express it and
     // no earlier node claimed it, else the canonical N<idx>.
-    let mut used: HashMap<&str, NodeId> = HashMap::new();
-    let mut signals: Vec<String> = Vec::with_capacity(c.len());
-    let mut name_directives: Vec<(usize, &str)> = Vec::new();
-    for id in c.node_ids() {
-        let sig = match c.name(id) {
-            Some(n) if is_valid_signal(n) && !is_canonical(n) && !used.contains_key(n) => {
-                used.insert(n, id);
-                n.to_owned()
-            }
+    let mut used = HashSet::new();
+    let mut name_directives = Vec::new();
+    let signals: Vec<String> = c
+        .node_ids()
+        .map(|id| match c.name(id) {
+            Some(n) if is_valid_signal(n) && !is_canonical(n) && used.insert(n) => n.to_owned(),
             other => {
-                if let Some(n) = other {
-                    name_directives.push((id.index(), n));
-                }
+                name_directives.extend(other.map(|n| (id.index(), n)));
                 format!("N{}", id.index())
             }
-        };
-        signals.push(sig);
-    }
+        })
+        .collect();
 
     let mut s = String::from("# scal-netlist bench\n");
     for id in c.node_ids() {
         let sig = &signals[id.index()];
-        match c.view(id) {
-            NodeView::Input => {
-                let _ = writeln!(s, "INPUT({sig})");
-            }
-            NodeView::Const(v) => {
-                let _ = writeln!(s, "{sig} = CONST{}()", u8::from(v));
-            }
+        let args: Vec<&str> = c
+            .fanins(id)
+            .iter()
+            .map(|f| signals[f.index()].as_str())
+            .collect();
+        let args = args.join(", ");
+        let _ = match c.view(id) {
+            NodeView::Input => writeln!(s, "INPUT({sig})"),
+            NodeView::Const(v) => writeln!(s, "{sig} = CONST{}()", u8::from(v)),
             NodeView::Gate(kind) => {
-                let fanins: Vec<&str> = c
-                    .fanins(id)
-                    .iter()
-                    .map(|f| signals[f.index()].as_str())
-                    .collect();
-                let _ = writeln!(s, "{sig} = {}({})", kind_name(kind), fanins.join(", "));
+                writeln!(s, "{sig} = {}({args})", kind.spelling(NetlistFormat::Bench))
             }
-            NodeView::Dff { .. } => {
-                let d = c
-                    .fanins(id)
-                    .first()
-                    .map_or("", |f| signals[f.index()].as_str());
-                let _ = writeln!(s, "{sig} = DFF({d})");
-            }
-        }
+            NodeView::Dff { .. } => writeln!(s, "{sig} = DFF({args})"),
+        };
     }
     for o in c.outputs() {
         let _ = writeln!(s, "OUTPUT({})", signals[o.node.index()]);
@@ -161,334 +86,175 @@ pub(crate) fn emit(c: &Circuit) -> String {
     s
 }
 
-#[derive(Debug)]
-enum Stmt {
-    Input {
-        sig: String,
-    },
-    Gate {
-        sig: String,
-        kind: GateKind,
-        fanins: Vec<String>,
-    },
-    Dff {
-        sig: String,
-        d: String,
-    },
-    Const {
-        sig: String,
-        value: bool,
-    },
-}
+const WORDS: Words = [
+    ("signal", "defined twice"),
+    ("signal", "is part of an undefined or cyclic chain"),
+    ("DFF input signal", "is never defined"),
+];
 
-impl Stmt {
-    fn sig(&self) -> &str {
-        match self {
-            Stmt::Input { sig }
-            | Stmt::Gate { sig, .. }
-            | Stmt::Dff { sig, .. }
-            | Stmt::Const { sig, .. } => sig,
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Directive {
-    Name { sig: String, name: String },
-    Init { sig: String, value: bool },
-    Out { ord: usize, name: String },
-}
+/// A checked `#@` directive: its line, keyword (`name`, `init` or `out`),
+/// first word (a signal or an output ordinal) and the rest of its line.
+type Directive<'a> = (usize, &'a str, &'a str, &'a str);
 
 /// Parses the bench format (classic files and this writer's output alike).
-pub(crate) fn parse(src: &str) -> Result<Circuit, BenchError> {
-    let mut stmts: Vec<(usize, Stmt)> = Vec::new();
-    let mut outputs: Vec<(usize, String)> = Vec::new();
-    let mut directives: Vec<(usize, Directive)> = Vec::new();
-
-    for (ln0, raw) in src.lines().enumerate() {
-        let line = ln0 + 1;
-        let trimmed = raw.trim();
-        if let Some(rest) = trimmed.strip_prefix("#@") {
-            directives.push((line, parse_directive(rest, line)?));
-            continue;
-        }
-        // Anything from '#' on is a comment (ISCAS convention).
-        let code = trimmed.split('#').next().unwrap_or("").trim();
-        if code.is_empty() {
-            continue;
-        }
-        if let Some(sig) = strip_call(code, "INPUT") {
-            let sig = sig.trim();
-            if !is_valid_signal_lenient(sig) {
-                return err(line, format!("bad INPUT signal {sig:?}"));
-            }
-            stmts.push((
-                line,
-                Stmt::Input {
-                    sig: sig.to_owned(),
-                },
-            ));
-        } else if let Some(sig) = strip_call(code, "OUTPUT") {
-            let sig = sig.trim();
-            if !is_valid_signal_lenient(sig) {
-                return err(line, format!("bad OUTPUT signal {sig:?}"));
-            }
-            outputs.push((line, sig.to_owned()));
-        } else if let Some((lhs, rhs)) = code.split_once('=') {
-            let sig = lhs.trim().to_owned();
-            if !is_valid_signal_lenient(&sig) {
-                return err(line, format!("bad signal {sig:?}"));
-            }
-            let rhs = rhs.trim();
-            let Some(open) = rhs.find('(') else {
-                return err(line, format!("expected KIND(...) after '=', got {rhs:?}"));
-            };
-            let Some(stripped) = rhs[open..]
-                .strip_prefix('(')
-                .and_then(|r| r.strip_suffix(')'))
-            else {
-                return err(line, format!("unbalanced parentheses in {rhs:?}"));
-            };
-            let kind_str = rhs[..open].trim();
-            let args: Vec<&str> = if stripped.trim().is_empty() {
-                Vec::new()
-            } else {
-                stripped.split(',').map(str::trim).collect()
-            };
-            if args.iter().any(|a| !is_valid_signal_lenient(a)) {
-                return err(line, format!("bad argument signal in {rhs:?}"));
-            }
-            let stmt = match kind_str.to_ascii_uppercase().as_str() {
-                "DFF" => {
-                    if args.len() != 1 {
-                        return err(line, "DFF takes exactly one argument");
-                    }
-                    Stmt::Dff {
-                        sig,
-                        d: args[0].to_owned(),
-                    }
-                }
-                "CONST0" | "CONST1" => {
-                    if !args.is_empty() {
-                        return err(line, "CONST0/CONST1 take no arguments");
-                    }
-                    Stmt::Const {
-                        sig,
-                        value: kind_str.ends_with('1'),
-                    }
-                }
-                other => {
-                    let Some(kind) = kind_from_name(other) else {
-                        return err(line, format!("unknown gate kind {other:?}"));
-                    };
-                    if !kind.arity_ok(args.len()) {
-                        return err(line, format!("arity {} invalid for {other}", args.len()));
-                    }
-                    Stmt::Gate {
-                        sig,
-                        kind,
-                        fanins: args.iter().map(|&a| a.to_owned()).collect(),
-                    }
-                }
-            };
-            stmts.push((line, stmt));
-        } else {
-            return err(line, format!("cannot parse {code:?}"));
-        }
-    }
-
-    build(stmts, &outputs, &directives)
-}
-
-fn is_valid_signal_lenient(sig: &str) -> bool {
-    // Classic benchmarks use identifiers; be permissive about charset but
-    // firm about structure so arbitrary bytes still produce typed errors.
-    !sig.is_empty()
-        && !sig.contains(|c: char| c.is_whitespace() || matches!(c, '(' | ')' | ',' | '=' | '#'))
-}
-
-fn strip_call<'a>(code: &'a str, kw: &str) -> Option<&'a str> {
-    let rest = code.strip_prefix(kw)?.trim_start();
-    rest.strip_prefix('(')?.trim_end().strip_suffix(')')
-}
-
-fn parse_directive(rest: &str, line: usize) -> Result<Directive, BenchError> {
-    let rest = rest.trim();
-    let (kw, rest) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
-    match kw {
-        "name" => {
-            let (sig, name) = rest
-                .trim()
-                .split_once(char::is_whitespace)
-                .ok_or(())
-                .or_else(|()| err(line, "#@name needs <signal> <name>"))?;
-            Ok(Directive::Name {
-                sig: sig.to_owned(),
-                name: name.trim().to_owned(),
-            })
-        }
-        "init" => {
-            let (sig, v) = rest
-                .trim()
-                .split_once(char::is_whitespace)
-                .ok_or(())
-                .or_else(|()| err(line, "#@init needs <signal> <0|1>"))?;
-            let value = match v.trim() {
-                "0" => false,
-                "1" => true,
-                other => return err(line, format!("bad #@init value {other:?}")),
-            };
-            Ok(Directive::Init {
-                sig: sig.to_owned(),
-                value,
-            })
-        }
-        "out" => {
-            let (ord, name) = rest
-                .trim()
-                .split_once(char::is_whitespace)
-                .ok_or(())
-                .or_else(|()| err(line, "#@out needs <ord> <name>"))?;
-            let ord: usize = ord
-                .parse()
-                .ok()
-                .ok_or(())
-                .or_else(|()| err(line, format!("bad #@out ordinal {ord:?}")))?;
-            Ok(Directive::Out {
-                ord,
-                name: name.trim().to_owned(),
-            })
-        }
-        other => err(line, format!("unknown directive #@{other}")),
-    }
-}
-
-fn build(
-    stmts: Vec<(usize, Stmt)>,
-    outputs: &[(usize, String)],
-    directives: &[(usize, Directive)],
-) -> Result<Circuit, BenchError> {
-    let mut seen: HashMap<&str, usize> = HashMap::new();
-    for (line, s) in &stmts {
-        if seen.insert(s.sig(), *line).is_some() {
-            return err(*line, format!("signal {:?} defined twice", s.sig()));
-        }
-    }
-    // Power-up values must be known at flip-flop creation time, so resolve
-    // `#@init` directives against signals up front.
-    let mut init_of: HashMap<&str, bool> = HashMap::new();
-    for (line, d) in directives {
-        if let Directive::Init { sig, value } = d {
-            match seen.get(sig.as_str()) {
-                Some(_) => {
-                    init_of.insert(sig, *value);
-                }
-                None => return err(*line, format!("#@init references unknown signal {sig:?}")),
-            }
-        }
-    }
-
-    // Replay in file order with deferral: ISCAS files commonly reference
-    // signals defined further down, and DFF feedback requires it anyway.
-    let mut c = Circuit::new();
-    let mut map: HashMap<String, NodeId> = HashMap::new();
-    let mut dff_connects: Vec<(usize, NodeId, String)> = Vec::new();
-    let mut pending = stmts;
-    while !pending.is_empty() {
-        let mut next_round = Vec::new();
-        let mut progressed = false;
-        for (line, s) in pending {
-            let ready = match &s {
-                Stmt::Input { .. } | Stmt::Dff { .. } | Stmt::Const { .. } => true,
-                Stmt::Gate { fanins, .. } => fanins.iter().all(|f| map.contains_key(f)),
-            };
-            if !ready {
-                next_round.push((line, s));
-                continue;
-            }
-            progressed = true;
-            let (sig, id) = match s {
-                Stmt::Input { sig } => {
-                    let id = c.input(sig.clone());
-                    (sig, id)
-                }
-                Stmt::Gate { sig, kind, fanins } => {
-                    let ids: Vec<_> = fanins.iter().map(|f| map[f.as_str()]).collect();
-                    let id = c.gate(kind, &ids);
-                    if !is_canonical(&sig) {
-                        c.set_name(id, sig.clone());
-                    }
-                    (sig, id)
-                }
-                Stmt::Dff { sig, d } => {
-                    let id = c.dff(init_of.get(sig.as_str()).copied().unwrap_or(false));
-                    dff_connects.push((line, id, d));
-                    if !is_canonical(&sig) {
-                        c.set_name(id, sig.clone());
-                    }
-                    (sig, id)
-                }
-                Stmt::Const { sig, value } => {
-                    let id = c.constant(value);
-                    if !is_canonical(&sig) {
-                        c.set_name(id, sig.clone());
-                    }
-                    (sig, id)
-                }
-            };
-            map.insert(sig, id);
-        }
-        if !progressed {
-            let (line, s) = &next_round[0];
-            return err(
-                *line,
-                format!(
-                    "signal {:?} is part of an undefined or cyclic chain",
-                    s.sig()
-                ),
-            );
-        }
-        pending = next_round;
-    }
-
-    for (line, ff, d) in dff_connects {
-        match map.get(d.as_str()) {
-            Some(&id) => c.connect_dff(ff, id),
-            None => return err(line, format!("DFF input signal {d:?} is never defined")),
-        }
-    }
-
+pub(crate) fn parse(src: &str) -> Result<Circuit, ParseError> {
+    let (b, outputs, directives) = statements(src)?;
+    let mut built = b.build()?;
     let mut output_names: Vec<Option<&str>> = vec![None; outputs.len()];
-    for (line, d) in directives {
-        match d {
-            Directive::Name { sig, name } => match map.get(sig.as_str()) {
-                Some(&id) => c.set_name(id, name.clone()),
-                None => return err(*line, format!("#@name references unknown signal {sig:?}")),
-            },
-            Directive::Init { sig, .. } => {
-                // Applied at creation via `init_of`; only validate the
-                // target's kind here.
-                let id = map[sig.as_str()];
-                if !matches!(c.view(id), NodeView::Dff { .. }) {
-                    return err(*line, format!("#@init target {sig:?} is not a DFF"));
+    for (line, kw, first, rest) in directives {
+        let node = built.node(first);
+        match (kw, node.map(|id| built.circuit.view(id))) {
+            ("out", _) => {
+                match output_names.get_mut(first.parse::<usize>().unwrap_or(usize::MAX)) {
+                    Some(slot) => *slot = Some(rest),
+                    None => return err(line, format!("#@out ordinal {first} out of range")),
                 }
             }
-            Directive::Out { ord, name } => match output_names.get_mut(*ord) {
-                Some(slot) => *slot = Some(name),
-                None => return err(*line, format!("#@out ordinal {ord} out of range")),
-            },
+            (_, None) => return err(line, format!("#@{kw} references unknown signal {first:?}")),
+            ("name", _) => built.circuit.set_name(node.expect("known"), rest),
+            // Applied at creation; only check the target here.
+            (_, Some(NodeView::Dff { .. })) => {}
+            _ => return err(line, format!("#@init target {first:?} is not a DFF")),
         }
     }
-    for (ord, (line, sig)) in outputs.iter().enumerate() {
-        match map.get(sig.as_str()) {
-            Some(&id) => {
-                let name = output_names[ord].unwrap_or(sig.as_str());
-                c.mark_output(name, id);
-            }
-            None => return err(*line, format!("OUTPUT references unknown signal {sig:?}")),
+    for (&(line, sig), name) in outputs.iter().zip(output_names) {
+        let Some(id) = built.node(sig) else {
+            return err(line, format!("OUTPUT references unknown signal {sig:?}"));
+        };
+        built.circuit.mark_output(name.unwrap_or(sig), id);
+    }
+    Ok(built.circuit)
+}
+
+type Statements<'a> = (Builder<'a>, Vec<(usize, &'a str)>, Vec<Directive<'a>>);
+
+/// Reads the node statements, `OUTPUT`s and `#@` directives of a file.
+pub(crate) fn statements(src: &str) -> Result<Statements<'_>, ParseError> {
+    let mut b = Builder::new(&WORDS);
+    let (mut outputs, mut directives) = (Vec::new(), Vec::new());
+    let mut cur = Cursor::new(src);
+    loop {
+        cur.skip_space();
+        let line = cur.line();
+        if cur.eat("#@") {
+            let (kw, first, rest) = (cur.word(), cur.word(), cur.rest_of_line());
+            directive(kw, first, rest).or_else(|message| err(line, message))?;
+            directives.push((line, kw, first, rest));
+        } else if cur.eat("#") {
+            cur.rest_of_line();
+        } else if cur.peek().is_some() {
+            // Anything from '#' on is a comment (ISCAS convention).
+            let text = trim_end(cur.take(|b| b != b'\n' && b != b'#'));
+            cur.rest_of_line();
+            statement(text, line, &mut b, &mut outputs).or_else(|message| err(line, message))?;
+        } else {
+            break;
         }
     }
-    Ok(c)
+    let inits: HashMap<&str, bool> = directives
+        .iter()
+        .filter(|d| d.1 == "init")
+        .map(|d| (d.2, d.3 == "1"))
+        .collect();
+    for s in &mut b.stmts {
+        if let Op::Dff(init) = &mut s.op {
+            *init = inits.get(s.target) == Some(&true);
+        }
+    }
+    Ok((b, outputs, directives))
+}
+
+/// `true` for the bytes a signal name may hold.
+fn is_signal_byte(b: u8) -> bool {
+    !is_blank(b) && !matches!(b, b'\n' | b'(' | b')' | b',' | b'=' | b'#')
+}
+
+/// `true` for a name a signal may have.
+fn is_signal(sig: &str) -> bool {
+    !sig.is_empty() && sig.bytes().all(is_signal_byte)
+}
+
+/// Reads one statement from its line, without the comment or blanks at
+/// either end.
+fn statement<'a>(
+    text: &'a str,
+    line: usize,
+    b: &mut Builder<'a>,
+    outputs: &mut Vec<(usize, &'a str)>,
+) -> Result<(), String> {
+    let cur = &mut Cursor::new(text);
+    let lhs = cur.take(is_signal_byte);
+    cur.skip_blanks();
+    let call = cur
+        .rest()
+        .strip_prefix('(')
+        .and_then(|r| r.strip_suffix(')'));
+    if let (Some(sig), "INPUT" | "OUTPUT") = (call, lhs) {
+        let sig = trim(sig);
+        if !is_signal(sig) {
+            return Err(format!("bad {lhs} signal {sig:?}"));
+        }
+        match lhs {
+            "INPUT" => b.push(line, sig, Op::Input, Name::Given(Cow::Borrowed(sig)), []),
+            _ => outputs.push((line, sig)),
+        }
+        return Ok(());
+    }
+    if !cur.eat("=") || lhs.is_empty() {
+        return Err(match text.split_once('=') {
+            Some((lhs, _)) => format!("bad signal {:?}", trim_end(lhs)),
+            None => format!("cannot parse {text:?}"),
+        });
+    }
+    cur.skip_blanks();
+    let rhs = cur.rest();
+    let kind = trim_end(cur.take(|b| b != b'('));
+    if !cur.eat("(") {
+        return Err(format!("expected KIND(...) after '=', got {rhs:?}"));
+    }
+    let Some(inner) = cur.rest().strip_suffix(')') else {
+        return Err(format!("unbalanced parentheses in {rhs:?}"));
+    };
+    let args: Vec<&str> = match inner.bytes().all(is_blank) {
+        true => Vec::new(),
+        false => inner.split(',').map(trim).collect(),
+    };
+    if !args.iter().all(|a| is_signal(a)) {
+        return Err(format!("bad argument signal in {rhs:?}"));
+    }
+    let op = match kind.to_ascii_uppercase().as_str() {
+        "DFF" if args.len() != 1 => return Err("DFF takes exactly one argument".into()),
+        "DFF" => Op::Dff(false),
+        "CONST0" | "CONST1" if !args.is_empty() => {
+            return Err("CONST0/CONST1 take no arguments".into())
+        }
+        "CONST0" | "CONST1" => Op::Const(kind.ends_with('1')),
+        _ => match GateKind::from_spelling(kind, NetlistFormat::Bench) {
+            None => return Err(format!("unknown gate kind {kind:?}")),
+            Some(k) if k.arity_ok(args.len()) => Op::Gate(k),
+            Some(_) => return Err(format!("arity {} invalid for {kind}", args.len())),
+        },
+    };
+    let name = match is_canonical(lhs) {
+        true => Name::None,
+        false => Name::Given(Cow::Borrowed(lhs)),
+    };
+    b.push(line, lhs, op, name, args);
+    Ok(())
+}
+
+/// Checks a `#@` directive's shape.
+fn directive(kw: &str, first: &str, rest: &str) -> Result<(), String> {
+    let needs = |what| Err(format!("#@{kw} needs {what}"));
+    match kw {
+        "name" if rest.is_empty() => needs("<signal> <name>"),
+        "init" if rest.is_empty() => needs("<signal> <0|1>"),
+        "out" if rest.is_empty() => needs("<ord> <name>"),
+        "init" if rest != "0" && rest != "1" => Err(format!("bad #@init value {rest:?}")),
+        "out" if first.parse::<usize>().is_err() => Err(format!("bad #@out ordinal {first:?}")),
+        "name" | "init" | "out" => Ok(()),
+        other => Err(format!("unknown directive #@{other}")),
+    }
 }
 
 #[cfg(test)]
@@ -559,26 +325,43 @@ mod tests {
 
     #[test]
     fn typed_errors_not_panics() {
-        for (src, needle) in [
-            ("garbage line", "cannot parse"),
-            ("INPUT(a)\nINPUT(a)", "defined twice"),
-            ("a = AND(b, c)", "undefined or cyclic"),
-            ("a = NOT(a)", "undefined or cyclic"),
-            ("a = FROB(b)", "unknown gate kind"),
-            ("INPUT(a)\nb = NOT(a, a)", "arity"),
-            ("INPUT(a)\nb = DFF(a, a)", "exactly one"),
-            ("b = CONST0(x)", "no arguments"),
-            ("OUTPUT(zz)", "unknown signal"),
-            ("q = DFF(nothing)", "never defined"),
-            ("INPUT(a)\n#@init a 1", "not a DFF"),
-            ("#@init q 1", "unknown signal"),
-            ("#@out 3 f", "out of range"),
-            ("#@frob x", "unknown directive"),
-            ("INPUT(a b)", "bad INPUT signal"),
-            ("x = AND(", "unbalanced parentheses"),
-            ("x = 5", "expected KIND"),
+        for (src, line, needle) in [
+            ("garbage line", 1, "cannot parse"),
+            ("INPUT(a)\nINPUT(a)", 2, "defined twice"),
+            ("a = AND(b, c)", 1, "undefined or cyclic"),
+            ("a = NOT(a)", 1, "undefined or cyclic"),
+            ("a = FROB(b)", 1, "unknown gate kind"),
+            ("INPUT(a)\nb = NOT(a, a)", 2, "arity"),
+            ("INPUT(a)\nb = DFF(a, a)", 2, "exactly one"),
+            ("b = CONST0(x)", 1, "no arguments"),
+            ("OUTPUT(zz)", 1, "unknown signal"),
+            ("q = DFF(nothing)", 1, "never defined"),
+            ("INPUT(a)\n#@init a 1", 2, "not a DFF"),
+            ("#@init q 1", 1, "unknown signal"),
+            ("#@out 3 f", 1, "out of range"),
+            ("#@frob x", 1, "unknown directive"),
+            ("INPUT(a b)", 1, "bad INPUT signal"),
+            ("x = AND(", 1, "unbalanced parentheses"),
+            ("x = 5", 1, "expected KIND"),
+            (
+                "# c\nINPUT(a)\n\nb = NOT(c)\nc = NOT(b)\n",
+                4,
+                "\"b\" is part of an undefined",
+            ),
+            (
+                "INPUT(a)\nq = DFF(a)\n\nOUTPUT(q)  # out\nOUTPUT(r)\n",
+                5,
+                "unknown signal \"r\"",
+            ),
+            ("INPUT(a)\n  #@name a\n", 2, "#@name needs"),
+            (
+                "INPUT(a)\nb = AND(a,, a)  # two commas\n",
+                2,
+                "bad argument signal",
+            ),
         ] {
             let e = parse(src).unwrap_err();
+            assert_eq!(e.line, line, "{src:?}: {e}");
             assert!(
                 e.message.contains(needle),
                 "{src:?}: got {e}, wanted {needle:?}"

@@ -22,11 +22,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Crate-internal constructor used by the text parser.
-pub(crate) fn node_id_from_index(idx: usize) -> NodeId {
-    NodeId(u32::try_from(idx).expect("node index fits in u32"))
-}
-
 /// A named primary output of a circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Output {

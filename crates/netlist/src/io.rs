@@ -3,8 +3,7 @@
 //!
 //! Three concrete serializations hide behind [`NetlistFormat`]:
 //!
-//! * [`NetlistFormat::ScalText`] — the native `scal-netlist v1` text form
-//!   (see [`crate::TextError`]'s module);
+//! * [`NetlistFormat::ScalText`] — the native `scal-netlist v1` text form;
 //! * [`NetlistFormat::Verilog`] — a structural Verilog subset (gate
 //!   primitives, `scal_dff`/`scal_minority`/`scal_majority` instances,
 //!   `assign`s), with exact node/output names carried in
@@ -13,15 +12,15 @@
 //!   (`INPUT(..)` / `OUTPUT(..)` / `sig = NAND(..)` / `sig = DFF(..)`),
 //!   with fidelity directives in `#@` comments.
 //!
-//! All three writers are exact inverses of their readers on every valid
-//! [`Circuit`]: `write ∘ read ∘ write == write` bit-for-bit, and the
-//! re-read circuit is [`circuit_eq`]-identical (structure, node ids, names,
-//! flip-flop init values, output declarations).
+//! Each writer is the exact inverse of its reader on every valid
+//! [`Circuit`] whose names are neither empty nor start or end with
+//! whitespace: `write ∘ read ∘ write == write` bit-for-bit, and the re-read
+//! circuit is [`circuit_eq`]-identical. Text and bench names run to the end
+//! of a line and are trimmed, so those two formats drop such whitespace and
+//! cannot carry an empty name; Verilog quotes names and keeps them all.
 
-use crate::bench_fmt::{self, BenchError};
-use crate::text;
-use crate::verilog::{self, VerilogError};
-use crate::{Circuit, TextError};
+use crate::reader::ParseError;
+use crate::{bench_fmt, text, verilog, Circuit};
 use std::path::Path;
 
 /// A netlist serialization format understood by [`Circuit::read`] and
@@ -61,35 +60,36 @@ impl NetlistFormat {
         }
     }
 
+    /// The format named by `path`'s extension, if any.
+    fn of_path(path: &Path) -> Option<NetlistFormat> {
+        NetlistFormat::from_extension(path.extension()?.to_str()?)
+    }
+
     /// Guesses the format of `src` from its leading significant content.
     /// Never fails: unrecognizable input defaults to [`NetlistFormat::ScalText`],
     /// whose parser then reports a typed header error.
     #[must_use]
     pub fn sniff(src: &str) -> NetlistFormat {
-        for raw in src.lines() {
-            let l = raw.trim();
-            if l.is_empty() {
-                continue;
-            }
+        for l in src.lines().map(str::trim).filter(|l| !l.is_empty()) {
             if l.starts_with("scal-netlist") {
                 return NetlistFormat::ScalText;
             }
-            if l.starts_with("//")
-                || l.starts_with("/*")
-                || l.starts_with("module")
-                || l.starts_with("(*")
+            if ["//", "/*", "module", "(*"]
+                .iter()
+                .any(|p| l.starts_with(p))
             {
                 return NetlistFormat::Verilog;
             }
-            if l.starts_with('#') {
-                // Comment syntax shared by ScalText and Bench; Bench writers
-                // (ours included) tag theirs, otherwise keep scanning.
-                if l.contains("bench") {
-                    return NetlistFormat::Bench;
-                }
+            // Comment syntax shared by ScalText and Bench; Bench writers
+            // (ours included) tag theirs, otherwise keep scanning.
+            if l.starts_with('#') && !l.contains("bench") {
                 continue;
             }
-            if l.starts_with("INPUT(") || l.starts_with("OUTPUT(") || l.contains('=') {
+            if l.starts_with('#')
+                || l.starts_with("INPUT(")
+                || l.starts_with("OUTPUT(")
+                || l.contains('=')
+            {
                 return NetlistFormat::Bench;
             }
             return NetlistFormat::ScalText;
@@ -123,12 +123,13 @@ impl core::str::FromStr for NetlistFormat {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IoError {
-    /// The native text parser rejected the input.
-    Text(TextError),
-    /// The Verilog parser rejected the input.
-    Verilog(VerilogError),
-    /// The bench parser rejected the input.
-    Bench(BenchError),
+    /// A reader rejected the input.
+    Parse {
+        /// The format being read.
+        format: NetlistFormat,
+        /// Where and why.
+        error: ParseError,
+    },
     /// [`Circuit::write_path`] could not infer a format from the extension.
     UnknownFormat {
         /// The offending path.
@@ -146,9 +147,7 @@ pub enum IoError {
 impl core::fmt::Display for IoError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            IoError::Text(e) => write!(f, "text: {e}"),
-            IoError::Verilog(e) => write!(f, "verilog: {e}"),
-            IoError::Bench(e) => write!(f, "bench: {e}"),
+            IoError::Parse { format, error } => write!(f, "{format}: {error}"),
             IoError::UnknownFormat { path } => {
                 write!(f, "cannot infer a netlist format from {path:?}")
             }
@@ -159,36 +158,19 @@ impl core::fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
-impl From<TextError> for IoError {
-    fn from(e: TextError) -> Self {
-        IoError::Text(e)
-    }
-}
-
-impl From<VerilogError> for IoError {
-    fn from(e: VerilogError) -> Self {
-        IoError::Verilog(e)
-    }
-}
-
-impl From<BenchError> for IoError {
-    fn from(e: BenchError) -> Self {
-        IoError::Bench(e)
-    }
-}
-
 impl Circuit {
     /// Parses `src` as the given format.
     ///
     /// # Errors
     ///
-    /// Returns the wrapped per-format parse error.
+    /// Returns [`IoError::Parse`] with the reader's error.
     pub fn read(src: &str, format: NetlistFormat) -> Result<Circuit, IoError> {
         match format {
-            NetlistFormat::ScalText => Ok(text::parse(src)?),
-            NetlistFormat::Verilog => Ok(verilog::parse(src)?),
-            NetlistFormat::Bench => Ok(bench_fmt::parse(src)?),
+            NetlistFormat::ScalText => text::parse(src),
+            NetlistFormat::Verilog => verilog::parse(src),
+            NetlistFormat::Bench => bench_fmt::parse(src),
         }
+        .map_err(|error| IoError::Parse { format, error })
     }
 
     /// Serializes the circuit in the given format.
@@ -223,15 +205,8 @@ impl Circuit {
     /// error.
     pub fn read_path(path: impl AsRef<Path>) -> Result<Circuit, IoError> {
         let path = path.as_ref();
-        let src = std::fs::read_to_string(path).map_err(|e| IoError::File {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        let format = path
-            .extension()
-            .and_then(|e| e.to_str())
-            .and_then(NetlistFormat::from_extension)
-            .unwrap_or_else(|| NetlistFormat::sniff(&src));
+        let src = std::fs::read_to_string(path).map_err(|e| file_error(path, &e))?;
+        let format = NetlistFormat::of_path(path).unwrap_or_else(|| NetlistFormat::sniff(&src));
         Circuit::read(&src, format)
     }
 
@@ -243,17 +218,17 @@ impl Circuit {
     /// [`IoError::File`] on filesystem failure.
     pub fn write_path(&self, path: impl AsRef<Path>) -> Result<(), IoError> {
         let path = path.as_ref();
-        let format = path
-            .extension()
-            .and_then(|e| e.to_str())
-            .and_then(NetlistFormat::from_extension)
-            .ok_or_else(|| IoError::UnknownFormat {
-                path: path.display().to_string(),
-            })?;
-        std::fs::write(path, self.write_string(format)).map_err(|e| IoError::File {
+        let format = NetlistFormat::of_path(path).ok_or_else(|| IoError::UnknownFormat {
             path: path.display().to_string(),
-            message: e.to_string(),
-        })
+        })?;
+        std::fs::write(path, self.write_string(format)).map_err(|e| file_error(path, &e))
+    }
+}
+
+fn file_error(path: &Path, e: &std::io::Error) -> IoError {
+    IoError::File {
+        path: path.display().to_string(),
+        message: e.to_string(),
     }
 }
 
@@ -270,57 +245,32 @@ impl Circuit {
 ///
 /// Returns a human-readable description of the first structural difference.
 pub fn circuit_eq(a: &Circuit, b: &Circuit) -> Result<(), String> {
-    if a.len() != b.len() {
-        return Err(format!("node counts differ: {} vs {}", a.len(), b.len()));
+    use core::fmt::{Arguments, Debug};
+    fn same<T: PartialEq + Debug>(what: Arguments<'_>, x: T, y: T) -> Result<(), String> {
+        match x == y {
+            true => Ok(()),
+            false => Err(format!("{what} differ: {x:?} vs {y:?}")),
+        }
     }
+    same(format_args!("node counts"), a.len(), b.len())?;
     for id in a.node_ids() {
-        if a.view(id) != b.view(id) {
-            return Err(format!(
-                "node {id}: kinds differ: {:?} vs {:?}",
-                a.view(id),
-                b.view(id)
-            ));
-        }
-        if a.fanins(id) != b.fanins(id) {
-            return Err(format!(
-                "node {id}: fanins differ: {:?} vs {:?}",
-                a.fanins(id),
-                b.fanins(id)
-            ));
-        }
-        if a.name(id) != b.name(id) {
-            return Err(format!(
-                "node {id}: names differ: {:?} vs {:?}",
-                a.name(id),
-                b.name(id)
-            ));
-        }
+        same(format_args!("node {id}: kinds"), a.view(id), b.view(id))?;
+        same(
+            format_args!("node {id}: fanins"),
+            a.fanins(id),
+            b.fanins(id),
+        )?;
+        same(format_args!("node {id}: names"), a.name(id), b.name(id))?;
     }
-    if a.inputs() != b.inputs() {
-        return Err(format!(
-            "input order differs: {:?} vs {:?}",
-            a.inputs(),
-            b.inputs()
-        ));
-    }
-    if a.dffs() != b.dffs() {
-        return Err(format!(
-            "flip-flop order differs: {:?} vs {:?}",
-            a.dffs(),
-            b.dffs()
-        ));
-    }
-    if a.outputs().len() != b.outputs().len() {
-        return Err(format!(
-            "output counts differ: {} vs {}",
-            a.outputs().len(),
-            b.outputs().len()
-        ));
-    }
+    same(format_args!("input orders"), a.inputs(), b.inputs())?;
+    same(format_args!("flip-flop orders"), a.dffs(), b.dffs())?;
+    same(
+        format_args!("output counts"),
+        a.outputs().len(),
+        b.outputs().len(),
+    )?;
     for (k, (oa, ob)) in a.outputs().iter().zip(b.outputs()).enumerate() {
-        if oa != ob {
-            return Err(format!("output {k}: {oa:?} vs {ob:?}"));
-        }
+        same(format_args!("output {k} declarations"), oa, ob)?;
     }
     Ok(())
 }

@@ -1,5 +1,7 @@
 //! Gate kinds and their logical/structural properties.
 
+use crate::NetlistFormat;
+
 /// The gate alphabet of the SCAL netlist substrate.
 ///
 /// Covers the paper's "standard gates" (Definition 3.2: NOT, NAND, AND, NOR,
@@ -161,23 +163,50 @@ impl GateKind {
         }
     }
 
-    /// Short lowercase mnemonic (`"nand"` etc.).
+    /// Short lowercase mnemonic (`"nand"` etc.), the text format's spelling.
     #[must_use]
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            GateKind::Buf => "buf",
-            GateKind::Not => "not",
-            GateKind::And => "and",
-            GateKind::Or => "or",
-            GateKind::Nand => "nand",
-            GateKind::Nor => "nor",
-            GateKind::Xor => "xor",
-            GateKind::Xnor => "xnor",
-            GateKind::Minority => "min",
-            GateKind::Majority => "maj",
-        }
+        self.spelling(NetlistFormat::ScalText)
+    }
+
+    /// How `format` writes this kind.
+    pub(crate) fn spelling(self, format: NetlistFormat) -> &'static str {
+        SPELLINGS[self as usize].1[format as usize]
+    }
+
+    /// The kind `format` spells `name`. Bench keywords match in any case,
+    /// under either of their two spellings.
+    pub(crate) fn from_spelling(name: &str, format: NetlistFormat) -> Option<GateKind> {
+        let matches = |(_, words): &&(GateKind, [&str; 4])| match format {
+            NetlistFormat::Bench => {
+                words[2].eq_ignore_ascii_case(name) || words[3].eq_ignore_ascii_case(name)
+            }
+            _ => words[format as usize] == name,
+        };
+        SPELLINGS.iter().find(matches).map(|&(kind, _)| kind)
     }
 }
+
+/// Every gate kind, in declaration order, with its spellings: text, Verilog,
+/// bench, and the second bench keyword the bench reader also accepts.
+const SPELLINGS: [(GateKind, [&str; 4]); 10] = [
+    (GateKind::Buf, ["buf", "buf", "BUFF", "BUF"]),
+    (GateKind::Not, ["not", "not", "NOT", "NOT"]),
+    (GateKind::And, ["and", "and", "AND", "AND"]),
+    (GateKind::Or, ["or", "or", "OR", "OR"]),
+    (GateKind::Nand, ["nand", "nand", "NAND", "NAND"]),
+    (GateKind::Nor, ["nor", "nor", "NOR", "NOR"]),
+    (GateKind::Xor, ["xor", "xor", "XOR", "XOR"]),
+    (GateKind::Xnor, ["xnor", "xnor", "XNOR", "XNOR"]),
+    (
+        GateKind::Minority,
+        ["min", "scal_minority", "MINORITY", "MIN"],
+    ),
+    (
+        GateKind::Majority,
+        ["maj", "scal_majority", "MAJORITY", "MAJ"],
+    ),
+];
 
 impl core::fmt::Display for GateKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -249,6 +278,35 @@ mod tests {
                 assert_eq!((out >> m) & 1 == 1, kind.eval(&ins), "{kind:?} m={m}");
             }
         }
+    }
+
+    #[test]
+    fn spellings_follow_declaration_order_and_read_back() {
+        let formats = [
+            NetlistFormat::ScalText,
+            NetlistFormat::Verilog,
+            NetlistFormat::Bench,
+        ];
+        for (ix, &(kind, words)) in SPELLINGS.iter().enumerate() {
+            assert_eq!(kind as usize, ix);
+            for format in formats {
+                assert_eq!(
+                    GateKind::from_spelling(kind.spelling(format), format),
+                    Some(kind)
+                );
+            }
+            let lower = words[3].to_ascii_lowercase();
+            assert_eq!(
+                GateKind::from_spelling(&lower, NetlistFormat::Bench),
+                Some(kind)
+            );
+        }
+        assert_eq!(GateKind::Minority.mnemonic(), "min");
+        assert_eq!(
+            GateKind::from_spelling("NAND", NetlistFormat::ScalText),
+            None
+        );
+        assert_eq!(GateKind::from_spelling("", NetlistFormat::Bench), None);
     }
 
     #[test]

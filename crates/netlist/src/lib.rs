@@ -47,24 +47,23 @@ mod eval;
 mod export;
 pub mod io;
 mod kind;
+mod reader;
 mod sim;
 mod structure;
 pub mod synth;
 mod text;
 mod verilog;
 
-pub use bench_fmt::BenchError;
 pub use circuit::{Circuit, NetlistError, NodeId, NodeView, Output};
 pub use cost::Cost;
 pub use eval::Override;
 pub use export::node_level;
 pub use io::{assert_circuit_eq, circuit_eq, IoError, NetlistFormat};
 pub use kind::GateKind;
+pub use reader::ParseError;
 pub use sim::Sim;
 pub use structure::{PathParity, Structure};
 pub use synth::SynthKind;
-pub use text::TextError;
-pub use verilog::VerilogError;
 
 /// A physical *line* in a network at which a stuck-at fault may occur.
 ///

@@ -18,121 +18,35 @@
 //! guarantees and the parser enforces.
 
 use crate::circuit::NodeView;
-use crate::{Circuit, GateKind, NodeId};
+use crate::reader::{err, is_blank, node_index, trim_end, Cursor, ParseError};
+use crate::{Circuit, GateKind, NetlistFormat, NodeId};
 use std::fmt::Write as _;
 
-/// Errors from parsing the v1 text format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TextError {
-    /// Missing or wrong header line.
-    BadHeader,
-    /// A line could not be parsed.
-    BadLine {
-        /// 1-based line number.
-        line: usize,
-        /// The offending text.
-        text: String,
-    },
-    /// A node id was out of order or referenced before creation.
-    BadNodeRef {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// A `connect` line targeted a node that is not a flip-flop.
-    NotAFlipFlop {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// A `connect` line targeted a flip-flop whose D input was already
-    /// wired by an earlier `connect`.
-    AlreadyConnected {
-        /// 1-based line number.
-        line: usize,
-    },
-}
-
-impl core::fmt::Display for TextError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            TextError::BadHeader => write!(f, "missing 'scal-netlist v1' header"),
-            TextError::BadLine { line, text } => write!(f, "cannot parse line {line}: {text:?}"),
-            TextError::BadNodeRef { line } => write!(f, "bad node reference on line {line}"),
-            TextError::NotAFlipFlop { line } => {
-                write!(f, "connect target on line {line} is not a flip-flop")
-            }
-            TextError::AlreadyConnected { line } => {
-                write!(f, "flip-flop on line {line} is already connected")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TextError {}
-
-fn kind_name(kind: GateKind) -> &'static str {
-    kind.mnemonic()
-}
-
-fn kind_from_name(s: &str) -> Option<GateKind> {
-    Some(match s {
-        "buf" => GateKind::Buf,
-        "not" => GateKind::Not,
-        "and" => GateKind::And,
-        "or" => GateKind::Or,
-        "nand" => GateKind::Nand,
-        "nor" => GateKind::Nor,
-        "xor" => GateKind::Xor,
-        "xnor" => GateKind::Xnor,
-        "min" => GateKind::Minority,
-        "maj" => GateKind::Majority,
-        _ => return None,
-    })
-}
+const HEADER: &str = "scal-netlist v1";
 
 /// Serializes the netlist to the v1 text format (the implementation behind
 /// [`crate::NetlistFormat::ScalText`]).
 pub(crate) fn emit(c: &Circuit) -> String {
-    let mut s = String::from("scal-netlist v1\n");
-    let mut connects = Vec::new();
-    let mut names = Vec::new();
+    let mut s = format!("{HEADER}\n");
     for id in c.node_ids() {
-        match c.view(id) {
-            NodeView::Input => {
-                let _ = writeln!(s, "input {id} {}", c.name(id).unwrap_or("_"));
-            }
-            NodeView::Const(v) => {
-                let _ = writeln!(s, "const {id} {}", u8::from(v));
-                if let Some(n) = c.name(id) {
-                    names.push((id, n.to_owned()));
-                }
-            }
-            NodeView::Gate(kind) => {
-                let _ = write!(s, "gate {id} {}", kind_name(kind));
-                for f in c.fanins(id) {
-                    let _ = write!(s, " {f}");
-                }
-                s.push('\n');
-                if let Some(n) = c.name(id) {
-                    names.push((id, n.to_owned()));
-                }
-            }
-            NodeView::Dff { init } => {
-                let _ = writeln!(s, "dff {id} {}", u8::from(init));
-                if let Some(&d) = c.fanins(id).first() {
-                    connects.push((id, d));
-                }
-                if let Some(n) = c.name(id) {
-                    names.push((id, n.to_owned()));
-                }
-            }
+        let _ = match c.view(id) {
+            NodeView::Input => write!(s, "input {id} {}", c.name(id).unwrap_or("_")),
+            NodeView::Const(v) => write!(s, "const {id} {}", u8::from(v)),
+            NodeView::Gate(kind) => write!(s, "gate {id} {kind}")
+                .and_then(|()| c.fanins(id).iter().try_for_each(|f| write!(s, " {f}"))),
+            NodeView::Dff { init } => write!(s, "dff {id} {}", u8::from(init)),
+        };
+        s.push('\n');
+    }
+    for &ff in c.dffs() {
+        if let Some(d) = c.fanins(ff).first() {
+            let _ = writeln!(s, "connect {ff} {d}");
         }
     }
-    for (ff, d) in connects {
-        let _ = writeln!(s, "connect {ff} {d}");
-    }
-    for (id, n) in names {
-        let _ = writeln!(s, "name {id} {n}");
+    for id in c.node_ids().filter(|&id| c.view(id) != NodeView::Input) {
+        if let Some(n) = c.name(id) {
+            let _ = writeln!(s, "name {id} {n}");
+        }
     }
     for o in c.outputs() {
         let _ = writeln!(s, "output {} {}", o.name, o.node);
@@ -142,141 +56,103 @@ pub(crate) fn emit(c: &Circuit) -> String {
 
 /// Parses the v1 text format (the implementation behind
 /// [`crate::NetlistFormat::ScalText`]).
-pub(crate) fn parse(text: &str) -> Result<Circuit, TextError> {
-    let mut lines = text.lines().enumerate();
-    let header = loop {
-        match lines.next() {
-            Some((_, l)) if l.trim().is_empty() || l.trim_start().starts_with('#') => {}
-            Some((_, l)) => break l.trim(),
-            None => return Err(TextError::BadHeader),
-        }
-    };
-    if header != "scal-netlist v1" {
-        return Err(TextError::BadHeader);
+pub(crate) fn parse(src: &str) -> Result<Circuit, ParseError> {
+    let mut cur = Cursor::new(src);
+    cur.skip_trivia("#", false)?;
+    let line = cur.line();
+    if cur.rest_of_line() != HEADER {
+        return err(line, format!("missing '{HEADER}' header"));
     }
-
     let mut c = Circuit::new();
-    let parse_id = |tok: &str, line: usize, max: usize| -> Result<NodeId, TextError> {
-        let idx = parse_index(tok).ok_or(TextError::BadNodeRef { line })?;
-        if idx >= max {
-            return Err(TextError::BadNodeRef { line });
+    loop {
+        cur.skip_trivia("#", false)?;
+        if cur.peek().is_none() {
+            return Ok(c);
         }
-        Ok(crate::circuit::node_id_from_index(idx))
-    };
+        let line = cur.line();
+        let text = cur.rest_of_line();
+        statement(&mut c, text).or_else(|message| err(line, message))?;
+    }
+}
 
-    for (ln0, raw) in lines {
-        let line = ln0 + 1;
-        let l = raw.trim();
-        if l.is_empty() || l.starts_with('#') {
-            continue;
+/// Applies one line, without comments or blanks at either end.
+fn statement(c: &mut Circuit, text: &str) -> Result<(), String> {
+    let cur = &mut Cursor::new(text);
+    let bad = || format!("cannot parse {text:?}");
+    let kw = cur.word();
+    if let "input" | "const" | "gate" | "dff" = kw {
+        let tok = cur.word();
+        if node_index(tok) != Some(c.len()) {
+            return Err(format!("expected new node n{}, got {tok:?}", c.len()));
         }
-        let toks: Vec<&str> = l.split_whitespace().collect();
-        let bad = || TextError::BadLine {
-            line,
-            text: raw.to_owned(),
-        };
-        // Names occupy the rest of the line (they may contain spaces); the
-        // line is already end-trimmed, so this is exact.
-        let rest_after = |n_toks: usize| -> &str {
-            let mut s = l;
-            for _ in 0..n_toks {
-                s = s.trim_start();
-                let end = s.find(char::is_whitespace).unwrap_or(s.len());
-                s = &s[end..];
-            }
-            s.trim_start()
-        };
-        match toks[0] {
-            "input" if toks.len() >= 3 => {
-                let expect = parse_new_id(toks[1], line, c.len())?;
-                let got = c.input(rest_after(2));
-                check_id(expect, got, line)?;
-            }
-            "const" if toks.len() == 3 => {
-                let expect = parse_new_id(toks[1], line, c.len())?;
-                let v = match toks[2] {
-                    "0" => false,
-                    "1" => true,
-                    _ => return Err(bad()),
-                };
-                let got = c.constant(v);
-                check_id(expect, got, line)?;
-            }
-            "gate" if toks.len() >= 4 => {
-                let expect = parse_new_id(toks[1], line, c.len())?;
-                let kind = kind_from_name(toks[2]).ok_or_else(bad)?;
-                let mut fanins = Vec::with_capacity(toks.len() - 3);
-                for t in &toks[3..] {
-                    fanins.push(parse_id(t, line, c.len())?);
+        match kw {
+            "input" => c.input(name(cur).ok_or_else(bad)?),
+            "const" => c.constant(last_bit(cur).ok_or_else(bad)?),
+            "dff" => c.dff(last_bit(cur).ok_or_else(bad)?),
+            _ => {
+                let word = cur.word();
+                let kind = GateKind::from_spelling(word, NetlistFormat::ScalText)
+                    .ok_or_else(|| format!("unknown gate kind {word:?}"))?;
+                let mut fanins = Vec::new();
+                while cur.peek().is_some() {
+                    fanins.push(node(c, cur.word())?);
                 }
                 if !kind.arity_ok(fanins.len()) {
-                    return Err(bad());
+                    return Err(format!("arity {} invalid for {kind}", fanins.len()));
                 }
-                let got = c.gate(kind, &fanins);
-                check_id(expect, got, line)?;
+                c.gate(kind, &fanins)
             }
-            "dff" if toks.len() == 3 => {
-                let expect = parse_new_id(toks[1], line, c.len())?;
-                let init = match toks[2] {
-                    "0" => false,
-                    "1" => true,
-                    _ => return Err(bad()),
-                };
-                let got = c.dff(init);
-                check_id(expect, got, line)?;
+        };
+        return Ok(());
+    }
+    match kw {
+        "connect" => {
+            let (ff, d) = (node(c, cur.word())?, node(c, cur.word())?);
+            if !cur.word().is_empty() {
+                return Err(bad());
             }
-            "connect" if toks.len() == 3 => {
-                let ff = parse_id(toks[1], line, c.len())?;
-                let d = parse_id(toks[2], line, c.len())?;
-                // connect_dff panics on these; the parser reads untrusted
-                // bytes, so pre-check and return typed errors instead.
-                if !matches!(c.view(ff), NodeView::Dff { .. }) {
-                    return Err(TextError::NotAFlipFlop { line });
-                }
-                if !c.fanins(ff).is_empty() {
-                    return Err(TextError::AlreadyConnected { line });
-                }
-                c.connect_dff(ff, d);
+            // connect_dff panics on these; the parser reads untrusted
+            // bytes, so pre-check and return typed errors instead.
+            if !matches!(c.view(ff), NodeView::Dff { .. }) {
+                return Err(format!("connect target {ff} is not a flip-flop"));
             }
-            "name" if toks.len() >= 3 => {
-                let id = parse_id(toks[1], line, c.len())?;
-                c.set_name(id, rest_after(2));
+            if !c.fanins(ff).is_empty() {
+                return Err(format!("flip-flop {ff} is already connected"));
             }
-            "output" if toks.len() >= 3 => {
-                let id = parse_id(toks[toks.len() - 1], line, c.len())?;
-                c.mark_output(toks[1..toks.len() - 1].join(" "), id);
-            }
-            _ => return Err(bad()),
+            c.connect_dff(ff, d);
         }
+        "name" => {
+            let id = node(c, cur.word())?;
+            c.set_name(id, name(cur).ok_or_else(bad)?);
+        }
+        "output" => {
+            // The name is everything up to the last word, verbatim.
+            let rest = cur.rest_of_line();
+            let at = rest.bytes().rposition(is_blank).ok_or_else(bad)?;
+            let id = node(c, &rest[at + 1..])?;
+            c.mark_output(trim_end(&rest[..at]), id);
+        }
+        _ => return Err(bad()),
     }
-    Ok(c)
+    Ok(())
 }
 
-/// Parses `n<digits>` strictly: ASCII digits only (no sign, no whitespace —
-/// `usize::from_str` would accept `"+3"`), `None` on overflow or any other
-/// shape.
-fn parse_index(tok: &str) -> Option<usize> {
-    let digits = tok.strip_prefix('n')?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
+/// A name: the rest of the line (names may contain blanks), not empty.
+fn name<'a>(cur: &mut Cursor<'a>) -> Option<&'a str> {
+    Some(cur.rest_of_line()).filter(|n| !n.is_empty())
 }
 
-fn parse_new_id(tok: &str, line: usize, len: usize) -> Result<usize, TextError> {
-    let idx = parse_index(tok).ok_or(TextError::BadNodeRef { line })?;
-    if idx != len {
-        return Err(TextError::BadNodeRef { line });
-    }
-    Ok(idx)
+/// A `0` or `1` that ends the line.
+fn last_bit(cur: &mut Cursor<'_>) -> Option<bool> {
+    let bit = cur.word();
+    (cur.word().is_empty() && (bit == "0" || bit == "1")).then_some(bit == "1")
 }
 
-fn check_id(expect: usize, got: NodeId, line: usize) -> Result<(), TextError> {
-    if got.index() == expect {
-        Ok(())
-    } else {
-        Err(TextError::BadNodeRef { line })
-    }
+/// An existing node named by `tok`.
+fn node(c: &Circuit, tok: &str) -> Result<NodeId, String> {
+    node_index(tok)
+        .and_then(|ix| c.node_id(ix))
+        .ok_or_else(|| format!("bad node reference {tok:?}"))
 }
 
 #[cfg(test)]
@@ -326,48 +202,54 @@ mod tests {
         assert_eq!(c.outputs().len(), 1);
     }
 
+    /// Asserts that `text` is rejected at `line` with a message containing
+    /// `needle`.
+    fn rejects(text: &str, line: usize, needle: &str) {
+        let e = parse(text).unwrap_err();
+        assert_eq!(e.line, line, "{text:?}: {e}");
+        assert!(
+            e.message.contains(needle),
+            "{text:?}: got {e}, wanted {needle:?}"
+        );
+    }
+
     #[test]
     fn bad_header_rejected() {
-        assert!(matches!(parse("nope\n"), Err(TextError::BadHeader)));
+        rejects("nope\n", 1, "missing 'scal-netlist v1' header");
+        rejects("", 1, "header");
+        rejects("# only a comment\n\nscal-netlist v2\n", 3, "header");
     }
 
     #[test]
     fn forward_references_rejected() {
-        let text = "scal-netlist v1\ngate n0 not n1\n";
-        assert!(matches!(
-            parse(text),
-            Err(TextError::BadNodeRef { line: 2 })
-        ));
+        rejects(
+            "scal-netlist v1\ngate n0 not n1\n",
+            2,
+            "bad node reference \"n1\"",
+        );
     }
 
     #[test]
     fn out_of_order_ids_rejected() {
-        let text = "scal-netlist v1\ninput n5 a\n";
-        assert!(matches!(parse(text), Err(TextError::BadNodeRef { .. })));
+        rejects("scal-netlist v1\ninput n5 a\n", 2, "expected new node n0");
     }
 
     #[test]
     fn bad_gate_kind_rejected() {
         let text = "scal-netlist v1\ninput n0 a\ngate n1 frob n0\n";
-        assert!(matches!(parse(text), Err(TextError::BadLine { .. })));
+        rejects(text, 3, "unknown gate kind \"frob\"");
     }
 
     #[test]
     fn connect_on_non_dff_is_a_typed_error() {
         let text = "scal-netlist v1\ninput n0 a\ngate n1 not n0\nconnect n1 n0\n";
-        assert!(matches!(
-            parse(text),
-            Err(TextError::NotAFlipFlop { line: 4 })
-        ));
+        rejects(text, 4, "not a flip-flop");
     }
 
     #[test]
     fn double_connect_is_a_typed_error() {
         let text = "scal-netlist v1\ninput n0 a\ndff n1 0\nconnect n1 n0\nconnect n1 n0\n";
-        assert!(matches!(
-            parse(text),
-            Err(TextError::AlreadyConnected { line: 5 })
-        ));
+        rejects(text, 5, "already connected");
     }
 
     #[test]
@@ -381,40 +263,49 @@ mod tests {
             "x0",
             "n18446744073709551616",
         ] {
-            let text = format!("scal-netlist v1\ninput {tok} a\n");
-            assert!(
-                matches!(
-                    parse(&text),
-                    Err(TextError::BadNodeRef { .. } | TextError::BadLine { .. })
-                ),
-                "token {tok:?} must be rejected"
+            rejects(
+                &format!("scal-netlist v1\ninput {tok} a\n"),
+                2,
+                "expected new node n0",
             );
         }
     }
 
     #[test]
     fn truncated_and_arity_violating_lines_are_rejected() {
-        for body in [
-            "gate n0",
-            "gate n0 nand",
-            "gate n0 not",
-            "input n0",
-            "dff n0",
-            "dff n0 2",
-            "const n0 x",
-            "connect n0",
-            "output f",
-            "name n0",
+        for (body, needle) in [
+            ("gate n0", "unknown gate kind \"\""),
+            ("gate n0 nand", "arity 0 invalid for nand"),
+            ("gate n0 not", "arity 0 invalid for not"),
+            ("input n0", "cannot parse \"input n0\""),
+            ("dff n0", "cannot parse"),
+            ("dff n0 2", "cannot parse"),
+            ("const n0 x", "cannot parse"),
+            ("connect n0", "bad node reference \"n0\""),
+            ("output f", "cannot parse \"output f\""),
+            ("name n0", "bad node reference \"n0\""),
         ] {
-            let text = format!("scal-netlist v1\n{body}\n");
-            assert!(parse(&text).is_err(), "line {body:?} must be rejected");
+            rejects(&format!("scal-netlist v1\n{body}\n"), 2, needle);
         }
         // `not` is unary: two fanins violate arity.
         let text = "scal-netlist v1\ninput n0 a\ninput n1 b\ngate n2 not n0 n1\n";
-        assert!(matches!(
-            parse(text),
-            Err(TextError::BadLine { line: 4, .. })
-        ));
+        rejects(text, 4, "arity 2 invalid for not");
+        // Trailing words, and a line the format does not know.
+        rejects("scal-netlist v1\n\n# c\ndff n0 1 x\n", 4, "cannot parse");
+        rejects("scal-netlist v1\nwire n0\n", 2, "cannot parse \"wire n0\"");
+    }
+
+    #[test]
+    fn output_and_node_names_keep_interior_blanks_verbatim() {
+        let text = "scal-netlist v1\ninput n0 a  b\t c\nname n0 x\t\ty\noutput p  q\tr \t n0\r\n";
+        let c = parse(text).unwrap();
+        assert_eq!(c.name(c.inputs()[0]), Some("x\t\ty"));
+        assert_eq!(c.outputs()[0].name, "p  q\tr");
+        let mut d = Circuit::new();
+        let a = d.input("a  b\t c");
+        d.mark_output("p  q\tr", a);
+        let back = parse(&emit(&d)).unwrap();
+        crate::io::assert_circuit_eq(&d, &back);
     }
 
     #[test]

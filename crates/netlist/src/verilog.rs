@@ -1,7 +1,5 @@
 //! A structural Verilog subset as a [`Circuit`] interchange format.
 //!
-//! The emitted dialect is deliberately small and fully round-trippable:
-//!
 //! ```verilog
 //! // scal-netlist Verilog subset
 //! module scal_netlist (n0, n1, o0);
@@ -16,158 +14,77 @@
 //! endmodule
 //! ```
 //!
-//! Gate primitives (`and`, `or`, `nand`, `nor`, `xor`, `xnor`, `not`,
-//! `buf`) use the standard output-first port order; flip-flops and the
-//! threshold gates are instances of `scal_dff` (init value as a `#(1'b_)`
-//! parameter), `scal_minority` and `scal_majority`. Constants are literal
-//! `assign`s. Exact node and output names ride in `(* scal_name = "…" *)`
-//! attributes, so the reader reconstructs the circuit bit-identically —
-//! node ids included, because creation statements appear in node-id order.
-//!
-//! The reader additionally accepts hand-written files in this subset:
-//! statements in any order (resolved by a deferral worklist), multi-net
-//! declarations, net-to-net `assign`s (read as buffers), and gates driving
-//! output ports directly.
+//! Gate primitives use the standard output-first port order; flip-flops
+//! and the threshold gates are instances of `scal_dff` (init value as a
+//! `#(1'b_)` parameter), `scal_minority` and `scal_majority`. Constants are
+//! literal `assign`s. Exact node and output names ride in
+//! `(* scal_name = "…" *)` attributes. The reader also takes hand-written
+//! files: statements in any order, multi-net declarations, net-to-net
+//! `assign`s (read as buffers) and gates driving output ports directly.
 
 use crate::circuit::NodeView;
-use crate::{Circuit, GateKind};
+use crate::reader::{err, Builder, Cursor, Name, Op, ParseError, Words};
+use crate::{Circuit, GateKind, NetlistFormat};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Error from the Verilog reader: the offending 1-based line and a
-/// description of the first problem found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerilogError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl core::fmt::Display for VerilogError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for VerilogError {}
-
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, VerilogError> {
-    Err(VerilogError {
-        line,
-        message: message.into(),
-    })
-}
-
-fn prim_name(kind: GateKind) -> &'static str {
-    match kind {
-        GateKind::Buf => "buf",
-        GateKind::Not => "not",
-        GateKind::And => "and",
-        GateKind::Or => "or",
-        GateKind::Nand => "nand",
-        GateKind::Nor => "nor",
-        GateKind::Xor => "xor",
-        GateKind::Xnor => "xnor",
-        GateKind::Minority => "scal_minority",
-        GateKind::Majority => "scal_majority",
-    }
-}
-
-fn prim_kind(name: &str) -> Option<GateKind> {
-    Some(match name {
-        "buf" => GateKind::Buf,
-        "not" => GateKind::Not,
-        "and" => GateKind::And,
-        "or" => GateKind::Or,
-        "nand" => GateKind::Nand,
-        "nor" => GateKind::Nor,
-        "xor" => GateKind::Xor,
-        "xnor" => GateKind::Xnor,
-        "scal_minority" => GateKind::Minority,
-        "scal_majority" => GateKind::Majority,
-        _ => return None,
-    })
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            _ => out.push(ch),
-        }
-    }
-    out
-}
-
-fn attr_prefix(name: &str) -> String {
-    format!("(* scal_name = \"{}\" *) ", escape(name))
-}
-
 /// Serializes the circuit as the structural Verilog subset.
 pub(crate) fn emit(c: &Circuit) -> String {
-    let mut s = String::from("// scal-netlist Verilog subset\n");
-    let mut ports: Vec<String> = c.inputs().iter().map(ToString::to_string).collect();
-    for ord in 0..c.outputs().len() {
-        ports.push(format!("o{ord}"));
-    }
-    let _ = writeln!(s, "module scal_netlist ({});", ports.join(", "));
+    let attr = |name: &str| {
+        let name = name.replace('\\', "\\\\").replace('"', "\\\"");
+        format!("(* scal_name = \"{name}\" *) ")
+    };
+    let ports: Vec<String> = c
+        .inputs()
+        .iter()
+        .map(ToString::to_string)
+        .chain((0..c.outputs().len()).map(|ord| format!("o{ord}")))
+        .collect();
+    let mut s = format!(
+        "// scal-netlist Verilog subset\nmodule scal_netlist ({});\n",
+        ports.join(", ")
+    );
     for (ord, o) in c.outputs().iter().enumerate() {
         let port = format!("o{ord}");
         let attr = if o.name == port {
             String::new()
         } else {
-            attr_prefix(&o.name)
+            attr(&o.name)
         };
         let _ = writeln!(s, "  {attr}output {port};");
     }
-    for id in c.node_ids() {
-        if c.view(id) != NodeView::Input {
-            let _ = writeln!(s, "  wire {id};");
-        }
+    for id in c.node_ids().filter(|&id| c.view(id) != NodeView::Input) {
+        let _ = writeln!(s, "  wire {id};");
     }
     // Creation statements in node-id order: the reader replays them in file
     // order, so node ids survive the round trip exactly.
     for id in c.node_ids() {
-        let net = id.to_string();
+        let (net, ix) = (id.to_string(), id.index());
         let attr = match c.name(id) {
             // An input's name defaults to its net name on read; everything
             // else defaults to unnamed.
-            Some(n) if c.view(id) == NodeView::Input && n == net => String::new(),
-            Some(n) => attr_prefix(n),
-            None => String::new(),
+            Some(n) if c.view(id) != NodeView::Input || n != net => attr(n),
+            _ => String::new(),
         };
-        match c.view(id) {
-            NodeView::Input => {
-                let _ = writeln!(s, "  {attr}input {net};");
-            }
-            NodeView::Const(v) => {
-                let _ = writeln!(s, "  {attr}assign {net} = 1'b{};", u8::from(v));
-            }
+        let fanins: Vec<String> = c.fanins(id).iter().map(ToString::to_string).collect();
+        let fanins = fanins.join(", ");
+        let _ = match c.view(id) {
+            NodeView::Input => writeln!(s, "  {attr}input {net};"),
+            NodeView::Const(v) => writeln!(s, "  {attr}assign {net} = 1'b{};", u8::from(v)),
             NodeView::Gate(kind) => {
-                let fanins: Vec<String> = c.fanins(id).iter().map(ToString::to_string).collect();
-                let _ = writeln!(
-                    s,
-                    "  {attr}{} g{} ({net}, {});",
-                    prim_name(kind),
-                    id.index(),
-                    fanins.join(", ")
-                );
+                let prim = kind.spelling(NetlistFormat::Verilog);
+                writeln!(s, "  {attr}{prim} g{ix} ({net}, {fanins});")
             }
             NodeView::Dff { init } => {
-                let _ = writeln!(
+                let d = if fanins.is_empty() { "1'bx" } else { &fanins };
+                writeln!(
                     s,
-                    "  {attr}scal_dff #(1'b{}) g{} ({net}, {});",
-                    u8::from(init),
-                    id.index(),
-                    c.fanins(id)
-                        .first()
-                        .map_or_else(|| "1'bx".to_owned(), ToString::to_string)
-                );
+                    "  {attr}scal_dff #(1'b{}) g{ix} ({net}, {d});",
+                    u8::from(init)
+                )
             }
-        }
+        };
     }
     for (ord, o) in c.outputs().iter().enumerate() {
         let _ = writeln!(s, "  assign o{ord} = {};", o.node);
@@ -177,547 +94,284 @@ pub(crate) fn emit(c: &Circuit) -> String {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Id(String),
+enum Tok<'a> {
+    Id(&'a str),
     Lit(bool),
-    Str(String),
-    LPar,
-    RPar,
-    Comma,
-    Semi,
-    Eq,
-    Hash,
-    AttrOpen,
-    AttrClose,
+    Str(Cow<'a, str>),
+    /// One of [`SYMBOLS`].
+    Sym(&'static str),
+    End,
 }
 
-fn tokenize(src: &str) -> Result<Vec<(usize, Tok)>, VerilogError> {
-    let mut toks = Vec::new();
-    let mut chars = src.char_indices().peekable();
-    let mut line = 1usize;
-    while let Some((i, ch)) = chars.next() {
-        match ch {
-            '\n' => line += 1,
-            c if c.is_whitespace() => {}
-            '/' => match chars.peek() {
-                Some((_, '/')) => {
-                    for (_, c) in chars.by_ref() {
-                        if c == '\n' {
-                            line += 1;
-                            break;
-                        }
-                    }
-                }
-                Some((_, '*')) => {
-                    chars.next();
-                    let mut closed = false;
-                    while let Some((_, c)) = chars.next() {
-                        if c == '\n' {
-                            line += 1;
-                        } else if c == '*' && matches!(chars.peek(), Some((_, '/'))) {
-                            chars.next();
-                            closed = true;
-                            break;
-                        }
-                    }
-                    if !closed {
-                        return err(line, "unterminated block comment");
-                    }
-                }
-                _ => return err(line, "unexpected '/'"),
+/// Punctuation, the attribute brackets first.
+const SYMBOLS: [&str; 8] = ["(*", "*)", "(", ")", ",", ";", "=", "#"];
+
+const WORDS: Words = [
+    ("net", "has two drivers"),
+    ("net", "is part of an undriven or cyclic chain"),
+    ("flip-flop D net", "is never driven"),
+];
+
+/// A token stream over a cursor, one token of lookahead.
+struct Parser<'a> {
+    cur: Cursor<'a>,
+    peeked: Option<(usize, Tok<'a>)>,
+}
+
+impl<'a> Parser<'a> {
+    fn lex(&mut self) -> Result<(usize, Tok<'a>), ParseError> {
+        let cur = &mut self.cur;
+        cur.skip_trivia("//", true)?;
+        let line = cur.line();
+        let Some(b) = cur.peek() else {
+            return Ok((line, Tok::End));
+        };
+        let word = |extra| move |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == extra;
+        let tok = match b {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => Tok::Id(cur.take(word(b'$'))),
+            b'"' if cur.eat("\"") => Tok::Str(string(cur)?),
+            // Only the bit literals 1'b0 / 1'b1 exist in this subset.
+            b'0'..=b'9' => match cur.take(word(b'\'')) {
+                "1'b0" | "1'B0" => Tok::Lit(false),
+                "1'b1" | "1'B1" => Tok::Lit(true),
+                other => return err(line, format!("unsupported literal {other:?}")),
             },
-            '(' => {
-                if matches!(chars.peek(), Some((_, '*'))) {
-                    chars.next();
-                    toks.push((line, Tok::AttrOpen));
-                } else {
-                    toks.push((line, Tok::LPar));
+            _ => match SYMBOLS.into_iter().find(|s| cur.eat(s)) {
+                Some(sym) => Tok::Sym(sym),
+                None if b == b'/' || b == b'*' => {
+                    return err(line, format!("unexpected '{}'", b as char))
                 }
-            }
-            '*' => {
-                if matches!(chars.peek(), Some((_, ')'))) {
-                    chars.next();
-                    toks.push((line, Tok::AttrClose));
-                } else {
-                    return err(line, "unexpected '*'");
+                None => {
+                    let ch = cur.rest().chars().next().unwrap_or_default();
+                    return err(line, format!("unexpected character {ch:?}"));
                 }
-            }
-            ')' => toks.push((line, Tok::RPar)),
-            ',' => toks.push((line, Tok::Comma)),
-            ';' => toks.push((line, Tok::Semi)),
-            '=' => toks.push((line, Tok::Eq)),
-            '#' => toks.push((line, Tok::Hash)),
-            '"' => {
-                let mut out = String::new();
-                let mut closed = false;
-                while let Some((_, c)) = chars.next() {
-                    match c {
-                        '"' => {
-                            closed = true;
-                            break;
-                        }
-                        '\\' => match chars.next() {
-                            Some((_, e @ ('"' | '\\'))) => out.push(e),
-                            _ => return err(line, "bad string escape"),
-                        },
-                        '\n' => return err(line, "unterminated string"),
-                        c => out.push(c),
-                    }
-                }
-                if !closed {
-                    return err(line, "unterminated string");
-                }
-                toks.push((line, Tok::Str(out)));
-            }
-            c if c.is_ascii_digit() => {
-                // Only the bit literals 1'b0 / 1'b1 exist in this subset.
-                let start = i;
-                let mut end = i + 1;
-                while let Some(&(j, c2)) = chars.peek() {
-                    if c2.is_ascii_alphanumeric() || c2 == '\'' || c2 == '_' {
-                        end = j + c2.len_utf8();
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                match &src[start..end] {
-                    "1'b0" | "1'B0" => toks.push((line, Tok::Lit(false))),
-                    "1'b1" | "1'B1" => toks.push((line, Tok::Lit(true))),
-                    other => return err(line, format!("unsupported literal {other:?}")),
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                let mut end = i + c.len_utf8();
-                while let Some(&(j, c2)) = chars.peek() {
-                    if c2.is_ascii_alphanumeric() || c2 == '_' || c2 == '$' {
-                        end = j + c2.len_utf8();
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push((line, Tok::Id(src[start..end].to_owned())));
-            }
-            other => return err(line, format!("unexpected character {other:?}")),
+            },
+        };
+        Ok((line, tok))
+    }
+
+    /// The next token and its line.
+    fn peek(&mut self) -> Result<(usize, &Tok<'a>), ParseError> {
+        if self.peeked.is_none() {
+            self.peeked = Some(self.lex()?);
         }
+        let (line, tok) = self.peeked.as_ref().expect("just lexed");
+        Ok((*line, tok))
     }
-    Ok(toks)
-}
 
-/// One parsed module item that can create or drive a net.
-#[derive(Debug)]
-enum Stmt {
-    /// `input n0;` — creates a primary input.
-    Input { net: String, attr: Option<String> },
-    /// A gate-primitive or `scal_minority`/`scal_majority` instance.
-    Gate {
-        kind: GateKind,
-        target: String,
-        fanins: Vec<String>,
-        attr: Option<String>,
-    },
-    /// A `scal_dff #(init)` instance; `d` resolves after creation.
-    Dff {
-        init: bool,
-        target: String,
-        d: String,
-        attr: Option<String>,
-    },
-    /// `assign net = 1'b_;` — a constant source.
-    Const {
-        value: bool,
-        target: String,
-        attr: Option<String>,
-    },
-    /// `assign net = other;` — a buffer (or an output-port alias).
-    Alias {
-        target: String,
-        src: String,
-        attr: Option<String>,
-    },
-}
+    fn next(&mut self) -> Result<(usize, Tok<'a>), ParseError> {
+        self.peek()?;
+        Ok(self.peeked.take().expect("just lexed"))
+    }
 
-impl Stmt {
-    fn target(&self) -> &str {
-        match self {
-            Stmt::Input { net, .. } => net,
-            Stmt::Gate { target, .. }
-            | Stmt::Dff { target, .. }
-            | Stmt::Const { target, .. }
-            | Stmt::Alias { target, .. } => target,
+    fn eat(&mut self, sym: &str) -> Result<bool, ParseError> {
+        let hit = matches!(self.peek()?.1, Tok::Sym(s) if *s == sym);
+        if hit {
+            self.peeked = None;
         }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Net {
-    Input,
-    Wire,
-    OutputPort,
-}
-
-struct Parser {
-    toks: Vec<(usize, Tok)>,
-    pos: usize,
-}
-
-impl Parser {
-    fn line(&self) -> usize {
-        self.toks
-            .get(self.pos)
-            .or_else(|| self.toks.last())
-            .map_or(1, |(l, _)| *l)
+        Ok(hit)
     }
 
-    fn next(&mut self) -> Option<&Tok> {
-        let t = self.toks.get(self.pos).map(|(_, t)| t);
-        self.pos += 1;
-        t
-    }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(_, t)| t)
-    }
-
-    fn eat(&mut self, want: &Tok) -> bool {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    fn expect(&mut self, sym: &str, what: &str) -> Result<(), ParseError> {
+        match self.eat(sym)? {
+            true => Ok(()),
+            false => err(self.peek()?.0, format!("expected {what}")),
         }
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), VerilogError> {
-        let line = self.line();
-        if self.eat(want) {
-            Ok(())
-        } else {
-            err(line, format!("expected {what}"))
-        }
-    }
-
-    fn ident(&mut self, what: &str) -> Result<String, VerilogError> {
-        let line = self.line();
-        match self.next() {
-            Some(Tok::Id(s)) => Ok(s.clone()),
-            _ => err(line, format!("expected {what}")),
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
+        match self.next()? {
+            (_, Tok::Id(s)) => Ok(s),
+            (line, _) => err(line, format!("expected {what}")),
         }
     }
 
     /// Parses an attribute instance, returning its `scal_name` value if
     /// present; other attribute names are skipped.
-    fn attribute(&mut self) -> Result<Option<String>, VerilogError> {
+    fn attribute(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
         let mut name = None;
         loop {
             let key = self.ident("attribute name")?;
-            let mut value = None;
-            if self.eat(&Tok::Eq) {
-                let line = self.line();
-                value = match self.next() {
-                    Some(Tok::Str(s)) => Some(s.clone()),
-                    Some(Tok::Lit(_) | Tok::Id(_)) => None,
-                    _ => return err(line, "expected attribute value"),
-                };
-            }
-            if key == "scal_name" {
-                match value {
-                    Some(v) => name = Some(v),
-                    None => return err(self.line(), "scal_name needs a string value"),
+            let value = if self.eat("=")? {
+                Some(self.next()?)
+            } else {
+                None
+            };
+            match (key, value) {
+                (_, Some((line, Tok::Sym(_) | Tok::End))) => {
+                    return err(line, "expected attribute value")
                 }
+                ("scal_name", Some((_, Tok::Str(v)))) => name = Some(v),
+                ("scal_name", _) => return err(self.peek()?.0, "scal_name needs a string value"),
+                _ => {}
             }
-            if !self.eat(&Tok::Comma) {
-                break;
+            if !self.eat(",")? {
+                self.expect("*)", "*)")?;
+                return Ok(name);
             }
         }
-        self.expect(&Tok::AttrClose, "*)")?;
-        Ok(name)
     }
 }
 
+/// The body of a string literal, after its opening quote: `\"` and `\\`
+/// are its only escapes, and it ends on its line.
+fn string<'a>(cur: &mut Cursor<'a>) -> Result<Cow<'a, str>, ParseError> {
+    let plain = |b| !matches!(b, b'"' | b'\\' | b'\n');
+    let mut out = Cow::Borrowed(cur.take(plain));
+    while !cur.eat("\"") {
+        if !cur.eat("\\") {
+            return err(cur.line(), "unterminated string");
+        }
+        match ["\"", "\\"].into_iter().find(|e| cur.eat(e)) {
+            Some(e) => out.to_mut().push_str(e),
+            None => return err(cur.line(), "bad string escape"),
+        }
+        out.to_mut().push_str(cur.take(plain));
+    }
+    Ok(out)
+}
+
 /// Parses the structural Verilog subset back into a [`Circuit`].
-pub(crate) fn parse(src: &str) -> Result<Circuit, VerilogError> {
-    let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    let line = p.line();
+pub(crate) fn parse(src: &str) -> Result<Circuit, ParseError> {
+    let (b, outputs) = statements(src)?;
+    let mut built = b.build()?;
+    for (line, port, name) in outputs {
+        let Some(id) = built.node(port) else {
+            return err(line, format!("output {port:?} is never driven"));
+        };
+        let name = name.unwrap_or(Cow::Borrowed(port));
+        built.circuit.mark_output(name, id);
+    }
+    Ok(built.circuit)
+}
+
+/// An output port: its declaration's line, its net, its `scal_name`.
+type Port<'a> = (usize, &'a str, Option<Cow<'a, str>>);
+
+/// Reads a module into net-driving statements and its output ports.
+pub(crate) fn statements(src: &str) -> Result<(Builder<'_>, Vec<Port<'_>>), ParseError> {
+    let mut p = Parser {
+        cur: Cursor::new(src),
+        peeked: None,
+    };
+    let line = p.peek()?.0;
     if p.ident("keyword 'module'")? != "module" {
         return err(line, "expected 'module'");
     }
     let _module_name = p.ident("module name")?;
-    if p.eat(&Tok::LPar) {
+    if p.eat("(")? {
         // The port list is redundant with the declarations; skip it.
         let mut depth = 1usize;
-        loop {
-            let line = p.line();
-            match p.next() {
-                Some(Tok::LPar | Tok::AttrOpen) => depth += 1,
-                Some(Tok::RPar | Tok::AttrClose) => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                Some(_) => {}
-                None => return err(line, "unterminated port list"),
+        while depth > 0 {
+            match p.next()? {
+                (_, Tok::Sym("(" | "(*")) => depth += 1,
+                (_, Tok::Sym(")" | "*)")) => depth -= 1,
+                (line, Tok::End) => return err(line, "unterminated port list"),
+                _ => {}
             }
         }
     }
-    p.expect(&Tok::Semi, "';' after module header")?;
+    p.expect(";", "';' after module header")?;
 
-    let mut nets: HashMap<String, Net> = HashMap::new();
-    let mut output_ports: Vec<(String, Option<String>)> = Vec::new();
-    let mut stmts: Vec<(usize, Stmt)> = Vec::new();
-    let mut declare = |net: String, kind: Net, line: usize| -> Result<(), VerilogError> {
-        if nets.insert(net.clone(), kind).is_some() {
-            return err(line, format!("net {net:?} declared twice"));
-        }
-        Ok(())
-    };
-
+    // Each declared net's keyword: "input", "output" or "wire".
+    let mut nets: HashMap<&str, &str> = HashMap::new();
+    let mut outputs: Vec<Port<'_>> = Vec::new();
+    let mut b = Builder::new(&WORDS);
     loop {
-        let mut attr = None;
-        if p.eat(&Tok::AttrOpen) {
-            attr = p.attribute()?;
-        }
-        let line = p.line();
-        let kw = p.ident("module item")?;
-        match kw.as_str() {
-            "endmodule" => {
-                if attr.is_some() {
-                    return err(line, "attribute before endmodule");
-                }
-                break;
-            }
-            "input" | "output" | "wire" => {
+        let attr = if p.eat("(*")? { p.attribute()? } else { None };
+        let line = p.peek()?.0;
+        match p.ident("module item")? {
+            "endmodule" if attr.is_some() => return err(line, "attribute before endmodule"),
+            "endmodule" => break,
+            kw @ ("input" | "output" | "wire") => {
                 loop {
-                    let line = p.line();
-                    let net = p.ident("net name")?;
-                    match kw.as_str() {
-                        "input" => {
-                            declare(net.clone(), Net::Input, line)?;
-                            stmts.push((
-                                line,
-                                Stmt::Input {
-                                    net,
-                                    attr: attr.clone(),
-                                },
-                            ));
-                        }
-                        "output" => {
-                            declare(net.clone(), Net::OutputPort, line)?;
-                            output_ports.push((net, attr.clone()));
-                        }
-                        _ => declare(net, Net::Wire, line)?,
+                    let (line, net) = (p.peek()?.0, p.ident("net name")?);
+                    if nets.insert(net, kw).is_some() {
+                        return err(line, format!("net {net:?} declared twice"));
                     }
-                    if !p.eat(&Tok::Comma) {
+                    if kw == "input" {
+                        let name = attr.clone().unwrap_or(Cow::Borrowed(net));
+                        b.push(line, net, Op::Input, Name::Given(name), []);
+                    } else if kw == "output" {
+                        outputs.push((line, net, attr.clone()));
+                    }
+                    if !p.eat(",")? {
                         break;
                     }
                 }
-                p.expect(&Tok::Semi, "';' after declaration")?;
+                p.expect(";", "';' after declaration")?;
             }
             "assign" => {
                 let target = p.ident("assign target")?;
-                p.expect(&Tok::Eq, "'=' in assign")?;
-                let line2 = p.line();
-                let stmt = match p.next() {
-                    Some(Tok::Lit(v)) => Stmt::Const {
-                        value: *v,
-                        target,
-                        attr,
-                    },
-                    Some(Tok::Id(src)) => Stmt::Alias {
-                        target,
-                        src: src.clone(),
-                        attr,
-                    },
-                    _ => return err(line2, "expected net or literal on assign rhs"),
+                p.expect("=", "'=' in assign")?;
+                let (op, src) = match p.next()? {
+                    (_, Tok::Lit(v)) => (Op::Const(v), None),
+                    (_, Tok::Id(src)) => (Op::Alias, Some(src)),
+                    (line, _) => return err(line, "expected net or literal on assign rhs"),
                 };
-                p.expect(&Tok::Semi, "';' after assign")?;
-                stmts.push((line, stmt));
+                p.expect(";", "';' after assign")?;
+                let name = attr.map_or(Name::UnlessId, Name::Given);
+                b.push(line, target, op, name, src);
             }
             prim => {
-                let is_dff = prim == "scal_dff";
-                let kind = prim_kind(prim);
-                if !is_dff && kind.is_none() {
+                let kind = GateKind::from_spelling(prim, NetlistFormat::Verilog);
+                if prim != "scal_dff" && kind.is_none() {
                     return err(line, format!("unknown module item {prim:?}"));
                 }
                 let mut init = false;
-                if p.eat(&Tok::Hash) {
-                    if !is_dff {
+                if p.eat("#")? {
+                    if kind.is_some() {
                         return err(line, format!("{prim} takes no parameters"));
                     }
-                    p.expect(&Tok::LPar, "'(' after '#'")?;
-                    let line2 = p.line();
-                    match p.next() {
-                        Some(Tok::Lit(v)) => init = *v,
-                        _ => return err(line2, "expected 1'b0 or 1'b1 init parameter"),
-                    }
-                    p.expect(&Tok::RPar, "')' after init parameter")?;
+                    p.expect("(", "'(' after '#'")?;
+                    init = match p.next()? {
+                        (_, Tok::Lit(v)) => v,
+                        (line, _) => return err(line, "expected 1'b0 or 1'b1 init parameter"),
+                    };
+                    p.expect(")", "')' after init parameter")?;
                 }
-                if matches!(p.peek(), Some(Tok::Id(_))) {
-                    let _instance_name = p.ident("instance name")?;
+                if let Tok::Id(_) = p.peek()?.1 {
+                    let _instance_name = p.next()?;
                 }
-                p.expect(&Tok::LPar, "'(' starting port connections")?;
+                p.expect("(", "'(' starting port connections")?;
+                let target = p.ident("port connection")?;
                 let mut conns = Vec::new();
-                loop {
+                while p.eat(",")? {
                     conns.push(p.ident("port connection")?);
-                    if !p.eat(&Tok::Comma) {
-                        break;
-                    }
                 }
-                p.expect(&Tok::RPar, "')' after port connections")?;
-                p.expect(&Tok::Semi, "';' after instance")?;
-                let target = conns.remove(0);
-                let stmt = if is_dff {
-                    if conns.len() != 1 {
-                        return err(line, "scal_dff takes exactly (q, d)");
-                    }
-                    Stmt::Dff {
-                        init,
-                        target,
-                        d: conns.remove(0),
-                        attr,
-                    }
-                } else {
-                    let kind = kind.expect("checked above");
-                    if !kind.arity_ok(conns.len()) {
-                        return err(line, format!("arity {} invalid for {prim}", conns.len()));
-                    }
-                    Stmt::Gate {
-                        kind,
-                        target,
-                        fanins: conns,
-                        attr,
+                p.expect(")", "')' after port connections")?;
+                p.expect(";", "';' after instance")?;
+                let op = match kind {
+                    None if conns.len() != 1 => return err(line, "scal_dff takes exactly (q, d)"),
+                    None => Op::Dff(init),
+                    Some(kind) if kind.arity_ok(conns.len()) => Op::Gate(kind),
+                    Some(_) => {
+                        return err(line, format!("arity {} invalid for {prim}", conns.len()))
                     }
                 };
-                stmts.push((line, stmt));
+                let name = attr.map_or(Name::UnlessId, Name::Given);
+                b.push(line, target, op, name, conns);
             }
         }
     }
-    if p.peek().is_some() {
-        return err(p.line(), "trailing tokens after endmodule");
-    }
-
-    build(&nets, &output_ports, stmts)
-}
-
-fn build(
-    nets: &HashMap<String, Net>,
-    output_ports: &[(String, Option<String>)],
-    stmts: Vec<(usize, Stmt)>,
-) -> Result<Circuit, VerilogError> {
-    // Every net may have at most one driver; inputs have none.
-    let mut driven: HashMap<&str, usize> = HashMap::new();
-    for (line, s) in &stmts {
-        let target = s.target();
-        match (nets.get(target), s) {
-            (None, _) => return err(*line, format!("net {target:?} is not declared")),
-            (Some(Net::Input), Stmt::Input { .. }) => {}
-            (Some(Net::Input), _) => return err(*line, format!("input {target:?} is driven")),
-            (_, Stmt::Input { .. }) => {
-                return err(*line, format!("{target:?} redeclared as input"))
-            }
-            (Some(Net::Wire | Net::OutputPort), _) => {
-                if driven.insert(target, *line).is_some() {
-                    return err(*line, format!("net {target:?} has two drivers"));
-                }
-            }
-        }
+    let (line, tok) = p.peek()?;
+    if tok != &Tok::End {
+        return err(line, "trailing tokens after endmodule");
     }
 
-    // Replay creation statements in file order; statements whose fanins are
-    // not resolved yet are deferred to the next sweep, so hand-written files
-    // with forward references still build (at the cost of renumbered ids).
-    let mut c = Circuit::new();
-    let mut map: HashMap<String, crate::NodeId> = HashMap::new();
-    let mut dff_connects: Vec<(usize, crate::NodeId, String)> = Vec::new();
-    let mut pending: Vec<(usize, Stmt)> = stmts;
-    while !pending.is_empty() {
-        let mut next_round = Vec::new();
-        let mut progressed = false;
-        for (line, s) in pending {
-            let ready = match &s {
-                Stmt::Input { .. } | Stmt::Dff { .. } | Stmt::Const { .. } => true,
-                Stmt::Gate { fanins, .. } => fanins.iter().all(|f| map.contains_key(f)),
-                Stmt::Alias { src, .. } => map.contains_key(src),
-            };
-            if !ready {
-                next_round.push((line, s));
-                continue;
-            }
-            progressed = true;
-            let target = s.target().to_owned();
-            let is_output_port = nets.get(target.as_str()) == Some(&Net::OutputPort);
-            let (id, attr) = match s {
-                Stmt::Input { net, attr } => {
-                    let name = attr.unwrap_or_else(|| net.clone());
-                    (c.input(name), None)
-                }
-                Stmt::Gate {
-                    kind, fanins, attr, ..
-                } => {
-                    let ids: Vec<_> = fanins.iter().map(|f| map[f.as_str()]).collect();
-                    (c.gate(kind, &ids), attr)
-                }
-                Stmt::Dff { init, d, attr, .. } => {
-                    let ff = c.dff(init);
-                    dff_connects.push((line, ff, d));
-                    (ff, attr)
-                }
-                Stmt::Const { value, attr, .. } => (c.constant(value), attr),
-                Stmt::Alias { src, attr, .. } => {
-                    if is_output_port {
-                        // A pure port alias: no node, the port resolves to
-                        // the source node.
-                        map.insert(target, map[src.as_str()]);
-                        continue;
-                    }
-                    (c.buf(map[src.as_str()]), attr)
-                }
-            };
-            if let Some(name) = attr.or_else(|| {
-                // Non-canonical net names on hand-written wires are worth
-                // keeping as node names.
-                (target != id.to_string() && !is_output_port).then(|| target.clone())
-            }) {
-                c.set_name(id, name);
-            }
-            map.insert(target, id);
-        }
-        if !progressed {
-            let (line, s) = &next_round[0];
-            return err(
-                *line,
-                format!(
-                    "net {:?} is part of an undriven or cyclic chain",
-                    s.target()
-                ),
-            );
-        }
-        pending = next_round;
-    }
-
-    for (line, ff, d) in dff_connects {
-        match map.get(d.as_str()) {
-            Some(&id) => c.connect_dff(ff, id),
-            None => return err(line, format!("flip-flop D net {d:?} is never driven")),
+    // Every driven net is declared and not an input. A port alias makes no
+    // node; a wire alias is a buffer. Only wires name nodes after their net.
+    for s in &mut b.stmts {
+        match (nets.get(s.target).copied(), s.op) {
+            (None, _) => return err(s.line, format!("net {:?} is not declared", s.target)),
+            (Some("input"), Op::Input) => {}
+            (Some("input"), _) => return err(s.line, format!("input {:?} is driven", s.target)),
+            (Some("wire"), Op::Alias) => s.op = Op::Gate(GateKind::Buf),
+            (Some("output"), _) if s.name == Name::UnlessId => s.name = Name::None,
+            _ => {}
         }
     }
-
-    for (port, attr) in output_ports {
-        match map.get(port.as_str()) {
-            Some(&id) => {
-                let name = attr.clone().unwrap_or_else(|| port.clone());
-                c.mark_output(name, id);
-            }
-            None => {
-                return err(1, format!("output {port:?} is never driven"));
-            }
-        }
-    }
-    Ok(c)
+    Ok((b, outputs))
 }
 
 #[cfg(test)]
@@ -788,40 +442,75 @@ mod tests {
 
     #[test]
     fn typed_errors_not_panics() {
-        for (src, needle) in [
-            ("", "module"),
-            ("module m (; endmodule", "unterminated port list"),
-            ("module m; wire w; endmodule trailing", "trailing"),
-            ("module m; and (y, a); endmodule", "not declared"),
-            ("module m; input a; assign a = 1'b0; endmodule", "driven"),
+        for (src, line, needle) in [
+            ("", 1, "module"),
+            ("module m (; endmodule", 1, "unterminated port list"),
+            ("module m; wire w; endmodule trailing", 1, "trailing"),
+            ("module m; and (y, a); endmodule", 1, "not declared"),
+            ("module m; input a; assign a = 1'b0; endmodule", 1, "driven"),
             (
                 "module m; wire y; wire a; assign y = a; endmodule",
+                1,
                 "undriven or cyclic",
             ),
             (
                 "module m; wire a; wire b; assign a = b; assign b = a; endmodule",
+                1,
                 "undriven or cyclic",
             ),
             (
                 "module m; output y; input a; not (y, a); not g2 (y, a); endmodule",
+                1,
                 "two drivers",
             ),
             (
                 "module m; input a; wire y; not #(1'b0) (y, a); endmodule",
+                1,
                 "parameters",
             ),
             (
                 "module m; input a; wire y; not (y, a, a); endmodule",
+                1,
                 "arity",
             ),
-            ("module m; output y; endmodule", "never driven"),
-            ("module m; wire w; assign w = 2'b10; endmodule", "literal"),
-            ("module m; wire w; @ endmodule", "unexpected character"),
-            ("module m; /* unterminated", "unterminated block comment"),
+            ("module m; output y; endmodule", 1, "never driven"),
+            (
+                "module m; wire w; assign w = 2'b10; endmodule",
+                1,
+                "literal",
+            ),
+            ("module m; wire w; @ endmodule", 1, "unexpected character"),
+            ("module m; /* unterminated", 1, "unterminated block comment"),
+            (
+                "module m;\n  wire w;\n\n  output y;\nendmodule\n",
+                4,
+                "output \"y\" is never driven",
+            ),
+            (
+                "module m;\n  wire a, b;\n  assign a = b; // b has no driver\nendmodule\n",
+                3,
+                "net \"a\" is part of an undriven",
+            ),
+            (
+                "module m;\n  input d;\n  wire q;\n  scal_dff g (q, e);\nendmodule\n",
+                4,
+                "flip-flop D net \"e\" is never driven",
+            ),
+            (
+                "module m;\n/* a\n b */ wire w;\n  w = 1;\nendmodule",
+                4,
+                "unknown module item \"w\"",
+            ),
+            (
+                "module m;\n  (* scal_name = \"a\n\" *) input a;\nendmodule",
+                2,
+                "unterminated string",
+            ),
         ] {
             let e = parse(src).unwrap_err();
+            assert_eq!(e.line, line, "{src:?}: {e}");
             assert!(
-                e.message.contains(needle) || e.to_string().contains(needle),
+                e.message.contains(needle),
                 "{src:?}: got {e}, wanted {needle:?}"
             );
         }

@@ -31,7 +31,8 @@ const KINDS: [GateKind; 10] = [
 ];
 
 /// A recipe for one random circuit: constants, flip-flops (init, driver
-/// pick), per-gate (kind index, fanin picks), extra node names, outputs.
+/// pick), per-gate (kind index, fanin picks), extra node names, outputs
+/// (node pick, name).
 #[derive(Debug, Clone)]
 struct Recipe {
     inputs: usize,
@@ -39,7 +40,7 @@ struct Recipe {
     dffs: Vec<(bool, usize)>,
     gates: Vec<(usize, Vec<usize>)>,
     names: Vec<(usize, String)>,
-    outputs: Vec<usize>,
+    outputs: Vec<(usize, String)>,
 }
 
 fn build(recipe: &Recipe) -> Circuit {
@@ -76,22 +77,24 @@ fn build(recipe: &Recipe) -> Circuit {
     for (pick, name) in &recipe.names {
         c.set_name(nodes[pick % nodes.len()], name);
     }
-    for (ord, pick) in recipe.outputs.iter().enumerate() {
-        c.mark_output(format!("o{ord}"), nodes[pick % nodes.len()]);
+    for (pick, name) in &recipe.outputs {
+        c.mark_output(name, nodes[pick % nodes.len()]);
     }
     c
 }
 
 /// Node names stressing the fidelity side channels: spaces and dots force
-/// the bench `#@name` directive and the Verilog `scal_name` attribute.
+/// the bench `#@name` directive and the Verilog `scal_name` attribute, and
+/// interior runs of spaces and tabs must survive every format verbatim.
 fn arb_name() -> impl Strategy<Value = String> {
     const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
     (
-        0usize..4,
+        0usize..5,
         0usize..26,
         prop::collection::vec(0usize..TAIL.len(), 0..6),
+        prop::collection::vec(any::<bool>(), 1..4),
     )
-        .prop_map(|(flavour, head, tail)| {
+        .prop_map(|(flavour, head, tail, run)| {
             let head = (b'a' + head as u8) as char;
             let tail: String = tail.iter().map(|&i| TAIL[i] as char).collect();
             match flavour {
@@ -102,6 +105,14 @@ fn arb_name() -> impl Strategy<Value = String> {
                 1 => head.to_string(),
                 // Canonical-looking N<digits> — must NOT claim that signal.
                 2 => format!("N{}", tail.len()),
+                // Interior run of spaces and tabs — kept verbatim.
+                3 if !tail.is_empty() => {
+                    let run: String = run
+                        .iter()
+                        .map(|&tab| if tab { '\t' } else { ' ' })
+                        .collect();
+                    format!("{head}{run}{tail}")
+                }
                 // Dotted hierarchical name — side channel only.
                 _ => format!("{head}.{tail}"),
             }
@@ -121,7 +132,7 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
                 1..12,
             ),
             prop::collection::vec((0usize..64, arb_name()), 0..4),
-            prop::collection::vec(0usize..64, 1..4),
+            prop::collection::vec((0usize..64, arb_name()), 1..4),
         ),
     )
         .prop_map(|((inputs, consts, dffs), (gates, names, outputs))| Recipe {
