@@ -19,7 +19,7 @@
 use scal_engine::EvalMode;
 use scal_netlist::synth::{self, SynthKind};
 use scal_netlist::{Circuit, NetlistFormat};
-use scal_obs::{CoverageObserver, Profiler};
+use scal_obs::CoverageObserver;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -206,13 +206,11 @@ fn run(args: &[String]) -> ExitCode {
     }
     let swept = faults.len();
     let cov = CoverageObserver::new();
-    let prof = Profiler::new();
     let mut campaign = scal_faults::Campaign::new(&circuit)
         .faults(faults)
         .threads(threads)
         .eval_mode(eval_mode)
         .word_width(word_width)
-        .observer(&prof)
         .coverage(&cov);
     if let Some(pack) = fault_packing {
         campaign = campaign.fault_packing(pack);
@@ -220,19 +218,19 @@ fn run(args: &[String]) -> ExitCode {
     if let Some(collapse) = fault_collapse {
         campaign = campaign.fault_collapse(collapse);
     }
-    let report = match campaign.run() {
-        Ok(r) => r,
+    let stats = match campaign.run() {
+        Ok(r) => r.stats,
         Err(e) => {
             eprintln!("campaign rejected: {e}");
             return ExitCode::from(2);
         }
     };
-    let map = cov.latest().expect("coverage map");
-    let profile = prof.latest().expect("profile");
-    let collapse = match profile.collapse_ratio() {
-        Some(r) => format!(
-            ", collapse {r:.2}x ({} reps)",
-            profile.collapse_representatives
+    let map = cov.into_latest().expect("coverage map");
+    let collapse = match stats.collapse.filter(|c| c.representatives > 0) {
+        Some(c) => format!(
+            ", collapse {:.2}x ({} reps)",
+            c.faults as f64 / c.representatives as f64,
+            c.representatives
         ),
         None => String::new(),
     };
@@ -241,11 +239,10 @@ fn run(args: &[String]) -> ExitCode {
          {} pairs, compile {:.1} ms, eval {:.1} ms{collapse}",
         map.detected_count(),
         100.0 * map.coverage_fraction(),
-        profile.pairs,
-        profile.phase_micros("compile").unwrap_or(0) as f64 / 1e3,
-        profile.eval_micros().unwrap_or(0) as f64 / 1e3,
+        stats.pairs_evaluated,
+        stats.compile_time.as_secs_f64() * 1e3,
+        stats.eval_time.as_secs_f64() * 1e3,
     );
-    let _ = report;
     ExitCode::SUCCESS
 }
 

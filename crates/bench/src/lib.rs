@@ -31,7 +31,6 @@ pub mod ch6;
 pub mod ch7;
 pub mod cost;
 pub mod ext;
-pub mod report;
 
 /// Observability context threaded through every experiment.
 ///

@@ -262,21 +262,6 @@ impl EngineStats {
         }
     }
 
-    /// Test patterns per second over the fault-sim phase *wall clock* —
-    /// scales with the worker fan-out, so it measures parallel speedup
-    /// rather than per-core backend efficiency. Same zero-guard as
-    /// [`EngineStats::patterns_per_sec`].
-    #[must_use]
-    pub fn patterns_per_sec_wall(&self) -> f64 {
-        let secs = self.fault_sim_time.as_secs_f64();
-        let patterns = (self.pairs_evaluated * 2) as f64;
-        if secs > 0.0 && patterns > 0.0 {
-            patterns / secs
-        } else {
-            0.0
-        }
-    }
-
     /// One-line human-readable summary.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -1467,7 +1452,6 @@ mod tests {
     fn patterns_per_sec_never_divides_by_zero() {
         let zeroed = EngineStats::default();
         assert_eq!(zeroed.patterns_per_sec(), 0.0);
-        assert_eq!(zeroed.patterns_per_sec_wall(), 0.0);
         let timeless = EngineStats {
             pairs_evaluated: 1000,
             ..EngineStats::default()
@@ -1485,17 +1469,14 @@ mod tests {
     #[test]
     fn patterns_per_sec_uses_eval_time_not_phase_wall() {
         // 10 ms of wall clock but only 2 ms inside the sweeps: throughput
-        // must be computed over the eval time, so it is 5x the wall figure.
+        // must be computed over the eval time, not the 5x longer wall time.
         let stats = EngineStats {
             pairs_evaluated: 1000,
             fault_sim_time: Duration::from_millis(10),
             eval_time: Duration::from_millis(2),
             ..EngineStats::default()
         };
-        let eval_rate = stats.patterns_per_sec();
-        let wall_rate = stats.patterns_per_sec_wall();
-        assert!((eval_rate - 1_000_000.0).abs() < 1e-6);
-        assert!((wall_rate - 200_000.0).abs() < 1e-6);
+        assert!((stats.patterns_per_sec() - 1_000_000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub use driver::{
 };
 pub use error::EngineError;
 pub use eval::{Evaluator, WideEvaluator};
-pub use pool::{effective_threads, par_map, par_map_cancellable, resolved_threads};
+pub use pool::{effective_threads, par_map, par_map_cancellable};
 pub use sim::{CompiledSim, PackedBatchPlan, PackedSeqSim, WidePackedBatchPlan, WidePackedSeqSim};
 pub use tables::{all_node_tables, node_table, output_tables};
-pub use word::{auto_word_width, detected_cpu_features, resolve_word_width, Word, WORD_WIDTHS};
+pub use word::{auto_word_width, resolve_word_width, Word, WORD_WIDTHS};

@@ -8,10 +8,8 @@ const MIN_ITEMS_PER_THREAD: usize = 8;
 
 /// Resolves a requested thread count (`0` = auto) to the worker count used
 /// when work is plentiful: the machine's available parallelism for auto,
-/// the request verbatim otherwise. Snapshots record this so numbers stay
-/// comparable across machines.
-#[must_use]
-pub fn resolved_threads(requested: usize) -> usize {
+/// the request verbatim otherwise.
+fn resolved_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
@@ -20,7 +18,7 @@ pub fn resolved_threads(requested: usize) -> usize {
 }
 
 /// Resolves a requested thread count against a concrete workload: like
-/// [`resolved_threads`], further clamped so no thread would receive fewer
+/// `resolved_threads`, further clamped so no thread would receive fewer
 /// than a handful of items. This is the worker count campaign fan-outs
 /// actually use (and report in their `campaign_start` events).
 #[must_use]

@@ -172,24 +172,6 @@ impl<const W: usize> Not for Word<W> {
     }
 }
 
-/// CPU SIMD features relevant to word-width selection that the running
-/// machine supports, as stable lowercase names (subset of
-/// `["avx2", "avx512f"]`; empty on non-x86 targets).
-#[must_use]
-pub fn detected_cpu_features() -> Vec<&'static str> {
-    let mut features = Vec::new();
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            features.push("avx2");
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            features.push("avx512f");
-        }
-    }
-    features
-}
-
 /// The widest profitable word width for this machine: 8 with AVX-512, 4
 /// with AVX2, otherwise 1 (including every non-x86 target, where narrower
 /// vectors rarely beat the scalar path on these masked-word kernels).
@@ -289,9 +271,5 @@ mod tests {
         // Auto always lands on a supported width.
         assert!(WORD_WIDTHS.contains(&auto_word_width()));
         assert_eq!(resolve_word_width(0).unwrap(), auto_word_width());
-        // Detected features are from the known set.
-        for f in detected_cpu_features() {
-            assert!(["avx2", "avx512f"].contains(&f));
-        }
     }
 }
