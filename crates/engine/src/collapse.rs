@@ -189,7 +189,7 @@ impl SiteKeys {
 
     /// The union-find key of one override, or `None` for sites the
     /// evaluator ignores (unknown nodes, out-of-range pins) — mirroring
-    /// `Evaluator::try_install` / `cone_for` site semantics exactly.
+    /// `Evaluator::try_install` / `ConeBuilder::build` site semantics exactly.
     fn key_of(&self, compiled: &CompiledCircuit, o: &Override) -> Option<u32> {
         match o.site {
             Site::Stem(node) => {

@@ -1,6 +1,6 @@
 //! Compilation of a [`Circuit`] into a flat, levelized evaluation schedule,
 //! plus the per-fault fanout-cone extraction behind cone-restricted
-//! evaluation ([`CompiledCircuit::cone_for`]).
+//! evaluation ([`ConeBuilder`]).
 
 use crate::error::EngineError;
 use crate::word::Word;
@@ -323,42 +323,139 @@ impl CompiledCircuit {
     fn readers(&self, slot: usize) -> &[u32] {
         &self.fanout_ops[self.fanout_start[slot] as usize..self.fanout_start[slot + 1] as usize]
     }
+}
 
-    /// Extracts the transitive fanout cone of a fault site set — everything
-    /// [`crate::WideEvaluator::eval_cone_w`] needs to re-evaluate only the
-    /// ops the fault can perturb, seeded from cached golden slot values.
+/// The transitive fanout cone of one fault site set, precomputed so a
+/// campaign can evaluate only the ops the fault can perturb.
+///
+/// Produced by [`ConeBuilder::build`]; consumed by
+/// [`crate::WideEvaluator::eval_cone_w`] in the cone-mode pair campaign.
+/// All ordinals index into [`FaultCone::ops`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct FaultCone {
+    /// Op indices in the cone, sorted by (schedule level, op index).
+    pub(crate) ops: Vec<u32>,
+    /// Schedule level of each cone op (parallel to `ops`).
+    pub(crate) levels: Vec<u32>,
+    /// Last cone ordinal reading each cone op's output (original fanins),
+    /// or [`CONE_NONE`] — the liveness horizon for the frontier-death exit.
+    pub(crate) op_last_read: Vec<u32>,
+    /// Cone ordinals of fault-rooted ops (gates with a patched branch pin).
+    /// They inject dirtiness at their own ordinal rather than through a
+    /// seed, so the evaluator pre-charges their liveness.
+    pub(crate) roots: Vec<u32>,
+    /// Seed slots the evaluator sets itself (stem forces), paired with their
+    /// last reading cone ordinal or [`CONE_NONE`].
+    pub(crate) seeds: Vec<(u32, u32)>,
+    /// Distinct slots cone ops read that are neither produced in-cone nor
+    /// seeded — loaded from the golden slot values before each cone run.
+    pub(crate) support: Vec<u32>,
+    /// Reachable primary outputs as `(output index, producing cone ordinal
+    /// or CONE_SEED)`; outputs not listed are provably golden.
+    pub(crate) outputs: Vec<(u32, u32)>,
+}
+
+/// Reusable scratch that extracts [`FaultCone`]s one fault site set after
+/// another — everything [`crate::WideEvaluator::eval_cone_w`] needs to
+/// re-evaluate only the ops a fault can perturb, seeded from cached golden
+/// slot values.
+///
+/// The dense per-op and per-slot tables are sized once for the whole
+/// schedule, and the marking ones stay in their cleared state between
+/// builds: a build marks only the entries its cone touches and resets
+/// exactly those before it returns. One cone therefore costs O(cone ops
+/// and their fanins, plus the output list), not O(ops + slots), and every
+/// buffer — the cone's own lists included — is reused, so a worker builds
+/// cones without heap allocation once its buffers have grown.
+#[derive(Debug)]
+pub(crate) struct ConeBuilder {
+    /// Per op: already in the cone.
+    in_cone: Vec<bool>,
+    /// Per slot: may differ from golden (a seed or a cone op's output).
+    dirty: Vec<bool>,
+    /// Per slot: cone ordinal of the op producing it. A build reads it only
+    /// at its own cone ops' outputs, after writing them, so stale entries
+    /// from earlier builds are harmless and it is never reset.
+    ordinal_of_slot: Vec<u32>,
+    /// Per slot: last cone ordinal reading it, or [`CONE_NONE`] (which also
+    /// marks a slot not yet considered for the support list).
+    slot_last_read: Vec<u32>,
+    /// Stem-forced slots, in override order (first override per site wins).
+    seed_slots: Vec<u32>,
+    /// Ops with a patched branch pin.
+    root_ops: Vec<u32>,
+    /// Flat fanin indices already patched (first override per pin wins).
+    fanin_patched: Vec<usize>,
+    /// Propagation work list.
+    queue: Vec<u32>,
+    /// The last cone built.
+    cone: FaultCone,
+}
+
+impl ConeBuilder {
+    /// Empty scratch sized for `compiled`'s schedule.
+    pub(crate) fn new(compiled: &CompiledCircuit) -> Self {
+        ConeBuilder {
+            in_cone: vec![false; compiled.ops.len()],
+            dirty: vec![false; compiled.num_slots],
+            ordinal_of_slot: vec![CONE_NONE; compiled.num_slots],
+            slot_last_read: vec![CONE_NONE; compiled.num_slots],
+            seed_slots: Vec::new(),
+            root_ops: Vec::new(),
+            fanin_patched: Vec::new(),
+            queue: Vec::new(),
+            cone: FaultCone::default(),
+        }
+    }
+
+    /// The last cone [`ConeBuilder::build`] produced (empty before the
+    /// first build).
+    pub(crate) fn cone(&self) -> &FaultCone {
+        &self.cone
+    }
+
+    /// Extracts the transitive fanout cone of a fault site set into the
+    /// scratch's cone, replacing the previous one. `compiled` must be the
+    /// circuit the scratch was sized for.
     ///
     /// Mirrors [`crate::Evaluator::try_install`] site semantics exactly
     /// (first override per site wins; sites the circuit does not have are
     /// ignored): a stem force seeds the node's slot and dirties its readers;
     /// a branch fault on a gate pin makes that gate a cone root (a
     /// conservative superset — the gate re-evaluates even at patterns where
-    /// the stuck pin happens to match). Only combinational circuits have
+    /// the stuck pin happens to match). Override values play no part: the
+    /// cone depends on the sites alone. Only combinational circuits have
     /// cones: the pair campaign rejects sequential ones before asking.
-    #[must_use]
-    pub(crate) fn cone_for(&self, overrides: &[Override]) -> FaultCone {
-        let mut in_cone = vec![false; self.ops.len()];
-        let mut dirty = vec![false; self.num_slots];
-        let mut is_seed = vec![false; self.num_slots];
-        let mut seed_slots: Vec<u32> = Vec::new();
-        let mut root_ops: Vec<u32> = Vec::new();
-        let mut fanin_patched: Vec<usize> = Vec::new();
-        let mut queue: Vec<u32> = Vec::new();
-
+    pub(crate) fn build(
+        &mut self,
+        compiled: &CompiledCircuit,
+        overrides: &[Override],
+    ) -> &FaultCone {
+        let ConeBuilder {
+            in_cone,
+            dirty,
+            ordinal_of_slot,
+            slot_last_read,
+            seed_slots,
+            root_ops,
+            fanin_patched,
+            queue,
+            cone,
+        } = self;
+        cone.clear();
         for o in overrides {
             match o.site {
                 Site::Stem(node) => {
                     let slot = node.index();
-                    if slot >= self.num_slots - 2 || is_seed[slot] {
+                    if slot >= compiled.num_slots - 2 || seed_slots.contains(&(slot as u32)) {
                         continue;
                     }
                     dirty[slot] = true;
-                    is_seed[slot] = true;
                     seed_slots.push(slot as u32);
-                    queue.extend_from_slice(self.readers(slot));
+                    queue.extend_from_slice(compiled.readers(slot));
                 }
                 Site::Branch { node, pin } => {
-                    let op_idx = match self
+                    let op_idx = match compiled
                         .op_of_node
                         .get(node.index())
                         .copied()
@@ -367,7 +464,7 @@ impl CompiledCircuit {
                         Some(i) => i as usize,
                         None => continue,
                     };
-                    let op = &self.ops[op_idx];
+                    let op = &compiled.ops[op_idx];
                     if pin >= op.fan_len as usize {
                         continue;
                     }
@@ -390,120 +487,98 @@ impl CompiledCircuit {
                 continue;
             }
             in_cone[op_idx as usize] = true;
-            let out = self.ops[op_idx as usize].out as usize;
+            cone.ops.push(op_idx);
+            let out = compiled.ops[op_idx as usize].out as usize;
             if !dirty[out] {
                 dirty[out] = true;
-                queue.extend_from_slice(self.readers(out));
+                queue.extend_from_slice(compiled.readers(out));
             }
         }
 
         // Level-ordered cone schedule plus the ordinal tables the evaluator
         // and the extraction readability rule need.
-        let mut cone_ops: Vec<u32> = (0..self.ops.len() as u32)
-            .filter(|&i| in_cone[i as usize])
-            .collect();
-        cone_ops.sort_by_key(|&i| (self.op_levels[i as usize], i));
-        let levels: Vec<u32> = cone_ops
-            .iter()
-            .map(|&i| self.op_levels[i as usize])
-            .collect();
-        let mut ordinal_of_slot = vec![CONE_NONE; self.num_slots];
-        let mut ordinal_of_op = vec![CONE_NONE; self.ops.len()];
-        for (j, &i) in cone_ops.iter().enumerate() {
-            ordinal_of_slot[self.ops[i as usize].out as usize] = j as u32;
-            ordinal_of_op[i as usize] = j as u32;
+        cone.ops
+            .sort_unstable_by_key(|&i| (compiled.op_levels[i as usize], i));
+        cone.levels
+            .extend(cone.ops.iter().map(|&i| compiled.op_levels[i as usize]));
+        for (j, &i) in cone.ops.iter().enumerate() {
+            ordinal_of_slot[compiled.ops[i as usize].out as usize] = j as u32;
         }
-        let mut roots: Vec<u32> = root_ops
-            .iter()
-            .map(|&i| ordinal_of_op[i as usize])
-            .collect();
-        roots.sort_unstable();
-        let mut slot_last_read = vec![CONE_NONE; self.num_slots];
-        for (j, &i) in cone_ops.iter().enumerate() {
-            let op = &self.ops[i as usize];
-            for k in 0..op.fan_len as usize {
-                // Ascending ordinals, so the final write is the max reader.
-                slot_last_read[self.fanins[op.fan_start as usize + k] as usize] = j as u32;
-            }
-        }
-        let op_last_read: Vec<u32> = cone_ops
-            .iter()
-            .map(|&i| slot_last_read[self.ops[i as usize].out as usize])
-            .collect();
-        let seeds: Vec<(u32, u32)> = seed_slots
-            .iter()
-            .map(|&s| (s, slot_last_read[s as usize]))
-            .collect();
-
-        let mut support = Vec::new();
-        let mut seen = vec![false; self.num_slots];
-        for &i in &cone_ops {
-            let op = &self.ops[i as usize];
-            for k in 0..op.fan_len as usize {
-                let f = self.fanins[op.fan_start as usize + k] as usize;
-                if !seen[f] {
-                    seen[f] = true;
-                    if !dirty[f] {
-                        support.push(f as u32);
-                    }
+        cone.roots.extend(
+            root_ops
+                .iter()
+                .map(|&i| ordinal_of_slot[compiled.ops[i as usize].out as usize]),
+        );
+        cone.roots.sort_unstable();
+        for (j, &i) in cone.ops.iter().enumerate() {
+            let op = &compiled.ops[i as usize];
+            for &f in &compiled.fanins[op.fan_start as usize..(op.fan_start + op.fan_len) as usize]
+            {
+                let f = f as usize;
+                // First read of `f`: a support slot unless the cone itself
+                // produces or seeds it.
+                if slot_last_read[f] == CONE_NONE && !dirty[f] {
+                    cone.support.push(f as u32);
                 }
+                // Ascending ordinals, so the final write is the max reader.
+                slot_last_read[f] = j as u32;
             }
         }
+        cone.op_last_read.extend(
+            cone.ops
+                .iter()
+                .map(|&i| slot_last_read[compiled.ops[i as usize].out as usize]),
+        );
+        cone.seeds
+            .extend(seed_slots.iter().map(|&s| (s, slot_last_read[s as usize])));
+        cone.outputs.extend(
+            compiled
+                .output_slots
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| dirty[s as usize])
+                .map(|(k, &s)| {
+                    let ordinal = if seed_slots.contains(&s) {
+                        CONE_SEED
+                    } else {
+                        ordinal_of_slot[s as usize]
+                    };
+                    (k as u32, ordinal)
+                }),
+        );
 
-        let produced_ordinal = |slot: usize| {
-            if is_seed[slot] {
-                CONE_SEED
-            } else {
-                ordinal_of_slot[slot]
-            }
-        };
-        let outputs: Vec<(u32, u32)> = self
-            .output_slots
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| dirty[s as usize])
-            .map(|(k, &s)| (k as u32, produced_ordinal(s as usize)))
-            .collect();
-        FaultCone {
-            ops: cone_ops,
-            levels,
-            op_last_read,
-            roots,
-            seeds,
-            support,
-            outputs,
+        // Reset exactly the entries this build touched: the seeds, every
+        // cone op, its output slot and its fanin slots.
+        for &s in seed_slots.iter() {
+            dirty[s as usize] = false;
         }
+        for &i in &cone.ops {
+            in_cone[i as usize] = false;
+            let op = &compiled.ops[i as usize];
+            dirty[op.out as usize] = false;
+            for &f in &compiled.fanins[op.fan_start as usize..(op.fan_start + op.fan_len) as usize]
+            {
+                slot_last_read[f as usize] = CONE_NONE;
+            }
+        }
+        seed_slots.clear();
+        root_ops.clear();
+        fanin_patched.clear();
+        cone
     }
 }
 
-/// The transitive fanout cone of one fault site set, precomputed so a
-/// campaign can evaluate only the ops the fault can perturb.
-///
-/// Produced by [`CompiledCircuit::cone_for`]; consumed by
-/// [`crate::WideEvaluator::eval_cone_w`] in the cone-mode pair campaign.
-/// All ordinals index into [`FaultCone::ops`].
-#[derive(Debug, Clone)]
-pub(crate) struct FaultCone {
-    /// Op indices in the cone, sorted by (schedule level, op index).
-    pub(crate) ops: Vec<u32>,
-    /// Schedule level of each cone op (parallel to `ops`).
-    pub(crate) levels: Vec<u32>,
-    /// Last cone ordinal reading each cone op's output (original fanins),
-    /// or [`CONE_NONE`] — the liveness horizon for the frontier-death exit.
-    pub(crate) op_last_read: Vec<u32>,
-    /// Cone ordinals of fault-rooted ops (gates with a patched branch pin).
-    /// They inject dirtiness at their own ordinal rather than through a
-    /// seed, so the evaluator pre-charges their liveness.
-    pub(crate) roots: Vec<u32>,
-    /// Seed slots the evaluator sets itself (stem forces), paired with their
-    /// last reading cone ordinal or [`CONE_NONE`].
-    pub(crate) seeds: Vec<(u32, u32)>,
-    /// Distinct slots cone ops read that are neither produced in-cone nor
-    /// seeded — loaded from the golden slot values before each cone run.
-    pub(crate) support: Vec<u32>,
-    /// Reachable primary outputs as `(output index, producing cone ordinal
-    /// or CONE_SEED)`; outputs not listed are provably golden.
-    pub(crate) outputs: Vec<(u32, u32)>,
+impl FaultCone {
+    /// Empties every list, keeping the buffers.
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.levels.clear();
+        self.op_last_read.clear();
+        self.roots.clear();
+        self.seeds.clear();
+        self.support.clear();
+        self.outputs.clear();
+    }
 }
 
 /// One per-lane branch-fault injection of a packed fault batch.
@@ -718,7 +793,158 @@ impl<const W: usize> LanePlan<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use scal_netlist::synth::random_selfdual;
     use scal_netlist::Circuit;
+
+    /// A cone built through a scratch that has never built one before.
+    fn fresh_cone(cc: &CompiledCircuit, overrides: &[Override]) -> FaultCone {
+        ConeBuilder::new(cc).build(cc, overrides).clone()
+    }
+
+    /// Every stem and branch fault of `c`, both values, plus sites `c`
+    /// lacks: a pin one past each gate's last, and stems and branches on
+    /// node indices past the end (the first two land on the constant
+    /// slots).
+    fn candidate_faults(c: &Circuit) -> Vec<Override> {
+        let mut bigger = Circuit::new();
+        let beyond: Vec<NodeId> = (0..c.len() + 3)
+            .map(|i| bigger.input(format!("x{i}")))
+            .collect();
+        let mut out = Vec::new();
+        for value in [false, true] {
+            for id in c.node_ids() {
+                out.push(Override {
+                    site: Site::Stem(id),
+                    value,
+                });
+                for pin in 0..=c.fanins(id).len() {
+                    out.push(Override {
+                        site: Site::Branch { node: id, pin },
+                        value,
+                    });
+                }
+            }
+            for &node in &beyond[c.len()..] {
+                out.push(Override {
+                    site: Site::Stem(node),
+                    value,
+                });
+                out.push(Override {
+                    site: Site::Branch { node, pin: 0 },
+                    value,
+                });
+            }
+        }
+        out
+    }
+
+    /// Builds every override set in `order` through one scratch and checks
+    /// each cone against a fresh build, field by field.
+    fn assert_reuse_matches_fresh(cc: &CompiledCircuit, order: &[Vec<Override>]) {
+        let mut scratch = ConeBuilder::new(cc);
+        for (step, ovs) in order.iter().enumerate() {
+            let reused = scratch.build(cc, ovs).clone();
+            let fresh = fresh_cone(cc, ovs);
+            assert_eq!(reused.ops, fresh.ops, "ops at step {step} {ovs:?}");
+            assert_eq!(reused.levels, fresh.levels, "levels at step {step}");
+            assert_eq!(
+                reused.op_last_read, fresh.op_last_read,
+                "op_last_read at step {step}"
+            );
+            assert_eq!(reused.roots, fresh.roots, "roots at step {step}");
+            assert_eq!(reused.seeds, fresh.seeds, "seeds at step {step}");
+            assert_eq!(reused.support, fresh.support, "support at step {step}");
+            assert_eq!(reused.outputs, fresh.outputs, "outputs at step {step}");
+        }
+    }
+
+    #[test]
+    fn cone_of_a_small_circuit() {
+        // g = a & b; h = g | a; outputs f = h, k = g.
+        let mut c = Circuit::new();
+        let a = c.input("a");
+        let b = c.input("b");
+        let g = c.and(&[a, b]);
+        let h = c.or(&[g, a]);
+        c.mark_output("f", h);
+        c.mark_output("k", g);
+        let cc = CompiledCircuit::compile(&c);
+        let (op_g, op_h) = (cc.op_of_node[g.index()], cc.op_of_node[h.index()]);
+        let (sa, sb, sg) = (a.index() as u32, b.index() as u32, g.index() as u32);
+        let stem = |node| Override {
+            site: Site::Stem(node),
+            value: false,
+        };
+        // Stem on `a`: both gates, seeded from a; `b` is the only support.
+        let cone = fresh_cone(&cc, &[stem(a)]);
+        assert_eq!(cone.ops, vec![op_g, op_h]);
+        assert_eq!(cone.levels, vec![0, 1]);
+        assert_eq!(cone.op_last_read, vec![1, CONE_NONE]);
+        assert!(cone.roots.is_empty());
+        assert_eq!(cone.seeds, vec![(sa, 1)]);
+        assert_eq!(cone.support, vec![sb]);
+        assert_eq!(cone.outputs, vec![(0, 1), (1, 0)]);
+        // Branch on h's pin 0 (the g fanin): h alone, rooted; g and a are
+        // support.
+        let cone = fresh_cone(
+            &cc,
+            &[Override {
+                site: Site::Branch { node: h, pin: 0 },
+                value: true,
+            }],
+        );
+        assert_eq!(cone.ops, vec![op_h]);
+        assert_eq!(cone.roots, vec![0]);
+        assert!(cone.seeds.is_empty());
+        assert_eq!(cone.support, vec![sg, sa]);
+        assert_eq!(cone.outputs, vec![(0, 0)]);
+        // Stem on output g: the seed itself is the reachable output `k`.
+        let cone = fresh_cone(&cc, &[stem(g)]);
+        assert_eq!(cone.ops, vec![op_h]);
+        assert_eq!(cone.seeds, vec![(sg, 0)]);
+        assert_eq!(cone.outputs, vec![(0, 0), (1, CONE_SEED)]);
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_builds() {
+        let c = random_selfdual(6, 40, 3);
+        let cc = CompiledCircuit::compile(&c);
+        let singles: Vec<Vec<Override>> =
+            candidate_faults(&c).into_iter().map(|o| vec![o]).collect();
+        // Forward, then backward: every cone follows one of a different
+        // shape, and the turn repeats a site.
+        let mut order = singles.clone();
+        order.extend(singles.iter().rev().cloned());
+        // Multi-site sets: a stem and a branch together, a repeated site.
+        order.push(vec![singles[0][0], singles[7][0]]);
+        order.push(vec![singles[9][0], singles[9][0], singles[2][0]]);
+        assert_reuse_matches_fresh(&cc, &order);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Cones built one after another through one scratch, in a random
+        /// order of random one- to three-fault site sets (stems, branches,
+        /// repeated sites and sites the circuit lacks), equal fresh builds.
+        #[test]
+        fn reused_scratch_matches_fresh_builds_on_random_networks(
+            seed in any::<u64>(),
+            inputs in 3usize..8,
+            core_gates in 8usize..48,
+            picks in prop::collection::vec(prop::collection::vec(any::<u64>(), 1..4), 1..64),
+        ) {
+            let c = random_selfdual(inputs, core_gates, seed);
+            let cc = CompiledCircuit::compile(&c);
+            let candidates = candidate_faults(&c);
+            let order: Vec<Vec<Override>> = picks
+                .iter()
+                .map(|set| set.iter().map(|&i| candidates[i as usize % candidates.len()]).collect())
+                .collect();
+            assert_reuse_matches_fresh(&cc, &order);
+        }
+    }
 
     #[test]
     fn compiles_gates_in_topo_order() {

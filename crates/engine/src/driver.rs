@@ -193,8 +193,10 @@ pub struct UnitResult<V> {
     pub summaries: Vec<FaultSummary>,
     /// 64-lane sub-word sweeps executed.
     pub words: u64,
-    /// Wall time inside the unit's evaluation.
-    pub eval_micros: u64,
+    /// Wall time inside the unit's evaluation, unrounded: units often take
+    /// well under a microsecond, so whole microseconds would undercount
+    /// [`crate::EngineStats::eval_time`].
+    pub eval_time: Duration,
     /// Unit-level events (`LaneBatch`, chunk spans), when recording.
     pub unit_events: Vec<CampaignEvent>,
     /// Per-fault events, one list per fault, when recording; empty when
@@ -437,7 +439,7 @@ pub fn drive<K: Kernel>(
     let mut summaries = Vec::with_capacity(completed_reps);
     for (_, outcome) in &outcomes {
         stats.words_evaluated += outcome.words;
-        stats.eval_time += Duration::from_micros(outcome.eval_micros);
+        stats.eval_time += outcome.eval_time;
         summaries.extend_from_slice(&outcome.summaries);
     }
     stats.pairs_evaluated = summaries.iter().map(|s| s.pairs).sum();
@@ -747,7 +749,7 @@ mod tests {
                     verdicts: unit.faults.iter().map(|o| o.value).collect(),
                     summaries: vec![FaultSummary::default(); unit.faults.len()],
                     words: 0,
-                    eval_micros: 0,
+                    eval_time: Duration::ZERO,
                     unit_events: if record { vec![lane_batch] } else { Vec::new() },
                     fault_events: Vec::new(),
                 })

@@ -8,7 +8,7 @@ use crate::Fault;
 use scal_engine::{duration_micros, EngineError, EngineStats, FaultSummary, VerdictTable};
 use scal_netlist::{Circuit, Override};
 use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, Phase};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Behaviour of a *single output* over one alternating input pair, relative
 /// to the fault-free response.
@@ -242,8 +242,8 @@ pub(crate) fn try_run_scalar(
         }
         stats.pairs_evaluated += pairs_per_fault;
         stats.words_evaluated += words_per_sweep;
-        let eval_micros = duration_micros(sweep_t.elapsed());
-        stats.eval_time += Duration::from_micros(eval_micros);
+        let eval_time = sweep_t.elapsed();
+        stats.eval_time += eval_time;
         let s = FaultSummary {
             detected: detected.len(),
             violations: violations.len(),
@@ -263,7 +263,7 @@ pub(crate) fn try_run_scalar(
             fault_events.push(CampaignEvent::Span {
                 name: "eval_batch",
                 parent: "fault_sim",
-                micros: eval_micros,
+                micros: duration_micros(eval_time),
                 count: words_per_sweep,
                 items: pairs_per_fault,
             });

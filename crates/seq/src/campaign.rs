@@ -628,7 +628,7 @@ impl<const W: usize> Kernel for SeqKernel<'_, W> {
             // periods each; the golden machine rides lane 0, so it costs no
             // extra pass over the schedule.
             words: words_run * 2,
-            eval_micros: duration_micros(t.elapsed()),
+            eval_time: t.elapsed(),
             verdicts: outcomes,
             summaries,
             unit_events,

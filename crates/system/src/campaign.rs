@@ -13,8 +13,8 @@
 use crate::cpu::{Cpu, CpuMode, Program};
 use crate::programs::{checksum, popcount, ARG0, RESULT};
 use scal_engine::{
-    drive, duration_micros, CollapseCounts, CompiledCircuit, EngineError, FaultSummary, Kernel,
-    Setup, Toggle, Unit, UnitResult,
+    drive, CollapseCounts, CompiledCircuit, EngineError, FaultSummary, Kernel, Setup, Toggle, Unit,
+    UnitResult,
 };
 use scal_faults::{enumerate_faults, Fault};
 use scal_netlist::Override;
@@ -372,7 +372,7 @@ impl Kernel for CpuKernel<'_> {
             verdicts: vec![r],
             summaries: vec![summary],
             words: periods,
-            eval_micros: duration_micros(t.elapsed()),
+            eval_time: t.elapsed(),
             unit_events: Vec::new(),
             fault_events: Vec::new(),
         })
