@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use scal_core::paper::ripple_adder;
-use scal_engine::{collapse_overrides, CompiledCircuit, EngineConfig};
+use scal_engine::{collapse_overrides, CompiledCircuit};
 use scal_faults::{enumerate_faults, Campaign};
 use scal_netlist::synth::{self, SynthKind};
 use scal_system::campaign::Campaign as CpuCampaign;
@@ -14,10 +14,6 @@ use scal_system::CpuUnit;
 
 fn bench_adder8(c: &mut Criterion) {
     let adder = ripple_adder(8);
-    let config = EngineConfig {
-        drop_after_detection: true,
-        ..EngineConfig::default()
-    };
 
     let mut group = c.benchmark_group("fault_collapse");
     group.sample_size(10);
@@ -26,7 +22,7 @@ fn bench_adder8(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 Campaign::new(&adder)
-                    .config(config.clone())
+                    .drop_after_detection(true)
                     .fault_collapse(collapse)
                     .run()
                     .unwrap()

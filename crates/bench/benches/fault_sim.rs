@@ -1,14 +1,12 @@
 //! Exhaustive fault-simulation throughput (the engine behind Figs. 3.6/3.7
 //! and the verification of every SCAL network in the repo): the compiled
 //! `scal-engine` campaign against the seed's scalar paths, on the paper's
-//! combinational networks (8-bit ripple adder), the Kohavi machine, and the
-//! Reynolds two-rail checker.
+//! combinational networks (8-bit ripple adder) and the Kohavi machine.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use scal_core::paper::{fig3_7, ripple_adder};
-use scal_engine::{CompiledCircuit, CompiledSim, EngineConfig};
 use scal_faults::{enumerate_faults, Campaign, Fault};
-use scal_netlist::{Circuit, Sim};
+use scal_netlist::Circuit;
 use scal_seq::kohavi::kohavi_0101;
 use scal_seq::{dual_ff_machine, Campaign as SeqCampaignBuilder};
 
@@ -73,14 +71,10 @@ fn bench_adder8(c: &mut Criterion) {
         b.iter(|| Campaign::new(&adder).faults(subset.clone()).run().unwrap());
     });
     group.bench_function("engine_8faults_drop", |b| {
-        let config = EngineConfig {
-            drop_after_detection: true,
-            ..EngineConfig::default()
-        };
         b.iter(|| {
             Campaign::new(&adder)
                 .faults(subset.clone())
-                .config(config.clone())
+                .drop_after_detection(true)
                 .run()
                 .unwrap()
         });
@@ -95,14 +89,10 @@ fn bench_adder8(c: &mut Criterion) {
         });
     });
     group.bench_function("engine_full_562faults_drop", |b| {
-        let config = EngineConfig {
-            drop_after_detection: true,
-            ..EngineConfig::default()
-        };
         b.iter(|| {
             Campaign::new(&adder)
                 .faults(faults.clone())
-                .config(config.clone())
+                .drop_after_detection(true)
                 .run()
                 .unwrap()
         });
@@ -130,47 +120,6 @@ fn bench_kohavi(c: &mut Criterion) {
     group.finish();
 }
 
-/// Compiled vs graph simulation of the sequential Reynolds two-rail checker
-/// (`checker_8`), stepped under every collapsed fault.
-fn bench_checker8(c: &mut Criterion) {
-    let checker = scal_checkers::two_rail::reynolds_checker(8);
-    let faults = enumerate_faults(&checker);
-    let n = checker.inputs().len();
-    let drive: Vec<Vec<bool>> = (0..32u32)
-        .map(|s| (0..n).map(|i| (s + i as u32) % 3 != 0).collect())
-        .collect();
-
-    let mut group = c.benchmark_group("checker8");
-    group.bench_function("engine_compiled_sim", |b| {
-        let compiled = CompiledCircuit::compile(&checker);
-        b.iter(|| {
-            let mut live = 0usize;
-            for fault in &faults {
-                let mut sim = CompiledSim::new(&compiled);
-                sim.attach(&[fault.to_override()]);
-                for ins in &drive {
-                    live += usize::from(sim.step(ins)[0]);
-                }
-            }
-            live
-        });
-    });
-    group.bench_function("scalar_graph_sim", |b| {
-        b.iter(|| {
-            let mut live = 0usize;
-            for fault in &faults {
-                let mut sim = Sim::new(&checker);
-                sim.attach(fault.to_override());
-                for ins in &drive {
-                    live += usize::from(sim.step(ins)[0]);
-                }
-            }
-            live
-        });
-    });
-    group.finish();
-}
-
 fn short() -> Criterion {
     Criterion::default()
         .measurement_time(std::time::Duration::from_secs(3))
@@ -181,6 +130,6 @@ fn short() -> Criterion {
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench, bench_adder8, bench_kohavi, bench_checker8
+    targets = bench, bench_adder8, bench_kohavi
 }
 criterion_main!(benches);

@@ -1,6 +1,7 @@
-//! The campaign driver: the one pipeline under the pair (Ch. 3), packed
-//! sequential (Ch. 4) and CPU datapath (Ch. 7) campaigns, which all judge a
-//! design by one verdict per single stuck-at fault.
+//! The campaign driver: the one pipeline under every campaign — the pair
+//! (Ch. 3), packed sequential (Ch. 4) and CPU datapath (Ch. 7) kernels and
+//! the scalar pair and graph sequential oracles — which all judge a design
+//! by one verdict per single stuck-at fault.
 //!
 //! [`drive`] collapses the fault list ([`collapse_overrides`]), emits the
 //! preamble (`CampaignStart`, the kernel's header events, the compile phase,
@@ -44,7 +45,7 @@ pub fn duration_micros(d: Duration) -> u64 {
 
 /// Emits `PhaseStart` for `phase` when `since` is `None`, else its
 /// `PhaseEnd` timed from `since` — nothing when `observer` is disabled.
-pub fn phase_event(observer: &dyn CampaignObserver, phase: Phase, since: Option<Instant>) {
+fn phase_event(observer: &dyn CampaignObserver, phase: Phase, since: Option<Instant>) {
     if observer.enabled() {
         observer.on_event(&match since {
             None => CampaignEvent::PhaseStart { phase },
@@ -100,23 +101,6 @@ pub struct VerdictTable {
 }
 
 impl VerdictTable {
-    /// The table of an uncollapsed campaign: `summaries[i]` answers fault
-    /// `i`.
-    #[must_use]
-    pub fn uncollapsed(
-        campaign: &'static str,
-        total_faults: usize,
-        summaries: Vec<FaultSummary>,
-    ) -> Self {
-        VerdictTable {
-            campaign,
-            total_faults,
-            rep_of: (0..summaries.len() as u32).collect(),
-            summaries,
-            classes: None,
-        }
-    }
-
     /// `true` iff cancellation left some fault unanswered.
     #[must_use]
     pub fn cancelled(&self) -> bool {
@@ -549,6 +533,22 @@ mod tests {
         }
     }
 
+    /// The table of an uncollapsed campaign: `summaries[i]` answers fault
+    /// `i`.
+    fn uncollapsed(
+        campaign: &'static str,
+        total_faults: usize,
+        summaries: Vec<FaultSummary>,
+    ) -> VerdictTable {
+        VerdictTable {
+            campaign,
+            total_faults,
+            rep_of: (0..summaries.len() as u32).collect(),
+            summaries,
+            classes: None,
+        }
+    }
+
     /// Labels fault `i` as `labels[i]`.
     fn labelled<'a>(labels: &'a [&str]) -> impl FnMut(usize, &mut String) + 'a {
         |i, out| out.push_str(labels[i])
@@ -556,8 +556,7 @@ mod tests {
 
     #[test]
     fn builds_a_map_with_ttd_and_labels() {
-        let table =
-            VerdictTable::uncollapsed("pair", 2, vec![summary(2, Some(1)), summary(0, None)]);
+        let table = uncollapsed("pair", 2, vec![summary(2, Some(1)), summary(0, None)]);
         let map = table.coverage_map(labelled(&["a s-a-0", "a s-a-1"]));
         assert_eq!(map.campaign, "pair");
         assert_eq!(map.records.len(), 2);
@@ -573,7 +572,7 @@ mod tests {
 
     #[test]
     fn dropped_at_carries_the_batch_ordinal() {
-        let table = VerdictTable::uncollapsed(
+        let table = uncollapsed(
             "pair",
             1,
             vec![FaultSummary {
@@ -590,7 +589,7 @@ mod tests {
 
     #[test]
     fn cone_stats_attach_to_their_fault_record() {
-        let table = VerdictTable::uncollapsed(
+        let table = uncollapsed(
             "pair",
             2,
             vec![
@@ -674,8 +673,7 @@ mod tests {
 
     #[test]
     fn cancellation_marks_the_prefix_map() {
-        let table =
-            VerdictTable::uncollapsed("pair", 5, vec![summary(1, Some(0)), summary(1, Some(2))]);
+        let table = uncollapsed("pair", 5, vec![summary(1, Some(0)), summary(1, Some(2))]);
         let map = table.coverage_map(|_, _| {});
         assert!(map.cancelled);
         assert_eq!(map.records.len(), 2);
@@ -684,7 +682,7 @@ mod tests {
 
     #[test]
     fn json_form_is_valid_and_complete() {
-        let table = VerdictTable::uncollapsed("pair", 1, vec![summary(0, None)]);
+        let table = uncollapsed("pair", 1, vec![summary(0, None)]);
         let json = table.coverage_map(labelled(&["n1 s-a-1"])).to_json();
         assert_eq!(validate_jsonl(&json), Ok(1));
         let v = parse(&json).expect("parses");

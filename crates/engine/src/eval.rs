@@ -433,8 +433,8 @@ impl Evaluator {
     ///
     /// `inputs` carries one word per primary input, `state` one word per
     /// flip-flop (empty for combinational circuits). Results are read back
-    /// with [`Evaluator::output`], [`Evaluator::next_state`], or
-    /// [`Evaluator::slot`].
+    /// with [`Evaluator::output`] or [`Evaluator::slot`], and flip-flop D
+    /// values with [`WideEvaluator::next_state_w`].
     ///
     /// # Errors
     ///
@@ -472,13 +472,6 @@ impl Evaluator {
     #[must_use]
     pub fn output(&self, compiled: &CompiledCircuit, k: usize) -> u64 {
         self.output_w(compiled, k).first()
-    }
-
-    /// Next-state word of flip-flop `i` (its possibly-faulted D value) after
-    /// the last [`Evaluator::eval`].
-    #[must_use]
-    pub fn next_state(&self, compiled: &CompiledCircuit, i: usize) -> u64 {
-        self.next_state_w(compiled, i).first()
     }
 
     /// Value word of an arbitrary node after the last [`Evaluator::eval`].

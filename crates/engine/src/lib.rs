@@ -18,10 +18,10 @@
 //!    word-wide XOR/AND masks instead of per-lane branching. Fault overrides
 //!    are installed as dense slot forces and fanin patches, not searched per
 //!    node.
-//! 3. **Drive** ([`drive`]): every production campaign — the pair campaign
-//!    ([`try_run_pair_campaign`]), the packed sequential campaign and the
-//!    CPU datapath campaign — is a [`Kernel`] under one campaign driver. The
-//!    driver collapses the fault list into equivalence classes, emits the
+//! 3. **Drive** ([`drive`]): every campaign — the pair campaign
+//!    ([`try_run_pair_campaign`]), the packed sequential campaign, the CPU
+//!    datapath campaign, and the scalar pair and graph sequential oracles —
+//!    is a [`Kernel`] under one campaign driver. The driver collapses the fault list into equivalence classes, emits the
 //!    event preamble and phases, fans units of representatives out over a
 //!    scoped worker pool ([`par_map_cancellable`], `std::thread::scope`, no
 //!    external dependencies), and merges the verdicts back in fault order,
@@ -43,11 +43,11 @@
 //! converges back to golden. [`EvalMode::Full`] re-evaluates the whole
 //! schedule and is kept as the differential oracle; both modes are
 //! bit-identical in everything but speed. Sequential campaigns pack up to
-//! 63 faults into the lanes of one word ([`PackedSeqSim`]): lane 0 replays
-//! the golden machine, every other lane one fault (masked per-lane stem
-//! forces, auxiliary branch slots, masked D-latch blends), so a whole batch
-//! replays the driven sequence in a single pass over the schedule per
-//! period.
+//! `63 × W` faults into the lanes of one wide word ([`WidePackedSeqSim`]):
+//! lane 0 of every 64-bit sub-word replays the golden machine, every other
+//! lane one fault (masked per-lane stem forces, auxiliary branch slots,
+//! masked D-latch blends), so a whole batch replays the driven sequence in
+//! a single pass over the schedule per period.
 //!
 //! The entry points ([`try_run_pair_campaign`],
 //! [`CompiledCircuit::try_compile`], [`Evaluator::try_eval`]) return
@@ -59,7 +59,8 @@
 //!
 //! The crate speaks the netlist vocabulary ([`scal_netlist::Override`] /
 //! [`scal_netlist::Site`]); `scal-faults` layers fault bookkeeping on top and
-//! keeps its original scalar implementation as a differential oracle.
+//! keeps its original scalar simulation as a differential oracle, run as a
+//! kernel of its own under the same driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,12 +85,11 @@ pub use collapse::{
 };
 pub use compile::{CompileSpans, CompiledCircuit};
 pub use driver::{
-    drive, duration_micros, phase_event, Driven, FaultSummary, Kernel, Setup, Unit, UnitResult,
-    VerdictTable,
+    drive, duration_micros, Driven, FaultSummary, Kernel, Setup, Unit, UnitResult, VerdictTable,
 };
 pub use error::EngineError;
 pub use eval::{Evaluator, WideEvaluator};
 pub use pool::{effective_threads, par_map, par_map_cancellable};
-pub use sim::{CompiledSim, PackedBatchPlan, PackedSeqSim, WidePackedBatchPlan, WidePackedSeqSim};
+pub use sim::{WidePackedBatchPlan, WidePackedSeqSim};
 pub use tables::{all_node_tables, node_table, output_tables};
 pub use word::{auto_word_width, resolve_word_width, Word, WORD_WIDTHS};

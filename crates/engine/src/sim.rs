@@ -1,117 +1,10 @@
-//! Sequential stepping over a compiled schedule — the engine counterpart of
-//! [`scal_netlist::Sim`] — plus the fault-per-lane packed stepper.
+//! The fault-per-lane packed sequential stepper: the engine counterpart of
+//! [`scal_netlist::Sim`], one fault per lane.
 
 use crate::compile::{AuxInject, CompiledCircuit, LanePlan};
-use crate::eval::{Evaluator, WideEvaluator};
+use crate::eval::WideEvaluator;
 use crate::word::Word;
 use scal_netlist::Override;
-
-/// A synchronous simulator over a [`CompiledCircuit`].
-///
-/// Semantics mirror [`scal_netlist::Sim`] exactly — one [`CompiledSim::step`]
-/// per clock period, flip-flops latch their (possibly faulted) D values on
-/// the edge, overrides persist until cleared — but each step is one linear
-/// pass over the compiled op schedule instead of a graph walk, and no
-/// allocation happens per step beyond the returned output vector.
-#[derive(Debug)]
-pub struct CompiledSim<'c> {
-    compiled: &'c CompiledCircuit,
-    ev: Evaluator,
-    /// One word per flip-flop; scalar stepping uses lane 0 only.
-    state: Vec<u64>,
-    inputs: Vec<u64>,
-    steps: u64,
-}
-
-impl<'c> CompiledSim<'c> {
-    /// Creates a simulator with every flip-flop at its power-up value.
-    #[must_use]
-    pub fn new(compiled: &'c CompiledCircuit) -> Self {
-        let state = compiled
-            .dff_init
-            .iter()
-            .map(|&b| if b { u64::MAX } else { 0 })
-            .collect();
-        CompiledSim {
-            compiled,
-            ev: Evaluator::new(compiled),
-            state,
-            inputs: vec![0; compiled.num_inputs()],
-            steps: 0,
-        }
-    }
-
-    /// Attaches persistent overrides (e.g. a stuck-at fault). The overrides
-    /// stay installed until [`CompiledSim::clear_overrides`].
-    pub fn attach(&mut self, overrides: &[Override]) {
-        self.ev.uninstall();
-        self.ev.install(self.compiled, overrides);
-    }
-
-    /// Removes all overrides.
-    pub fn clear_overrides(&mut self) {
-        self.ev.uninstall();
-    }
-
-    /// Overwrites the flip-flop state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length does not match the flip-flop count.
-    pub fn set_state(&mut self, state: &[bool]) {
-        assert_eq!(state.len(), self.state.len(), "state arity mismatch");
-        for (w, &b) in self.state.iter_mut().zip(state) {
-            *w = if b { u64::MAX } else { 0 };
-        }
-    }
-
-    /// Current flip-flop state.
-    #[must_use]
-    pub fn state(&self) -> Vec<bool> {
-        self.state.iter().map(|&w| w & 1 == 1).collect()
-    }
-
-    /// Clock periods simulated so far.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Simulates one clock period: samples the primary outputs, then latches
-    /// every flip-flop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` does not match the input count.
-    pub fn step(&mut self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(
-            inputs.len(),
-            self.compiled.num_inputs(),
-            "input arity mismatch"
-        );
-        for (w, &b) in self.inputs.iter_mut().zip(inputs) {
-            *w = if b { u64::MAX } else { 0 };
-        }
-        self.ev.eval(self.compiled, &self.inputs, &self.state);
-        let outputs = (0..self.compiled.num_outputs())
-            .map(|k| self.ev.output(self.compiled, k) & 1 == 1)
-            .collect();
-        for i in 0..self.state.len() {
-            self.state[i] = self.ev.next_state(self.compiled, i);
-        }
-        self.steps += 1;
-        outputs
-    }
-
-    /// Resets flip-flops to power-up values and clears the step counter
-    /// (overrides are kept, matching [`scal_netlist::Sim::reset`]).
-    pub fn reset(&mut self) {
-        for (w, &b) in self.state.iter_mut().zip(&self.compiled.dff_init) {
-            *w = if b { u64::MAX } else { 0 };
-        }
-        self.steps = 0;
-    }
-}
 
 /// The prebuilt per-lane injection plan of one packed fault batch — the
 /// compile-phase half of [`WidePackedSeqSim`].
@@ -127,9 +20,6 @@ pub struct WidePackedBatchPlan<const W: usize> {
     plan: LanePlan<W>,
     lanes: usize,
 }
-
-/// The scalar (`W = 1`) batch plan: up to 63 faults in one `u64` word.
-pub type PackedBatchPlan = WidePackedBatchPlan<1>;
 
 impl<const W: usize> WidePackedBatchPlan<W> {
     /// Plans one batch: `faults[i]`'s overrides are mapped onto bit
@@ -170,9 +60,9 @@ impl<const W: usize> WidePackedBatchPlan<W> {
 /// (planned by the compile-side lane plan), and masked D-latch blends;
 /// per-lane flip-flop state is carried across periods inside the same
 /// packed words. Each occupied fault lane of every output word after
-/// [`WidePackedSeqSim::step`] is bit-exact with a [`CompiledSim`] carrying
-/// that fault's overrides, and lane 0 of every sub-word with the fault-free
-/// machine.
+/// [`WidePackedSeqSim::step`] is bit-exact with a [`scal_netlist::Sim`]
+/// carrying that fault's overrides, and lane 0 of every sub-word with the
+/// fault-free machine.
 #[derive(Debug)]
 pub struct WidePackedSeqSim<'c, const W: usize> {
     compiled: &'c CompiledCircuit,
@@ -188,10 +78,6 @@ pub struct WidePackedSeqSim<'c, const W: usize> {
     lanes: usize,
     steps: u64,
 }
-
-/// The scalar (`W = 1`) packed sequential simulator: 63 fault lanes plus
-/// the golden lane in one `u64` word.
-pub type PackedSeqSim<'c> = WidePackedSeqSim<'c, 1>;
 
 impl<'c, const W: usize> WidePackedSeqSim<'c, W> {
     /// Maximum faults one batch packs (lane 0 of every sub-word is reserved
@@ -308,21 +194,6 @@ impl<'c, const W: usize> WidePackedSeqSim<'c, W> {
     }
 }
 
-impl PackedSeqSim<'_> {
-    /// Mask covering every occupied fault lane (bits `1..=fault_lanes`).
-    #[must_use]
-    pub fn lane_mask(&self) -> u64 {
-        self.sub_lane_mask(0)
-    }
-
-    /// Packed word of primary output `k` after the last step: lane 0 is the
-    /// golden value, lane `l` the value under fault `l - 1`.
-    #[must_use]
-    pub fn output(&self, k: usize) -> u64 {
-        self.output_wide(k).first()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,37 +212,96 @@ mod tests {
         c
     }
 
-    #[test]
-    fn counts_like_the_graph_simulator() {
-        let c = counter2();
-        let cc = CompiledCircuit::compile(&c);
-        let mut fast = CompiledSim::new(&cc);
-        let mut slow = Sim::new(&c);
-        for _ in 0..10 {
-            assert_eq!(fast.step(&[]), slow.step(&[]));
+    /// Every stuck-at fault of `c`, stems and branches, one override each.
+    fn single_faults(c: &Circuit) -> Vec<[Override; 1]> {
+        let mut faults = Vec::new();
+        for id in c.node_ids() {
+            for value in [false, true] {
+                faults.push([Override {
+                    site: Site::Stem(id),
+                    value,
+                }]);
+                for pin in 0..c.fanins(id).len() {
+                    faults.push([Override {
+                        site: Site::Branch { node: id, pin },
+                        value,
+                    }]);
+                }
+            }
         }
-        assert_eq!(fast.steps(), 10);
+        faults
+    }
+
+    /// Packs `faults` into one batch at width `W` and steps it `steps`
+    /// times with no inputs: lane 0 of every sub-word must match the
+    /// fault-free graph simulator, and fault `i`'s lane a graph simulator
+    /// carrying fault `i`, at every step. Returns each fault's output
+    /// trace.
+    fn lanes_match_graph_sims<const W: usize>(
+        c: &Circuit,
+        faults: &[[Override; 1]],
+        steps: usize,
+    ) -> Vec<Vec<Vec<bool>>> {
+        let cc = CompiledCircuit::compile(c);
+        let refs: Vec<&[Override]> = faults.iter().map(|f| f.as_slice()).collect();
+        let mut packed: WidePackedSeqSim<'_, W> = WidePackedSeqSim::new(&cc, &refs);
+        assert_eq!(packed.fault_lanes(), faults.len());
+        let mut golden = Sim::new(c);
+        let mut sims: Vec<Sim<'_>> = faults
+            .iter()
+            .map(|f| {
+                let mut s = Sim::new(c);
+                s.attach(f[0]);
+                s
+            })
+            .collect();
+        let mut traces = vec![Vec::new(); faults.len()];
+        for step in 0..steps {
+            packed.step(&[]);
+            let gold = golden.step(&[]);
+            for (k, &v) in gold.iter().enumerate() {
+                let w = packed.output_wide(k);
+                for s in 0..W {
+                    assert_eq!(
+                        w.sub(s) & 1 == 1,
+                        v,
+                        "golden lane, sub {s}, output {k}, step {step}"
+                    );
+                }
+            }
+            for (i, (sim, trace)) in sims.iter_mut().zip(&mut traces).enumerate() {
+                let lane = sim.step(&[]);
+                for (k, &v) in lane.iter().enumerate() {
+                    assert_eq!(
+                        (packed.output_wide(k).sub(i / 63) >> (1 + i % 63)) & 1 == 1,
+                        v,
+                        "fault {i} ({:?}), output {k}, step {step}",
+                        faults[i][0]
+                    );
+                }
+                trace.push(lane);
+            }
+        }
+        assert_eq!(packed.steps(), steps as u64);
+        traces
     }
 
     #[test]
-    fn faults_persist_and_clear() {
+    fn golden_lanes_count_like_the_graph_simulator() {
+        lanes_match_graph_sims::<1>(&counter2(), &[], 10);
+        lanes_match_graph_sims::<4>(&counter2(), &[], 10);
+    }
+
+    #[test]
+    fn a_stuck_flip_flop_lane_stays_stuck() {
         let c = counter2();
         let q0 = c.dffs()[0];
-        let cc = CompiledCircuit::compile(&c);
-        let mut sim = CompiledSim::new(&cc);
-        sim.attach(&[Override {
+        let fault = [Override {
             site: Site::Stem(q0),
             value: false,
-        }]);
-        for _ in 0..4 {
-            assert_eq!(sim.step(&[]), vec![false, false]);
-        }
-        sim.clear_overrides();
-        sim.reset();
-        assert_eq!(sim.steps(), 0);
-        let mut slow = Sim::new(&c);
-        for _ in 0..4 {
-            assert_eq!(sim.step(&[]), slow.step(&[]));
+        }];
+        for outputs in &lanes_match_graph_sims::<1>(&c, &[fault], 4)[0] {
+            assert_eq!(outputs, &[false, false]);
         }
     }
 
@@ -379,97 +309,35 @@ mod tests {
     fn dff_d_branch_fault_corrupts_latched_value() {
         let c = counter2();
         let q0 = c.dffs()[0];
-        let cc = CompiledCircuit::compile(&c);
-        let ov = [Override {
+        let fault = [Override {
             site: Site::Branch { node: q0, pin: 0 },
             value: true,
         }];
-        let mut fast = CompiledSim::new(&cc);
-        fast.attach(&ov);
-        let mut slow = Sim::new(&c);
-        slow.attach(ov[0]);
-        for _ in 0..6 {
-            assert_eq!(fast.step(&[]), slow.step(&[]));
-        }
+        let trace = &lanes_match_graph_sims::<1>(&c, &[fault], 6)[0];
+        let mut golden = Sim::new(&c);
+        assert!(
+            trace.iter().any(|outputs| *outputs != golden.step(&[])),
+            "a D-pin stuck-at-1 must change the latched sequence"
+        );
     }
 
-    /// Every stuck-at fault of the 2-bit counter packed into one batch:
-    /// each lane must match a dedicated [`CompiledSim`] carrying the same
-    /// fault, and lane 0 the fault-free machine, at every step.
+    /// Every stuck-at fault of the 2-bit counter packed into one `W = 1`
+    /// batch: each lane must match a graph simulator carrying the same
+    /// fault.
     #[test]
-    fn packed_lanes_match_per_fault_compiled_sims() {
-        let c = counter2();
-        let cc = CompiledCircuit::compile(&c);
-        let mut faults: Vec<[Override; 1]> = Vec::new();
-        for id in c.node_ids() {
-            for value in [false, true] {
-                faults.push([Override {
-                    site: Site::Stem(id),
-                    value,
-                }]);
-                for pin in 0..c.fanins(id).len() {
-                    faults.push([Override {
-                        site: Site::Branch { node: id, pin },
-                        value,
-                    }]);
-                }
-            }
-        }
-        faults.truncate(PackedSeqSim::FAULT_LANES);
-        let refs: Vec<&[Override]> = faults.iter().map(|f| f.as_slice()).collect();
-        let mut packed = PackedSeqSim::new(&cc, &refs);
-        assert_eq!(packed.fault_lanes(), faults.len());
-        let mut golden = CompiledSim::new(&cc);
-        let mut scalars: Vec<CompiledSim<'_>> = faults
-            .iter()
-            .map(|f| {
-                let mut s = CompiledSim::new(&cc);
-                s.attach(f);
-                s
-            })
-            .collect();
-        for step in 0..12 {
-            packed.step(&[]);
-            let gold = golden.step(&[]);
-            let lanes: Vec<Vec<bool>> = scalars.iter_mut().map(|s| s.step(&[])).collect();
-            for k in 0..cc.num_outputs() {
-                let w = packed.output(k);
-                assert_eq!(w & 1 == 1, gold[k], "golden lane, output {k}, step {step}");
-                for (l, lane) in lanes.iter().enumerate() {
-                    assert_eq!(
-                        (w >> (l + 1)) & 1 == 1,
-                        lane[k],
-                        "fault {:?}, output {k}, step {step}",
-                        faults[l][0]
-                    );
-                }
-            }
-        }
-        assert_eq!(packed.steps(), 12);
+    fn packed_lanes_match_per_fault_graph_sims() {
+        let mut faults = single_faults(&counter2());
+        faults.truncate(WidePackedSeqSim::<1>::FAULT_LANES);
+        lanes_match_graph_sims::<1>(&counter2(), &faults, 12);
     }
 
     /// Spread geometry at `W = 4`: more than 63 faults flow into the upper
     /// sub-words, and every occupied lane of every sub-word must match a
-    /// dedicated scalar [`CompiledSim`] carrying the same fault.
+    /// graph simulator carrying the same fault.
     #[test]
-    fn wide_packed_sub_words_match_per_fault_compiled_sims() {
+    fn wide_packed_sub_words_match_per_fault_graph_sims() {
         let c = counter2();
-        let cc = CompiledCircuit::compile(&c);
-        let mut faults: Vec<[Override; 1]> = Vec::new();
-        for id in c.node_ids() {
-            for value in [false, true] {
-                faults.push([Override {
-                    site: Site::Stem(id),
-                    value,
-                }]);
-                for pin in 0..c.fanins(id).len() {
-                    faults.push([Override {
-                        site: Site::Branch { node: id, pin },
-                        value,
-                    }]);
-                }
-            }
-        }
+        let mut faults = single_faults(&c);
         // Cycle the fault list past one sub-word's 63 lanes so the spread
         // geometry genuinely exercises sub-words 1 and 2.
         let distinct = faults.len();
@@ -477,54 +345,11 @@ mod tests {
             let f = faults[faults.len() % distinct];
             faults.push(f);
         }
-        let refs: Vec<&[Override]> = faults.iter().map(|f| f.as_slice()).collect();
-        let mut packed: WidePackedSeqSim<'_, 4> = WidePackedSeqSim::new(&cc, &refs);
-        assert_eq!(packed.fault_lanes(), faults.len());
         assert_eq!(WidePackedSeqSim::<4>::FAULT_LANES, 252);
-        assert_eq!(packed.sub_lane_mask(3), 0, "sub-word 3 holds no faults");
-        let mut golden = CompiledSim::new(&cc);
-        let mut scalars: Vec<CompiledSim<'_>> = faults
-            .iter()
-            .map(|f| {
-                let mut s = CompiledSim::new(&cc);
-                s.attach(f);
-                s
-            })
-            .collect();
-        for step in 0..12 {
-            packed.step(&[]);
-            let gold = golden.step(&[]);
-            let lanes: Vec<Vec<bool>> = scalars.iter_mut().map(|s| s.step(&[])).collect();
-            for k in 0..cc.num_outputs() {
-                let w = packed.output_wide(k);
-                for s in 0..4 {
-                    assert_eq!(
-                        w.sub(s) & 1 == 1,
-                        gold[k],
-                        "golden lane, sub {s}, output {k}, step {step}"
-                    );
-                }
-                for (i, lane) in lanes.iter().enumerate() {
-                    assert_eq!(
-                        (w.sub(i / 63) >> (1 + i % 63)) & 1 == 1,
-                        lane[k],
-                        "fault {i} ({:?}), output {k}, step {step}",
-                        faults[i][0]
-                    );
-                }
-            }
-        }
-        assert_eq!(packed.steps(), 12);
-    }
-
-    #[test]
-    fn set_state_jumps() {
-        let c = counter2();
         let cc = CompiledCircuit::compile(&c);
-        let mut sim = CompiledSim::new(&cc);
-        sim.set_state(&[true, true]);
-        assert_eq!(sim.state(), vec![true, true]);
-        assert_eq!(sim.step(&[]), vec![true, true]);
-        assert_eq!(sim.step(&[]), vec![false, false]);
+        let refs: Vec<&[Override]> = faults.iter().map(|f| f.as_slice()).collect();
+        let packed: WidePackedSeqSim<'_, 4> = WidePackedSeqSim::new(&cc, &refs);
+        assert_eq!(packed.sub_lane_mask(3), 0, "sub-word 3 holds no faults");
+        lanes_match_graph_sims::<4>(&c, &faults, 12);
     }
 }

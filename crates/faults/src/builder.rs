@@ -90,14 +90,6 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Replaces the whole engine configuration (thread count, fault
-    /// dropping). The scalar backend ignores engine knobs.
-    #[must_use]
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Worker-thread count; `0` = auto. Shorthand for the corresponding
     /// [`EngineConfig`] field.
     #[must_use]

@@ -5,9 +5,12 @@
 //! the pair/fault vocabulary and the scalar oracle backend.
 
 use crate::Fault;
-use scal_engine::{duration_micros, EngineError, EngineStats, FaultSummary, VerdictTable};
+use scal_engine::{
+    drive, duration_micros, EngineError, EngineStats, FaultSummary, Kernel, Setup, Toggle, Unit,
+    UnitResult, VerdictTable,
+};
 use scal_netlist::{Circuit, Override};
-use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, Phase};
+use scal_obs::{CampaignEvent, CampaignObserver, CancelToken};
 use std::time::Instant;
 
 /// Behaviour of a *single output* over one alternating input pair, relative
@@ -132,14 +135,14 @@ impl CampaignResult {
 }
 
 /// The scalar backend behind [`crate::Campaign::scalar`]: per-minterm
-/// simulation with full observability and per-fault cancellation.
+/// simulation, one fault per unit, as a [`Kernel`] under the campaign
+/// driver ([`drive`]) on one thread and never collapsed.
 ///
-/// Its verdicts come back summarized in a [`VerdictTable`], as the engine
-/// path's do. Event parity with the engine path, for an enabled observer:
-/// per-fault `FaultStart`/`FaultFinish` events are buffered and replayed in
-/// fault order during the merge phase (the scalar path is single-threaded,
-/// so `worker` is always 0 and there are no `BatchDone` events — it sweeps
-/// whole truth tables, not 64-pair batches).
+/// The driver owns the event protocol, cancellation and the verdict table;
+/// what keeps this backend an independent oracle is its own simulation
+/// ([`sweep`]) and classification ([`classify_pair`]). Each fault's only
+/// per-fault event is its `eval_batch` span: it sweeps whole truth tables,
+/// not 64-pair batches, so there are no `BatchDone` events.
 pub(crate) fn try_run_scalar(
     circuit: &Circuit,
     faults: &[Fault],
@@ -153,71 +156,92 @@ pub(crate) fn try_run_scalar(
     if !(1..=24).contains(&n) {
         return Err(EngineError::UnsupportedInputs { inputs: n });
     }
-    let obs = observer.enabled();
-    let total_t = Instant::now();
-    if obs {
-        observer.on_event(&CampaignEvent::CampaignStart {
-            campaign: "pair_scalar",
-            faults: faults.len(),
+    let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
+    let setup = Setup {
+        campaign: "pair_scalar",
+        inputs: n,
+        outputs: circuit.outputs().len(),
+        threads: 1,
+        faults: &overrides,
+        compiled: None,
+        collapse: Toggle::Off,
+        observer,
+        cancel,
+        started: Instant::now(),
+    };
+    let driven = drive(setup, |_| {
+        Ok(ScalarKernel {
+            circuit,
             inputs: n,
-            outputs: circuit.outputs().len(),
-            threads: 1,
-        });
+            normal: Vec::new(),
+        })
+    })?;
+    // Uncollapsed: `verdicts[i]` answers fault `i`.
+    Ok((driven.verdicts, driven.stats, driven.table))
+}
+
+/// The scalar pair oracle's kernel: sweeps every minterm once fault-free
+/// and once per fault, and classifies each alternating pair.
+struct ScalarKernel<'a> {
+    circuit: &'a Circuit,
+    inputs: usize,
+    /// Fault-free outputs of every minterm, from the golden phase.
+    normal: Vec<Vec<bool>>,
+}
+
+impl ScalarKernel<'_> {
+    /// 64-lane sweeps one pass over every minterm takes.
+    fn words_per_sweep(&self) -> u64 {
+        (1u64 << self.inputs).div_ceil(64)
+    }
+}
+
+impl Kernel for ScalarKernel<'_> {
+    type Verdict = CampaignResult;
+    type Worker = ();
+
+    fn unit_len(&self) -> usize {
+        1
     }
 
-    let outputs: Vec<usize> = circuit.outputs().iter().map(|o| o.node.index()).collect();
-    let total = 1u32 << n;
-    let words_per_sweep = u64::from(total).div_ceil(64);
-    let pairs_per_fault = u64::from(total / 2);
-    let mut stats = EngineStats::default();
-
-    // Fault-free responses for every minterm, packed 64 at a time.
-    let t = Instant::now();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Golden,
+    /// Fault-free responses for every minterm, and the check that every
+    /// output alternates over every pair.
+    fn golden(&mut self) -> Result<(u64, ()), EngineError> {
+        let n = self.inputs;
+        let total = 1u32 << n;
+        let mut normal = vec![vec![false; self.circuit.outputs().len()]; total as usize];
+        sweep(self.circuit, &[], n, |m, vals| {
+            normal[m as usize].copy_from_slice(vals);
         });
-    }
-    let mut normal = vec![vec![false; outputs.len()]; total as usize];
-    sweep(circuit, &[], n, |m, vals| {
-        normal[m as usize].copy_from_slice(vals);
-    });
-
-    let mask = total - 1;
-    // Sanity: alternation of the fault-free network.
-    for m in 0..total {
-        for (k, &v) in normal[m as usize].iter().enumerate() {
-            if v == normal[(!m & mask) as usize][k] {
-                return Err(EngineError::NotAlternating { output: k, pair: m });
+        let mask = total - 1;
+        for m in 0..total {
+            for (k, &v) in normal[m as usize].iter().enumerate() {
+                if v == normal[(!m & mask) as usize][k] {
+                    return Err(EngineError::NotAlternating { output: k, pair: m });
+                }
             }
         }
-    }
-    stats.golden_time = t.elapsed();
-    stats.words_evaluated = words_per_sweep;
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Golden,
-            micros: duration_micros(stats.golden_time),
-        });
+        self.normal = normal;
+        Ok((self.words_per_sweep(), ()))
     }
 
-    let t = Instant::now();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::FaultSim,
-        });
-    }
-    let mut results = Vec::with_capacity(faults.len());
-    let mut summaries = Vec::with_capacity(faults.len());
-    let mut fault_events: Vec<CampaignEvent> = Vec::new();
-    for (i, &fault) in faults.iter().enumerate() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            break;
-        }
-        let sweep_t = Instant::now();
-        let ov = [fault.to_override()];
-        let mut faulty = vec![vec![false; outputs.len()]; total as usize];
-        sweep(circuit, &ov, n, |m, vals| {
+    fn worker(&self) {}
+
+    fn run(
+        &self,
+        (): &mut (),
+        unit: Unit<'_>,
+        record: bool,
+        _cancel: Option<&CancelToken>,
+    ) -> Option<UnitResult<CampaignResult>> {
+        let t = Instant::now();
+        let ov = unit.faults[0];
+        let n = self.inputs;
+        let total = 1u32 << n;
+        let mask = total - 1;
+        let normal = &self.normal;
+        let mut faulty = vec![vec![false; self.circuit.outputs().len()]; total as usize];
+        sweep(self.circuit, &[ov], n, |m, vals| {
             faulty[m as usize].copy_from_slice(vals);
         });
         let mut detected = Vec::new();
@@ -240,90 +264,43 @@ pub(crate) fn try_run_scalar(
                 PairClass::Violation => violations.push(m),
             }
         }
-        stats.pairs_evaluated += pairs_per_fault;
-        stats.words_evaluated += words_per_sweep;
-        let eval_time = sweep_t.elapsed();
-        stats.eval_time += eval_time;
-        let s = FaultSummary {
+        let eval_time = t.elapsed();
+        let (words, pairs) = (self.words_per_sweep(), u64::from(total / 2));
+        let summary = FaultSummary {
             detected: detected.len(),
             violations: violations.len(),
             observable,
-            pairs: pairs_per_fault,
+            pairs,
             // The scalar sweep visits canonical minterms in ascending
             // order, matching the engine's pair ordering exactly.
             first_detected: detected.first().copied(),
             ..FaultSummary::default()
         };
-        summaries.push(s);
-        if obs {
-            fault_events.push(CampaignEvent::FaultStart {
-                fault: i,
-                worker: 0,
-            });
-            fault_events.push(CampaignEvent::Span {
+        let fault_events = if record {
+            vec![vec![CampaignEvent::Span {
                 name: "eval_batch",
                 parent: "fault_sim",
                 micros: duration_micros(eval_time),
-                count: words_per_sweep,
-                items: pairs_per_fault,
-            });
-            fault_events.push(CampaignEvent::FaultFinish {
-                fault: i,
-                worker: 0,
-                detected: s.detected,
-                violations: s.violations,
-                observable: s.observable,
-                dropped: false,
-                pairs: s.pairs,
-                first_detected: s.first_detected,
-            });
-            observer.on_event(&CampaignEvent::Progress {
-                done: i + 1,
-                total: faults.len(),
-            });
-        }
-        results.push(CampaignResult {
-            fault,
-            detected_pairs: detected,
-            violation_pairs: violations,
-            observable,
-        });
+                count: words,
+                items: pairs,
+            }]]
+        } else {
+            Vec::new()
+        };
+        Some(UnitResult {
+            verdicts: vec![CampaignResult {
+                fault: Fault::new(ov.site, ov.value),
+                detected_pairs: detected,
+                violation_pairs: violations,
+                observable,
+            }],
+            summaries: vec![summary],
+            words,
+            eval_time,
+            unit_events: Vec::new(),
+            fault_events,
+        })
     }
-    stats.fault_sim_time = t.elapsed();
-    stats.faults = results.len();
-    let table = VerdictTable::uncollapsed("pair_scalar", faults.len(), summaries);
-    let cancelled = table.cancelled();
-    if obs {
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::FaultSim,
-            micros: duration_micros(stats.fault_sim_time),
-        });
-        let merge_t = Instant::now();
-        observer.on_event(&CampaignEvent::PhaseStart {
-            phase: Phase::Merge,
-        });
-        for e in &fault_events {
-            observer.on_event(e);
-        }
-        observer.on_event(&CampaignEvent::PhaseEnd {
-            phase: Phase::Merge,
-            micros: duration_micros(merge_t.elapsed()),
-        });
-        if cancelled {
-            observer.on_event(&CampaignEvent::Cancelled {
-                completed: results.len(),
-            });
-        }
-        observer.on_event(&CampaignEvent::CampaignEnd {
-            faults: results.len(),
-            dropped: 0,
-            pairs: stats.pairs_evaluated,
-            words: stats.words_evaluated,
-            micros: duration_micros(total_t.elapsed()),
-            cancelled,
-        });
-    }
-    Ok((results, stats, table))
 }
 
 /// Evaluates output values for every minterm using 64-lane sweeps, invoking

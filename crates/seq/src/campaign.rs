@@ -18,22 +18,21 @@
 //! **once per unit** through [`WidePackedSeqSim`]: per-lane flip-flop state
 //! is carried across periods, every lane is classified against the golden
 //! lane with word-wide masks, and a classified lane *retires*, so the unit
-//! early-exits once every lane is classified. [`SeqBackend::Graph`] keeps
-//! the original graph-walking driver, outside the campaign driver, as the
-//! packed backend's independent differential oracle. Both backends produce
+//! early-exits once every lane is classified. [`SeqBackend::Graph`] is the
+//! packed backend's independent differential oracle: a kernel of its own
+//! under the same driver, run on one thread and never collapsed, that
+//! replays one fault at a time through the original graph-walking driver
+//! and classifies its trace with its own code. Both backends produce
 //! bit-identical outcomes, `first_detected` words, and coverage records.
 
 use crate::dual_ff::{AltSeqDriver, ScalMachine};
 use scal_engine::{
-    drive, duration_micros, phase_event, resolve_word_width, CollapseCounts, CompiledCircuit,
-    EngineError, FaultSummary, Kernel, Setup, Toggle, Unit, UnitResult, VerdictTable,
-    WidePackedBatchPlan, WidePackedSeqSim, Word,
+    drive, resolve_word_width, CollapseCounts, CompiledCircuit, EngineError, FaultSummary, Kernel,
+    Setup, Toggle, Unit, UnitResult, WidePackedBatchPlan, WidePackedSeqSim, Word,
 };
 use scal_faults::Fault;
 use scal_netlist::Override;
-use scal_obs::{
-    CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, NullObserver, Phase,
-};
+use scal_obs::{CampaignEvent, CampaignObserver, CancelToken, CoverageObserver, NullObserver};
 use std::time::Instant;
 
 /// Outcome of one fault under a driven sequence.
@@ -300,20 +299,6 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// The plain observer, or a disabled one.
-    fn plain_observer(&self) -> &'a dyn CampaignObserver {
-        self.observer.unwrap_or(&NullObserver)
-    }
-
-    /// Pushes the coverage map of `table` into the attached collector,
-    /// labelled with [`Fault::describe`] line names.
-    fn push_coverage(&self, table: &VerdictTable, faults: &[Fault]) {
-        if let Some(cov) = self.coverage {
-            let circuit = &self.machine.circuit;
-            cov.push(table.coverage_map(|i, out| faults[i].describe_into(circuit, out)));
-        }
-    }
-
     /// Runs the campaign.
     ///
     /// # Errors
@@ -341,30 +326,22 @@ impl<'a> Campaign<'a> {
                     reason: format!("unsupported word width {other}"),
                 }),
             },
-            SeqBackend::Graph => self.run_graph(),
+            SeqBackend::Graph => self.run_kernel(Instant::now(), None, |_| {
+                Ok(GraphKernel {
+                    machine: self.machine,
+                    words: self.words,
+                    golden: Vec::new(),
+                })
+            }),
         }
     }
 
     /// The packed fault-per-lane path: the campaign driver runs a
     /// [`SeqKernel`] over the collapsed fault list.
     fn run_packed<const W: usize>(self) -> Result<SeqCampaign, EngineError> {
-        let faults = self.machine.checkable_faults();
         let started = Instant::now();
-        let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
         let compiled = CompiledCircuit::try_compile(&self.machine.circuit)?;
-        let setup = Setup {
-            campaign: "seq",
-            inputs: self.machine.circuit.inputs().len(),
-            outputs: self.machine.circuit.outputs().len(),
-            threads: self.threads,
-            faults: &overrides,
-            compiled: Some(&compiled),
-            collapse: self.fault_collapse,
-            observer: self.plain_observer(),
-            cancel: self.cancel,
-            started,
-        };
-        let driven = drive(setup, |sim| {
+        self.run_kernel(started, Some(&compiled), |sim| {
             // Mapping faults onto lanes is planning, not evaluation: every
             // batch's lane plan is built in the compile phase.
             let plans = sim
@@ -381,119 +358,102 @@ impl<'a> Campaign<'a> {
                 plans,
                 periods: Vec::new(),
             })
-        })?;
+        })
+    }
+
+    /// Runs `build`'s kernel over the checkable faults under the campaign
+    /// driver, expands its outcomes in fault order and pushes the coverage
+    /// map. The packed backend collapses over `compiled` on the requested
+    /// threads; the graph oracle (`compiled` = `None`) runs uncollapsed on
+    /// one thread.
+    fn run_kernel<K: Kernel<Verdict = SeqOutcome>>(
+        &self,
+        started: Instant,
+        compiled: Option<&CompiledCircuit>,
+        build: impl FnOnce(&[Override]) -> Result<K, EngineError>,
+    ) -> Result<SeqCampaign, EngineError> {
+        let faults = self.machine.checkable_faults();
+        let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
+        let (campaign, threads) = match self.backend {
+            SeqBackend::Packed => ("seq", self.threads),
+            SeqBackend::Graph => ("seq_scalar", 1),
+        };
+        let setup = Setup {
+            campaign,
+            inputs: self.machine.circuit.inputs().len(),
+            outputs: self.machine.circuit.outputs().len(),
+            threads,
+            faults: &overrides,
+            compiled,
+            collapse: self.fault_collapse,
+            observer: self.observer.unwrap_or(&NullObserver),
+            cancel: self.cancel,
+            started,
+        };
+        let driven = drive(setup, build)?;
         let collapse = driven.stats.collapse;
         let (outcomes, table) = driven.into_expanded();
-        self.push_coverage(&table, &faults);
+        if let Some(cov) = self.coverage {
+            let circuit = &self.machine.circuit;
+            cov.push(table.coverage_map(|i, out| faults[i].describe_into(circuit, out)));
+        }
         Ok(SeqCampaign {
             outcomes: faults.into_iter().zip(outcomes).collect(),
             cancelled: table.cancelled(),
             collapse,
         })
     }
+}
 
-    /// The [`SeqBackend::Graph`] oracle: one fault at a time through the
-    /// original graph-walking driver, single-threaded.
-    fn run_graph(self) -> Result<SeqCampaign, EngineError> {
-        let total_t = Instant::now();
-        let faults = self.machine.checkable_faults();
-        let observer = self.plain_observer();
-        let obs = observer.enabled();
-        if obs {
-            observer.on_event(&CampaignEvent::CampaignStart {
-                campaign: "seq_scalar",
-                faults: faults.len(),
-                inputs: self.machine.circuit.inputs().len(),
-                outputs: self.machine.circuit.outputs().len(),
-                threads: 1,
-            });
-        }
+/// The [`SeqBackend::Graph`] oracle's kernel: one fault per unit through the
+/// original graph-walking [`AltSeqDriver`], classified by `classify_trace`
+/// against the fault-free trace.
+struct GraphKernel<'a> {
+    machine: &'a ScalMachine,
+    words: &'a [Vec<bool>],
+    /// Both periods' outputs of every driven word, fault-free.
+    golden: Vec<(Vec<bool>, Vec<bool>)>,
+}
 
-        // Golden trace.
+impl Kernel for GraphKernel<'_> {
+    type Verdict = SeqOutcome;
+    type Worker = ();
+
+    fn unit_len(&self) -> usize {
+        1
+    }
+
+    /// Replays the fault-free machine over the whole drive: two clocked
+    /// periods per driven word.
+    fn golden(&mut self) -> Result<(u64, ()), EngineError> {
+        let mut drv = AltSeqDriver::new(self.machine);
+        self.golden = self.words.iter().map(|w| drv.apply(w)).collect();
+        Ok((2 * self.words.len() as u64, ()))
+    }
+
+    fn worker(&self) {}
+
+    fn run(
+        &self,
+        (): &mut (),
+        unit: Unit<'_>,
+        _record: bool,
+        _cancel: Option<&CancelToken>,
+    ) -> Option<UnitResult<SeqOutcome>> {
         let t = Instant::now();
-        phase_event(observer, Phase::Golden, None);
-        let golden: Vec<(Vec<bool>, Vec<bool>)> = {
-            let mut drv = AltSeqDriver::new(self.machine);
-            self.words.iter().map(|w| drv.apply(w)).collect()
-        };
-        phase_event(observer, Phase::Golden, Some(t));
-
-        // Fault simulation, cancellable at fault boundaries.
-        let t = Instant::now();
-        phase_event(observer, Phase::FaultSim, None);
-        let mut outcomes_sim: Vec<SeqOutcome> = Vec::with_capacity(faults.len());
-        for fault in &faults {
-            if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
-            let mut drv = AltSeqDriver::new(self.machine);
-            drv.attach(fault.to_override());
-            outcomes_sim.push(classify_trace(
-                self.machine,
-                &golden,
-                |w| drv.apply(w),
-                self.words,
-            ));
-            if obs {
-                observer.on_event(&CampaignEvent::Progress {
-                    done: outcomes_sim.len(),
-                    total: faults.len(),
-                });
-            }
-        }
-        phase_event(observer, Phase::FaultSim, Some(t));
-
-        // Merge: the fault-ordered prefix with event replay.
-        let merge_t = Instant::now();
-        phase_event(observer, Phase::Merge, None);
-        let completed = outcomes_sim.len();
-        let summaries: Vec<FaultSummary> = outcomes_sim
-            .iter()
-            .map(|o| summary(o, self.words.len()))
-            .collect();
-        let pairs_total = summaries.iter().map(|s| s.pairs).sum::<u64>();
-        if obs {
-            for (i, s) in summaries.iter().enumerate() {
-                observer.on_event(&CampaignEvent::FaultStart {
-                    fault: i,
-                    worker: 0,
-                });
-                observer.on_event(&CampaignEvent::FaultFinish {
-                    fault: i,
-                    worker: 0,
-                    detected: s.detected,
-                    violations: s.violations,
-                    observable: s.observable,
-                    dropped: false,
-                    first_detected: s.first_detected,
-                    pairs: s.pairs,
-                });
-            }
-        }
-        let table = VerdictTable::uncollapsed("seq_scalar", faults.len(), summaries);
-        let cancelled = table.cancelled();
-        self.push_coverage(&table, &faults);
-        let outcomes = faults.into_iter().zip(outcomes_sim).collect();
-        phase_event(observer, Phase::Merge, Some(merge_t));
-        if obs {
-            if cancelled {
-                observer.on_event(&CampaignEvent::Cancelled { completed });
-            }
-            observer.on_event(&CampaignEvent::CampaignEnd {
-                faults: completed,
-                dropped: 0,
-                pairs: pairs_total,
-                // Each driven pair is two clocked evaluation steps; the
-                // golden trace consumed the full sequence once.
-                words: (pairs_total + self.words.len() as u64) * 2,
-                micros: duration_micros(total_t.elapsed()),
-                cancelled,
-            });
-        }
-        Ok(SeqCampaign {
-            outcomes,
-            cancelled,
-            collapse: None,
+        let mut drv = AltSeqDriver::new(self.machine);
+        drv.attach(unit.faults[0]);
+        let outcome = classify_trace(self.machine, &self.golden, |w| drv.apply(w), self.words);
+        let summary = summary(&outcome, self.words.len());
+        Some(UnitResult {
+            // Each driven word the classification consumed is two clocked
+            // periods.
+            words: 2 * summary.pairs,
+            eval_time: t.elapsed(),
+            verdicts: vec![outcome],
+            summaries: vec![summary],
+            unit_events: Vec::new(),
+            fault_events: Vec::new(),
         })
     }
 }

@@ -9,9 +9,9 @@
 
 use proptest::prelude::*;
 use scal::core::{dualize_synthesized, paper};
-use scal::engine::{CompiledCircuit, CompiledSim, EvalMode};
+use scal::engine::{CompiledCircuit, EvalMode, WidePackedSeqSim};
 use scal::faults::{enumerate_faults, Campaign};
-use scal::netlist::{Circuit, Sim};
+use scal::netlist::{Circuit, Override, Sim};
 
 fn all_paper_circuits() -> Vec<(&'static str, Circuit)> {
     vec![
@@ -184,16 +184,58 @@ fn observed_campaign_is_bit_identical_to_unobserved() {
     }
 }
 
-/// Sequential (and non-alternating) paper circuits: the compiled simulator
-/// must track the graph simulator step-for-step under every collapsed fault.
+/// Steps `faults` through packed sequential batches of up to `63 × 4`
+/// lanes and holds every lane against a graph simulator: lane 0 of every
+/// sub-word against the fault-free machine, fault `i`'s lane against a
+/// [`Sim`] carrying fault `i`. Returns the first mismatch, if any.
+fn packed_lane_mismatch(c: &Circuit, faults: &[Override], drive: &[Vec<bool>]) -> Option<String> {
+    let compiled = CompiledCircuit::compile(c);
+    for batch in faults.chunks(WidePackedSeqSim::<4>::FAULT_LANES) {
+        let refs: Vec<&[Override]> = batch.iter().map(std::slice::from_ref).collect();
+        let mut packed = WidePackedSeqSim::<4>::new(&compiled, &refs);
+        let mut golden = Sim::new(c);
+        let mut sims: Vec<Sim<'_>> = batch
+            .iter()
+            .map(|&ov| {
+                let mut sim = Sim::new(c);
+                sim.attach(ov);
+                sim
+            })
+            .collect();
+        for (step, ins) in drive.iter().enumerate() {
+            packed.step(ins);
+            let lane =
+                |s: usize, bit: usize, k: usize| (packed.output_wide(k).sub(s) >> bit) & 1 == 1;
+            let gold = golden.step(ins);
+            for (k, &v) in gold.iter().enumerate() {
+                if let Some(s) = (0..4).find(|&s| lane(s, 0, k) != v) {
+                    return Some(format!(
+                        "golden lane of sub-word {s}, output {k}, step {step}"
+                    ));
+                }
+            }
+            for (i, sim) in sims.iter_mut().enumerate() {
+                let want = sim.step(ins);
+                if let Some(k) = (0..want.len()).find(|&k| lane(i / 63, 1 + i % 63, k) != want[k]) {
+                    return Some(format!("fault {:?}, output {k}, step {step}", batch[i]));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Sequential (and non-alternating) paper circuits: every collapsed fault's
+/// lane of the packed sequential simulator must track the graph simulator
+/// carrying that fault step for step, and the golden lanes the fault-free
+/// machine.
 #[test]
-fn compiled_sim_matches_graph_sim_on_paper_circuits() {
+fn packed_seq_sim_matches_graph_sim_on_paper_circuits() {
     for (name, c) in all_paper_circuits() {
         let n = c.inputs().len();
         if n > 12 {
             continue;
         }
-        let compiled = CompiledCircuit::compile(&c);
         let drive: Vec<Vec<bool>> = (0..16u32)
             .map(|step| {
                 (0..n)
@@ -201,18 +243,12 @@ fn compiled_sim_matches_graph_sim_on_paper_circuits() {
                     .collect()
             })
             .collect();
-        for fault in enumerate_faults(&c) {
-            let mut fast = CompiledSim::new(&compiled);
-            fast.attach(&[fault.to_override()]);
-            let mut slow = Sim::new(&c);
-            slow.attach(fault.to_override());
-            for (step, ins) in drive.iter().enumerate() {
-                assert_eq!(
-                    fast.step(ins),
-                    slow.step(ins),
-                    "{name}: fault {fault:?} step {step}"
-                );
-            }
+        let faults: Vec<Override> = enumerate_faults(&c)
+            .iter()
+            .map(|f| f.to_override())
+            .collect();
+        if let Some(mismatch) = packed_lane_mismatch(&c, &faults, &drive) {
+            panic!("{name}: {mismatch}");
         }
     }
 }
@@ -673,10 +709,11 @@ proptest! {
         }
     }
 
-    /// Random sequential circuits (no alternation requirement): compiled and
-    /// graph simulators agree fault-free and under a stem fault.
+    /// Random sequential circuits (no alternation requirement): the packed
+    /// sequential simulator's golden lanes and every collapsed fault's lane,
+    /// plus a stem fault on the last gate, agree with the graph simulator.
     #[test]
-    fn compiled_sim_matches_graph_sim_on_random_sequential(
+    fn packed_seq_sim_matches_graph_sim_on_random_sequential(
         n_inputs in 1usize..3,
         n_dffs in 1usize..3,
         recipe in proptest::collection::vec((0u8..6, 0u8..8, 0u8..8), 1..6),
@@ -709,21 +746,12 @@ proptest! {
         c.mark_output("f", last);
         prop_assume!(c.validate().is_ok());
 
-        let compiled = CompiledCircuit::compile(&c);
-        for overrides in [vec![], vec![scal::netlist::Override {
+        let mut faults: Vec<Override> = enumerate_faults(&c).iter().map(|f| f.to_override()).collect();
+        faults.push(Override {
             site: scal::netlist::Site::Stem(last),
             value: true,
-        }]] {
-            let mut fast = CompiledSim::new(&compiled);
-            fast.attach(&overrides);
-            let mut slow = Sim::new(&c);
-            for ov in &overrides {
-                slow.attach(*ov);
-            }
-            for ins in &drive {
-                let w = &ins[..n_inputs];
-                prop_assert_eq!(fast.step(w), slow.step(w));
-            }
-        }
+        });
+        let drive: Vec<Vec<bool>> = drive.iter().map(|ins| ins[..n_inputs].to_vec()).collect();
+        prop_assert_eq!(packed_lane_mismatch(&c, &faults, &drive), None);
     }
 }

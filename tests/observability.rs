@@ -1,12 +1,14 @@
 //! Observability-layer integration: the event stream is deterministic and
-//! golden-file-stable, cancellation yields a fault-ordered prefix that is
-//! bit-identical to the uncancelled run, and the `Campaign` builder's
-//! backends and eval modes all agree.
+//! golden-file-stable, every campaign kind keeps one event contract,
+//! cancellation yields a fault-ordered prefix that is bit-identical to the
+//! uncancelled run, and the `Campaign` builder's backends and eval modes
+//! all agree.
 
 use scal::core::paper;
+use scal::engine::EngineError;
 use scal::faults::{enumerate_faults, Campaign};
 use scal::obs::json::validate_jsonl;
-use scal::obs::{CampaignEvent, CampaignObserver, CancelToken, JsonlTrace};
+use scal::obs::{CampaignEvent, CampaignObserver, CancelToken, CollectObserver, JsonlTrace};
 
 /// Zeroes the value of a `"micros":<n>` field so wall-clock noise does not
 /// break golden comparisons.
@@ -155,4 +157,131 @@ fn builder_backends_and_eval_modes_agree() {
         .run()
         .expect("scalar builder campaign");
     assert_eq!(cone.results, scalar.results, "engine vs scalar oracle");
+}
+
+/// Runs one campaign of kind `kind` with `observer` and `cancel` attached.
+fn run_kind(
+    kind: &str,
+    observer: &dyn CampaignObserver,
+    cancel: &CancelToken,
+) -> Result<(), EngineError> {
+    use scal::seq::{code_conversion_machine, kohavi::kohavi_0101, SeqBackend};
+    use scal::system::{campaign::Campaign as CpuCampaign, CpuUnit};
+    let pair = paper::fig3_4().circuit;
+    let machine = code_conversion_machine(&kohavi_0101());
+    let words: Vec<Vec<bool>> = [0, 1, 0, 1, 1, 0].iter().map(|&b| vec![b == 1]).collect();
+    let seq = |backend| {
+        scal::seq::Campaign::new(&machine, &words)
+            .backend(backend)
+            .observer(observer)
+            .cancel(cancel)
+            .run()
+            .map(drop)
+    };
+    match kind {
+        "pair" => Campaign::new(&pair)
+            .observer(observer)
+            .cancel(cancel)
+            .run()
+            .map(drop),
+        "pair_scalar" => Campaign::new(&pair)
+            .scalar()
+            .observer(observer)
+            .cancel(cancel)
+            .run()
+            .map(drop),
+        "seq" => seq(SeqBackend::Packed),
+        "seq_scalar" => seq(SeqBackend::Graph),
+        "cpu_logic" => CpuCampaign::new(CpuUnit::Logic)
+            .observer(observer)
+            .cancel(cancel)
+            .run()
+            .map(drop),
+        other => panic!("unknown campaign kind {other}"),
+    }
+}
+
+/// Every campaign kind — the engine and scalar pair campaigns, the packed
+/// and graph sequential campaigns and the CPU datapath campaign — runs
+/// under one driver and keeps one event contract: the compile, golden,
+/// fault_sim and merge phases each open and close once, in that order;
+/// `fault_finish` indices run `0..n` and `campaign_end` counts `n`; and a
+/// run cancelled before it starts ends with `cancelled { completed: 0 }`
+/// and then `campaign_end`.
+#[test]
+fn every_campaign_kind_keeps_one_event_contract() {
+    for kind in ["pair", "pair_scalar", "seq", "seq_scalar", "cpu_logic"] {
+        let collect = CollectObserver::default();
+        run_kind(kind, &collect, &CancelToken::new()).expect(kind);
+        let events = collect.events();
+        let phases: Vec<String> = events
+            .iter()
+            .filter_map(|e| match e {
+                CampaignEvent::PhaseStart { phase } => Some(format!("+{}", phase.name())),
+                CampaignEvent::PhaseEnd { phase, .. } => Some(format!("-{}", phase.name())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                "+compile",
+                "-compile",
+                "+golden",
+                "-golden",
+                "+fault_sim",
+                "-fault_sim",
+                "+merge",
+                "-merge"
+            ],
+            "{kind}"
+        );
+        let finished: Vec<usize> = events
+            .iter()
+            .filter_map(|e| match e {
+                CampaignEvent::FaultFinish { fault, .. } => Some(*fault),
+                _ => None,
+            })
+            .collect();
+        assert!(!finished.is_empty(), "{kind}: no fault finished");
+        assert_eq!(finished, (0..finished.len()).collect::<Vec<_>>(), "{kind}");
+        assert!(
+            matches!(
+                events.last(),
+                Some(CampaignEvent::CampaignEnd { faults, cancelled: false, .. })
+                    if *faults == finished.len()
+            ),
+            "{kind}: {:?}",
+            events.last()
+        );
+
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let collect = CollectObserver::default();
+        run_kind(kind, &collect, &cancel).expect(kind);
+        let events = collect.events();
+        assert!(
+            matches!(
+                events.as_slice(),
+                [
+                    CampaignEvent::CampaignStart { .. },
+                    ..,
+                    CampaignEvent::Cancelled { completed: 0 },
+                    CampaignEvent::CampaignEnd {
+                        faults: 0,
+                        cancelled: true,
+                        ..
+                    }
+                ]
+            ),
+            "{kind}: {:?}",
+            &events[events.len().saturating_sub(2)..]
+        );
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, CampaignEvent::FaultFinish { .. })),
+            "{kind}: a pre-cancelled run finished a fault"
+        );
+    }
 }
