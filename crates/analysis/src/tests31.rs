@@ -139,8 +139,7 @@ mod tests {
             // Every derived pair must be a detecting pair and vice versa.
             let derived: std::collections::BTreeSet<u32> =
                 t.pairs.iter().map(|&(lo, _)| lo).collect();
-            let simulated: std::collections::BTreeSet<u32> =
-                r.detected_pairs.iter().copied().collect();
+            let simulated: std::collections::BTreeSet<u32> = r.detected_pairs.iter().collect();
             assert_eq!(derived, simulated, "stuck={}", t.stuck);
         }
     }

@@ -164,7 +164,7 @@ pub fn verify_with(circuit: &Circuit, faults: &[Fault]) -> Result<ScalVerdict, V
         if !r.violation_pairs.is_empty() {
             violations.push(Violation {
                 fault: r.fault,
-                pairs: r.violation_pairs.clone(),
+                pairs: r.violation_pairs.iter().collect(),
             });
         }
         if r.detected_pairs.is_empty() {

@@ -43,6 +43,7 @@ use crate::driver::{
 };
 use crate::error::EngineError;
 use crate::eval::WideEvaluator;
+use crate::pairs::PairSet;
 use crate::word::{resolve_word_width, Word};
 use scal_netlist::{Circuit, Override, Site};
 use scal_obs::{CampaignEvent, CampaignObserver, CancelToken};
@@ -186,11 +187,11 @@ pub struct EngineConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairReport {
     /// Canonical first-period minterms `X` (with `X < X̄` numerically) at
-    /// which the fault produced a detectable non-code word, ascending.
-    pub detected_pairs: Vec<u32>,
+    /// which the fault produced a detectable non-code word.
+    pub detected_pairs: PairSet,
     /// Canonical minterms at which the fault produced an undetected wrong
-    /// code word, ascending.
-    pub violation_pairs: Vec<u32>,
+    /// code word.
+    pub violation_pairs: PairSet,
     /// `true` iff the fault changed some output at some simulated pair.
     pub observable: bool,
     /// `true` iff fault dropping cut this fault's sweep short.
@@ -310,9 +311,8 @@ pub struct PairCampaign {
 struct Sweep<const W: usize> {
     n_inputs: usize,
     n_outputs: usize,
-    /// Batch base minterms, ascending (scalar, one per batch).
-    bases: Vec<u32>,
-    /// Valid-lane masks per batch (scalar, one per batch).
+    /// Valid-lane masks per batch (scalar, one per batch); batch `b` is
+    /// minterms `64b..64b+63`.
     masks: Vec<u64>,
     /// Period-1 input words, `[group][input]` flattened; batch `b` occupies
     /// sub-word `b % W` of group `b / W`.
@@ -356,7 +356,6 @@ impl<const W: usize> Sweep<W> {
         let mut sweep = Sweep {
             n_inputs: n,
             n_outputs: n_out,
-            bases: Vec::with_capacity(batches),
             masks: Vec::with_capacity(batches),
             words1: vec![Word::ZERO; groups * n],
             words2: vec![Word::ZERO; groups * n],
@@ -371,8 +370,7 @@ impl<const W: usize> Sweep<W> {
         let mut base = 0u32;
         while base < total_pairs {
             let lanes = (total_pairs - base).min(64);
-            let b = sweep.bases.len();
-            sweep.bases.push(base);
+            let b = sweep.masks.len();
             sweep.masks.push(lane_mask(lanes));
             let (g, s) = (b / W, b % W);
             for i in 0..n {
@@ -427,7 +425,7 @@ impl<const W: usize> Sweep<W> {
                     if stuck != 0 {
                         return Err(EngineError::NotAlternating {
                             output: k,
-                            pair: sweep.bases[b] + stuck.trailing_zeros(),
+                            pair: b as u32 * 64 + stuck.trailing_zeros(),
                         });
                     }
                 }
@@ -437,12 +435,12 @@ impl<const W: usize> Sweep<W> {
     }
 
     fn groups(&self) -> usize {
-        self.bases.len().div_ceil(W)
+        self.masks.len().div_ceil(W)
     }
 
     /// Real (non-padding) batches in group `g`.
     fn group_real(&self, g: usize) -> usize {
-        (self.bases.len() - g * W).min(W)
+        (self.masks.len() - g * W).min(W)
     }
 
     fn group_words1(&self, g: usize) -> &[Word<W>] {
@@ -493,16 +491,17 @@ fn lane_mask(lanes: u32) -> u64 {
 }
 
 /// Everything one worker thread owns across faults: the evaluator, wide
-/// output buffers, the fault's detected / violation minterm lists (each
-/// copied out once, at its exact length, into the report) and, in cone
-/// mode only, the cone scratch. A fault's sweep therefore allocates only
-/// its [`UnitResult`] (and its events, when recording).
+/// output buffers, the fault's detected / violation masks (one per swept
+/// 64-pair batch, trimmed into the report's [`PairSet`]s once the sweep
+/// ends) and, in cone mode only, the cone scratch. A fault's sweep
+/// therefore allocates only its [`UnitResult`] (and its events, when
+/// recording).
 struct WorkerState<const W: usize> {
     ev: WideEvaluator<W>,
     out1: Vec<Word<W>>,
     out2: Vec<Word<W>>,
-    detected: Vec<u32>,
-    violations: Vec<u32>,
+    detected: Vec<u64>,
+    violations: Vec<u64>,
     cone: Option<ConeScratch>,
 }
 
@@ -552,9 +551,14 @@ impl ConeScratch {
 
 /// Tracks the minimum schedule level at which a cone frontier died across a
 /// fault's batches (for the `ConeStats` event).
-fn note_death(died_min: &mut Option<u32>, cone: &FaultCone, evaluated: u32) {
-    if (evaluated as usize) < cone.ops.len() {
-        let lvl = cone.levels[evaluated as usize];
+fn note_death(
+    died_min: &mut Option<u32>,
+    compiled: &CompiledCircuit,
+    cone: &FaultCone,
+    evaluated: u32,
+) {
+    if let Some(&op) = cone.ops.get(evaluated as usize) {
+        let lvl = compiled.op_levels[op as usize];
         *died_min = Some(died_min.map_or(lvl, |d| d.min(lvl)));
     }
 }
@@ -595,7 +599,7 @@ fn sim_fault<const W: usize>(
     let mut ops_evaluated = 0u64;
     let mut died_min: Option<u32> = None;
     ev.install(compiled, std::slice::from_ref(&fault));
-    let batches = sweep.bases.len();
+    let batches = sweep.masks.len();
     'groups: for g in 0..sweep.groups() {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             ev.uninstall();
@@ -624,8 +628,8 @@ fn sim_fault<const W: usize>(
             let cached = sweep.group_slots(g, 1);
             let e2 = ev.eval_cone_w(compiled, fc, |s| cached[s], wide_mask, expire);
             ops_evaluated += u64::from(e1) + u64::from(e2);
-            note_death(&mut died_min, fc, e1);
-            note_death(&mut died_min, fc, e2);
+            note_death(&mut died_min, compiled, fc, e1);
+            note_death(&mut died_min, compiled, fc, e2);
             for &(k, ord) in &fc.outputs {
                 let k = k as usize;
                 out2[k] = if ord == CONE_SEED || ord < e2 {
@@ -672,17 +676,9 @@ fn sim_fault<const W: usize>(
             if diff & mask != 0 {
                 observable = true;
             }
-            let base = sweep.bases[b];
-            let mut bits = det;
-            while bits != 0 {
-                detected.push(base + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-            bits = viol;
-            while bits != 0 {
-                violations.push(base + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
+            // Batch `b` is minterms `64b..64b+63`: its masks are its pairs.
+            detected.push(det);
+            violations.push(viol);
             if record {
                 events.push(CampaignEvent::BatchDone {
                     fault: index,
@@ -704,15 +700,17 @@ fn sim_fault<const W: usize>(
     // sub-batches out of `words`.
     let ops_skipped =
         cone_ops.map(|_| (compiled.num_ops() as u64 * words).saturating_sub(ops_evaluated));
+    let detected_pairs = PairSet::from_batch_masks(detected);
+    let violation_pairs = PairSet::from_batch_masks(violations);
     let summary = FaultSummary {
-        detected: detected.len(),
-        violations: violations.len(),
+        detected: detected_pairs.len(),
+        violations: violation_pairs.len(),
         observable,
         dropped_at,
         pairs,
         // Batches sweep ascending minterms, so the smallest detected
         // minterm is the first detecting pair in sweep order.
-        first_detected: detected.first().copied(),
+        first_detected: detected_pairs.first(),
         cone_ops,
         ops_skipped,
         frontier_died_at_level: died_min,
@@ -739,8 +737,8 @@ fn sim_fault<const W: usize>(
     }
     Some(UnitResult {
         verdicts: vec![PairReport {
-            detected_pairs: detected.to_vec(),
-            violation_pairs: violations.to_vec(),
+            detected_pairs,
+            violation_pairs,
             observable,
             dropped: dropped_at.is_some(),
         }],
@@ -789,8 +787,8 @@ fn sim_fault_chunk<const W: usize>(
     }
     // Fault `i` lives on bit `i + 1`; bit 0 is the golden lane.
     let all_lanes: u64 = (u64::MAX >> (63 - nf)) & !1;
-    let mut detected: Vec<Vec<u32>> = vec![Vec::new(); nf];
-    let mut violations: Vec<Vec<u32>> = vec![Vec::new(); nf];
+    let mut detected = vec![PairSet::default(); nf];
+    let mut violations = vec![PairSet::default(); nf];
     let mut observable = vec![false; nf];
     // First pattern index *not* counted for fault `i` under dropping: the
     // end of its first detecting 64-pair batch. `u32::MAX` = never detected.
@@ -855,7 +853,7 @@ fn sim_fault_chunk<const W: usize>(
             let mut bits = det;
             while bits != 0 {
                 let f = bits.trailing_zeros() as usize - 1;
-                detected[f].push(p);
+                detected[f].insert(p);
                 if limit[f] == u32::MAX {
                     limit[f] = (p / 64 + 1) * 64;
                 }
@@ -863,7 +861,7 @@ fn sim_fault_chunk<const W: usize>(
             }
             bits = viol;
             while bits != 0 {
-                violations[bits.trailing_zeros() as usize - 1].push(p);
+                violations[bits.trailing_zeros() as usize - 1].insert(p);
                 bits &= bits - 1;
             }
             bits = diff;
@@ -897,7 +895,7 @@ fn sim_fault_chunk<const W: usize>(
             observable: obs_f,
             dropped_at: fault_dropped.then(|| (limit[f] / 64 - 1) as usize),
             pairs: fault_pairs,
-            first_detected: det_pairs.first().copied(),
+            first_detected: det_pairs.first(),
             ..FaultSummary::default()
         });
         reports.push(PairReport {
@@ -1205,7 +1203,7 @@ mod tests {
         assert_eq!(stats.faults_dropped, 0);
         for r in &reports {
             // A stuck line in a pure XOR cone kills alternation at every pair.
-            assert_eq!(r.detected_pairs, vec![0, 1, 2, 3]);
+            assert_eq!(r.detected_pairs.iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
             assert!(r.violation_pairs.is_empty());
             assert!(r.observable);
             assert!(!r.dropped);
@@ -1271,6 +1269,41 @@ mod tests {
         assert!(dropped.0[0].dropped);
         assert_eq!(dropped.1.faults_dropped, 1);
         assert!(dropped.1.pairs_evaluated < exact.1.pairs_evaluated);
+    }
+
+    /// A drop-mode report holds exactly the exact run's pairs up to the end
+    /// of its drop batch (the batch of its first detection), on both lane
+    /// geometries and at every width.
+    #[test]
+    fn drop_mode_reports_hold_the_pairs_up_to_their_drop_batch() {
+        let c = scal_netlist::synth::random_selfdual(9, 40, 11);
+        let faults = all_faults(&c);
+        let exact = run_pair_campaign(&c, &faults, &EngineConfig::default()).0;
+        let upto =
+            |set: &PairSet, end: u32| -> PairSet { set.iter().filter(|&m| m < end).collect() };
+        let mut dropped_late = 0;
+        for fault_packing in [Toggle::Off, Toggle::On] {
+            for word_width in [1, 8] {
+                let cfg = EngineConfig {
+                    drop_after_detection: true,
+                    fault_packing,
+                    word_width,
+                    ..EngineConfig::default()
+                };
+                let dropped = run_pair_campaign(&c, &faults, &cfg).0;
+                for (d, e) in dropped.iter().zip(&exact) {
+                    if !d.dropped {
+                        assert_eq!(d, e);
+                        continue;
+                    }
+                    let end = (e.detected_pairs.first().unwrap() / 64 + 1) * 64;
+                    dropped_late += usize::from(end > 64);
+                    assert_eq!(d.detected_pairs, upto(&e.detected_pairs, end));
+                    assert_eq!(d.violation_pairs, upto(&e.violation_pairs, end));
+                }
+            }
+        }
+        assert!(dropped_late > 0, "some fault must drop after batch 0");
     }
 
     #[test]

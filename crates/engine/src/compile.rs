@@ -63,7 +63,8 @@ pub struct CompiledCircuit {
     pub(crate) zero_slot: u32,
     /// Slot holding the all-ones word.
     pub(crate) one_slot: u32,
-    /// Gate ops in topological order.
+    /// Gate ops in level order: ascending level, topological order within
+    /// a level (so also a topological order).
     pub(crate) ops: Vec<Op>,
     /// Flat fanin slot array referenced by [`Op::fan_start`]/[`Op::fan_len`].
     pub(crate) fanins: Vec<u32>,
@@ -83,7 +84,7 @@ pub struct CompiledCircuit {
     pub(crate) op_of_node: Vec<u32>,
     /// Gates per schedule level (level 0 = gates fed only by sources).
     pub(crate) level_gates: Vec<usize>,
-    /// Schedule level of each op (parallel to `ops`).
+    /// Schedule level of each op (parallel to `ops`, non-decreasing).
     pub(crate) op_levels: Vec<u32>,
     /// Fanout CSR row starts: ops reading slot `s` are
     /// `fanout_ops[fanout_start[s]..fanout_start[s + 1]]`.
@@ -130,42 +131,65 @@ impl CompiledCircuit {
         let zero_slot = u32::try_from(n).map_err(|_| EngineError::TooLarge { count: n })?;
         let one_slot = zero_slot + 1;
 
-        // Levelize: topologically order the gates into the flat op schedule
-        // and record each gate's level (longest gate-only path from a
-        // source) for the per-level evaluation counters.
+        // Levelize: record each gate's level (longest gate-only path from a
+        // source) in topological order, then lay the ops out level by level
+        // — a stable counting sort of the topological order by level, so op
+        // index order is `(level, topological index)` order. Every fanin of
+        // a gate sits at a lower level, so this is a topological order too,
+        // and a cone is level-ordered by sorting its op indices alone.
         let t = Instant::now();
-        let mut ops = Vec::new();
-        let mut fanins = Vec::new();
-        let mut op_of_node = vec![NO_OP; n];
-        let mut node_level = vec![0usize; n];
+        let mut node_level = vec![0u32; n];
         let mut level_gates = Vec::new();
-        let mut op_levels = Vec::new();
+        let mut gates = Vec::new();
+        let mut fanin_count = 0usize;
         for id in circuit.topo_order() {
             if let NodeView::Gate(kind) = circuit.view(id) {
-                let fan_start = u32::try_from(fanins.len()).map_err(|_| EngineError::TooLarge {
-                    count: fanins.len(),
-                })?;
                 let mut level = 0;
                 for f in circuit.fanins(id) {
-                    fanins.push(f.index() as u32);
                     if matches!(circuit.view(*f), NodeView::Gate(_)) {
                         level = level.max(node_level[f.index()] + 1);
                     }
                 }
                 node_level[id.index()] = level;
-                if level_gates.len() <= level {
-                    level_gates.resize(level + 1, 0);
+                if level_gates.len() <= level as usize {
+                    level_gates.resize(level as usize + 1, 0);
                 }
-                level_gates[level] += 1;
-                op_levels.push(level as u32);
-                op_of_node[id.index()] = ops.len() as u32;
-                ops.push(Op {
-                    kind,
-                    out: id.index() as u32,
-                    fan_start,
-                    fan_len: circuit.fanins(id).len() as u32,
-                });
+                level_gates[level as usize] += 1;
+                fanin_count += circuit.fanins(id).len();
+                gates.push((id, kind));
             }
+        }
+        u32::try_from(fanin_count).map_err(|_| EngineError::TooLarge { count: fanin_count })?;
+        let mut next_at_level: Vec<usize> = level_gates
+            .iter()
+            .scan(0, |start, &count| {
+                let here = *start;
+                *start += count;
+                Some(here)
+            })
+            .collect();
+        let mut order = vec![0u32; gates.len()];
+        for (topo, &(id, _)) in gates.iter().enumerate() {
+            let slot = &mut next_at_level[node_level[id.index()] as usize];
+            order[*slot] = topo as u32;
+            *slot += 1;
+        }
+        let mut ops = Vec::with_capacity(gates.len());
+        let mut fanins = Vec::with_capacity(fanin_count);
+        let mut op_of_node = vec![NO_OP; n];
+        let mut op_levels = Vec::with_capacity(gates.len());
+        for &topo in &order {
+            let (id, kind) = gates[topo as usize];
+            let fan = circuit.fanins(id);
+            op_of_node[id.index()] = ops.len() as u32;
+            op_levels.push(node_level[id.index()]);
+            ops.push(Op {
+                kind,
+                out: id.index() as u32,
+                fan_start: fanins.len() as u32,
+                fan_len: fan.len() as u32,
+            });
+            fanins.extend(fan.iter().map(|f| f.index() as u32));
         }
         // Fanout CSR over the *original* fanins: for every slot, which ops
         // read it. This is what cone extraction walks, so it stays put when
@@ -333,10 +357,9 @@ impl CompiledCircuit {
 /// All ordinals index into [`FaultCone::ops`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct FaultCone {
-    /// Op indices in the cone, sorted by (schedule level, op index).
+    /// Op indices in the cone, ascending — level order, since the schedule
+    /// is level-ordered.
     pub(crate) ops: Vec<u32>,
-    /// Schedule level of each cone op (parallel to `ops`).
-    pub(crate) levels: Vec<u32>,
     /// Last cone ordinal reading each cone op's output (original fanins),
     /// or [`CONE_NONE`] — the liveness horizon for the frontier-death exit.
     pub(crate) op_last_read: Vec<u32>,
@@ -495,12 +518,10 @@ impl ConeBuilder {
             }
         }
 
-        // Level-ordered cone schedule plus the ordinal tables the evaluator
-        // and the extraction readability rule need.
-        cone.ops
-            .sort_unstable_by_key(|&i| (compiled.op_levels[i as usize], i));
-        cone.levels
-            .extend(cone.ops.iter().map(|&i| compiled.op_levels[i as usize]));
+        // Level-ordered cone schedule (the schedule itself is level-ordered)
+        // plus the ordinal tables the evaluator and the extraction
+        // readability rule need.
+        cone.ops.sort_unstable();
         for (j, &i) in cone.ops.iter().enumerate() {
             ordinal_of_slot[compiled.ops[i as usize].out as usize] = j as u32;
         }
@@ -572,7 +593,6 @@ impl FaultCone {
     /// Empties every list, keeping the buffers.
     fn clear(&mut self) {
         self.ops.clear();
-        self.levels.clear();
         self.op_last_read.clear();
         self.roots.clear();
         self.seeds.clear();
@@ -847,7 +867,6 @@ mod tests {
             let reused = scratch.build(cc, ovs).clone();
             let fresh = fresh_cone(cc, ovs);
             assert_eq!(reused.ops, fresh.ops, "ops at step {step} {ovs:?}");
-            assert_eq!(reused.levels, fresh.levels, "levels at step {step}");
             assert_eq!(
                 reused.op_last_read, fresh.op_last_read,
                 "op_last_read at step {step}"
@@ -879,7 +898,7 @@ mod tests {
         // Stem on `a`: both gates, seeded from a; `b` is the only support.
         let cone = fresh_cone(&cc, &[stem(a)]);
         assert_eq!(cone.ops, vec![op_g, op_h]);
-        assert_eq!(cone.levels, vec![0, 1]);
+        assert_eq!(cc.op_levels, vec![0, 1]);
         assert_eq!(cone.op_last_read, vec![1, CONE_NONE]);
         assert!(cone.roots.is_empty());
         assert_eq!(cone.seeds, vec![(sa, 1)]);
@@ -943,6 +962,57 @@ mod tests {
                 .map(|set| set.iter().map(|&i| candidates[i as usize % candidates.len()]).collect())
                 .collect();
             assert_reuse_matches_fresh(&cc, &order);
+        }
+
+        /// The schedule is level-ordered and topological: levels never
+        /// decrease, and every fanin of op `i` is a source or the output of
+        /// an op before `i`.
+        #[test]
+        fn schedule_is_level_ordered_and_topological(
+            seed in any::<u64>(),
+            inputs in 3usize..8,
+            core_gates in 8usize..64,
+        ) {
+            let c = random_selfdual(inputs, core_gates, seed);
+            let cc = CompiledCircuit::compile(&c);
+            prop_assert!(cc.op_levels.windows(2).all(|w| w[0] <= w[1]));
+            let counted: Vec<usize> = cc.level_gates().iter().enumerate().map(|(l, _)| {
+                cc.op_levels.iter().filter(|&&x| x as usize == l).count()
+            }).collect();
+            prop_assert_eq!(counted.as_slice(), cc.level_gates());
+            for (i, op) in cc.ops.iter().enumerate() {
+                prop_assert_eq!(cc.op_of_node[op.out as usize], i as u32);
+                for &f in &cc.fanins[op.fan_start as usize..(op.fan_start + op.fan_len) as usize] {
+                    let producer = cc.op_of_node.get(f as usize).copied().unwrap_or(NO_OP);
+                    prop_assert!(producer == NO_OP || (producer as usize) < i);
+                }
+            }
+        }
+
+        /// A cone's op order — plain ascending op index — is the
+        /// `(level, topological index)` order of its gates.
+        #[test]
+        fn cone_order_is_level_then_topological_order(
+            seed in any::<u64>(),
+            inputs in 3usize..8,
+            core_gates in 8usize..64,
+        ) {
+            let c = random_selfdual(inputs, core_gates, seed);
+            let cc = CompiledCircuit::compile(&c);
+            let mut topo_index = vec![usize::MAX; c.len()];
+            for (i, id) in c.topo_order().into_iter().enumerate() {
+                topo_index[id.index()] = i;
+            }
+            let mut scratch = ConeBuilder::new(&cc);
+            for fault in candidate_faults(&c) {
+                let cone = scratch.build(&cc, &[fault]);
+                let key = |&op: &u32| {
+                    (cc.op_levels[op as usize], topo_index[cc.ops[op as usize].out as usize])
+                };
+                let mut by_key = cone.ops.clone();
+                by_key.sort_by_key(key);
+                prop_assert_eq!(&cone.ops, &by_key);
+            }
         }
     }
 

@@ -248,7 +248,7 @@ impl<const W: usize> WideEvaluator<W> {
     /// `expire` is a caller-owned all-zero scratch of at least
     /// `cone.ops.len()` words, and is returned all-zero.
     ///
-    /// The frontier-death exit: cone ops are sorted by (level, index), so
+    /// The frontier-death exit: cone ops are in schedule (level) order, so
     /// every cone reader of an op sits at a later ordinal. Each dirty value
     /// increments a live counter until its last reading ordinal; when the
     /// counter hits zero every remaining op reads only golden-identical
@@ -508,29 +508,113 @@ fn eval_op<const W: usize>(slots: &[Word<W>], fan: &[u32], kind: GateKind) -> Wo
     }
 }
 
-/// Per-lane majority/minority over `fan` slots, sub-word by sub-word.
+/// Per-lane majority/minority over `fan` slots: a bit-sliced count of the
+/// ones (plane `i` holds bit `i` of every lane's count; 32 planes hold any
+/// `u32` fan-in), compared against `⌊n/2⌋`.
 fn threshold64<const W: usize>(slots: &[Word<W>], fan: &[u32], majority: bool) -> Word<W> {
-    let n = fan.len();
-    Word::from_fn(|s| {
-        let mut out = 0u64;
-        for lane in 0..64 {
-            let ones = fan
-                .iter()
-                .filter(|&&f| (slots[f as usize].sub(s) >> lane) & 1 == 1)
-                .count();
-            let v = if majority { ones * 2 > n } else { ones * 2 < n };
-            if v {
-                out |= 1 << lane;
-            }
+    let n = fan.len() as u32;
+    let planes = (u32::BITS - n.leading_zeros()) as usize;
+    let mut count = [Word::<W>::ZERO; 32];
+    for &f in fan {
+        // Ripple-carry increment by the fanin's lane bits.
+        let mut carry = slots[f as usize];
+        for plane in &mut count[..planes] {
+            let next = *plane & carry;
+            *plane ^= carry;
+            carry = next;
         }
-        out
-    })
+    }
+    // Lanes whose count is above, and equal to, `⌊n/2⌋`, most significant
+    // plane first.
+    let half = n / 2;
+    let (mut above, mut equal) = (Word::ZERO, Word::ones());
+    for (i, &plane) in count[..planes].iter().enumerate().rev() {
+        if half >> i & 1 == 1 {
+            equal &= plane;
+        } else {
+            above |= equal & plane;
+            equal &= !plane;
+        }
+    }
+    if majority {
+        above // 2·ones > n
+    } else if n % 2 == 1 {
+        !above // 2·ones < n, n odd: ones ≤ ⌊n/2⌋
+    } else {
+        !(above | equal) // 2·ones < n, n even: ones < n/2
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use scal_netlist::{Circuit, GateKind};
+
+    /// Majority/minority by definition, lane by lane.
+    fn lanewise_threshold<const W: usize>(
+        slots: &[Word<W>],
+        fan: &[u32],
+        majority: bool,
+    ) -> Word<W> {
+        let n = fan.len();
+        Word::from_fn(|s| {
+            (0..64)
+                .filter(|&lane| {
+                    let ones = fan
+                        .iter()
+                        .filter(|&&f| slots[f as usize].sub(s) >> lane & 1 == 1)
+                        .count();
+                    if majority {
+                        ones * 2 > n
+                    } else {
+                        ones * 2 < n
+                    }
+                })
+                .fold(0u64, |w, lane| w | 1 << lane)
+        })
+    }
+
+    /// Both threshold kinds at width `W` over slots cut from `words`.
+    fn threshold_matches_lanewise<const W: usize>(words: &[u64], fan: &[u32]) {
+        let slots: Vec<Word<W>> = words.chunks(8).map(|c| Word::from_fn(|s| c[s])).collect();
+        for (kind, majority) in [(GateKind::Majority, true), (GateKind::Minority, false)] {
+            assert_eq!(
+                eval_op(&slots, fan, kind),
+                lanewise_threshold(&slots, fan, majority),
+                "{kind:?} W={W} fan {fan:?}"
+            );
+        }
+    }
+
+    proptest! {
+        /// The bit-sliced threshold equals the per-lane definition for every
+        /// fan-in 1..=9 (repeated fanins included) at every word width.
+        #[test]
+        fn bit_sliced_threshold_matches_the_lanewise_definition(
+            words in prop::collection::vec(
+                prop_oneof![any::<u64>(), Just(0u64), Just(u64::MAX)],
+                9 * 8,
+            ),
+            fan in prop::collection::vec(0u32..9, 1..=9),
+        ) {
+            threshold_matches_lanewise::<1>(&words, &fan);
+            threshold_matches_lanewise::<4>(&words, &fan);
+            threshold_matches_lanewise::<8>(&words, &fan);
+        }
+    }
+
+    #[test]
+    fn wide_fan_in_threshold_matches_the_lanewise_definition() {
+        // Fan-ins past the proptest's range use more counter planes.
+        let words: Vec<u64> = (0..9 * 8u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        for n in [15, 16, 17, 40] {
+            let fan: Vec<u32> = (0..n).map(|i| (i * 7 % 9) as u32).collect();
+            threshold_matches_lanewise::<4>(&words, &fan);
+        }
+    }
 
     fn full_adder() -> Circuit {
         let mut c = Circuit::new();

@@ -71,6 +71,7 @@ mod compile;
 mod driver;
 mod error;
 mod eval;
+mod pairs;
 mod pool;
 mod sim;
 mod tables;
@@ -89,6 +90,7 @@ pub use driver::{
 };
 pub use error::EngineError;
 pub use eval::{Evaluator, WideEvaluator};
+pub use pairs::PairSet;
 pub use pool::{effective_threads, par_map, par_map_cancellable};
 pub use sim::{WidePackedBatchPlan, WidePackedSeqSim};
 pub use tables::{all_node_tables, node_table, output_tables};

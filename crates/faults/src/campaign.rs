@@ -6,8 +6,8 @@
 
 use crate::Fault;
 use scal_engine::{
-    drive, duration_micros, EngineError, EngineStats, FaultSummary, Kernel, Setup, Toggle, Unit,
-    UnitResult, VerdictTable,
+    drive, duration_micros, EngineError, EngineStats, FaultSummary, Kernel, PairSet, Setup, Toggle,
+    Unit, UnitResult, VerdictTable,
 };
 use scal_netlist::{Circuit, Override};
 use scal_obs::{CampaignEvent, CampaignObserver, CancelToken};
@@ -110,10 +110,10 @@ pub struct CampaignResult {
     /// First-period inputs `X` (as minterm integers, with `X < X̄`
     /// numerically so each unordered pair appears once) at which the fault
     /// produced a detectable non-code word.
-    pub detected_pairs: Vec<u32>,
+    pub detected_pairs: PairSet,
     /// Pairs at which the fault produced an undetected wrong code word
     /// (fault-secure violations).
-    pub violation_pairs: Vec<u32>,
+    pub violation_pairs: PairSet,
     /// `true` iff the fault changed some output at some point in some pair
     /// (i.e. the fault is observable at all — the revised self-testing
     /// requirement of Definition 2.4(a)).
@@ -290,8 +290,8 @@ impl Kernel for ScalarKernel<'_> {
         Some(UnitResult {
             verdicts: vec![CampaignResult {
                 fault: Fault::new(ov.site, ov.value),
-                detected_pairs: detected,
-                violation_pairs: violations,
+                detected_pairs: detected.into_iter().collect(),
+                violation_pairs: violations.into_iter().collect(),
                 observable,
             }],
             summaries: vec![summary],
@@ -485,7 +485,7 @@ mod tests {
         let c = xor3();
         let res = crate::Campaign::new(&c).run().unwrap().results;
         for r in &res {
-            for &m in r.detected_pairs.iter().chain(&r.violation_pairs) {
+            for m in r.detected_pairs.iter().chain(r.violation_pairs.iter()) {
                 assert!(m <= (!m & 0b111), "pair {m} not canonical");
             }
         }
