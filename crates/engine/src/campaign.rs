@@ -44,7 +44,7 @@ use crate::driver::{
 use crate::error::EngineError;
 use crate::eval::WideEvaluator;
 use crate::pairs::PairSet;
-use crate::word::{resolve_word_width, Word};
+use crate::word::{exhaustive_word, lane_mask, resolve_word_width, Word};
 use scal_netlist::{Circuit, Override, Site};
 use scal_obs::{CampaignEvent, CampaignObserver, CancelToken};
 use std::time::{Duration, Instant};
@@ -350,8 +350,8 @@ impl<const W: usize> Sweep<W> {
     ) -> Result<(Self, u64), EngineError> {
         let n = compiled.num_inputs();
         let n_out = compiled.num_outputs();
-        let total_pairs = 1u32 << (n - 1);
-        let batches = (total_pairs as usize).div_ceil(64);
+        let total_pairs = 1usize << (n - 1);
+        let batches = total_pairs.div_ceil(64);
         let groups = sweep_groups::<W>(n);
         let mut sweep = Sweep {
             n_inputs: n,
@@ -367,23 +367,16 @@ impl<const W: usize> Sweep<W> {
                 0
             }),
         };
-        let mut base = 0u32;
-        while base < total_pairs {
-            let lanes = (total_pairs - base).min(64);
-            let b = sweep.masks.len();
-            sweep.masks.push(lane_mask(lanes));
+        for b in 0..batches {
+            let base = b * 64;
+            let mask = lane_mask((total_pairs - base).min(64));
+            sweep.masks.push(mask);
             let (g, s) = (b / W, b % W);
             for i in 0..n {
-                let mut w = 0u64;
-                for lane in 0..lanes {
-                    if ((base + lane) >> i) & 1 == 1 {
-                        w |= 1 << lane;
-                    }
-                }
+                let w = exhaustive_word(base, i, mask);
                 sweep.words1[g * n + i].set_sub(s, w);
                 sweep.words2[g * n + i].set_sub(s, !w);
             }
-            base += lanes;
         }
         // Golden responses and the alternation sanity check, W batches per
         // sweep. `words` counts real 64-lane sub-word sweeps (2 per batch),
@@ -479,14 +472,6 @@ impl<const W: usize> Sweep<W> {
     fn group_slots(&self, g: usize, period: usize) -> &[Word<W>] {
         let start = (g * 2 + period) * self.num_slots;
         &self.slot_cache[start..start + self.num_slots]
-    }
-}
-
-fn lane_mask(lanes: u32) -> u64 {
-    if lanes >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
     }
 }
 
@@ -1506,6 +1491,35 @@ mod tests {
         assert_eq!(groups, 16_384);
         assert!(slot_cache_fits(groups, 128, 8, GOLDEN_CACHE_BYTES));
         assert!(!slot_cache_fits(groups, 129, 8, GOLDEN_CACHE_BYTES));
+    }
+
+    /// A ≤ 6-input sweep is one partial batch: `words1` carries pair `p` on
+    /// lane `p` of the valid lanes only, and `words2` is `!words1` on every
+    /// lane, padding included.
+    #[test]
+    fn partial_batch_sweep_words_are_masked_and_complemented() {
+        for n in [1usize, 3, 5, 6] {
+            let mut c = Circuit::new();
+            let ins: Vec<_> = (0..n).map(|i| c.input(format!("x{i}"))).collect();
+            // An odd-input XOR (or a NOT) alternates.
+            let odd = if n % 2 == 1 { n } else { n - 1 };
+            let x = if odd == 1 {
+                c.not(ins[0])
+            } else {
+                c.xor(&ins[..odd])
+            };
+            c.mark_output("p", x);
+            let compiled = CompiledCircuit::compile(&c);
+            let mut ev = WideEvaluator::<4>::new(&compiled);
+            let (sweep, _) = Sweep::try_build(&compiled, &mut ev, false).expect("sweep");
+            let lanes = 1usize << (n - 1);
+            assert_eq!(sweep.masks, [(1u64 << lanes) - 1], "{n} inputs");
+            for i in 0..n {
+                let w = (0..lanes).fold(0u64, |w, p| w | (((p >> i) & 1) as u64) << p);
+                assert_eq!(sweep.words1[i].sub(0), w, "{n} inputs, input {i}");
+                assert_eq!(sweep.words2[i].sub(0), !w, "{n} inputs, input {i}");
+            }
+        }
     }
 
     #[test]

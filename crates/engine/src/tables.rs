@@ -3,14 +3,17 @@
 
 use crate::compile::CompiledCircuit;
 use crate::eval::Evaluator;
+use crate::word::{exhaustive_word, lane_mask};
 use scal_logic::Tt;
 use scal_netlist::{NodeId, Override};
 
-/// Runs `body` once per 64-lane batch of the full input space.
+/// Runs `body` once per 64-lane batch of the full input space, with the
+/// batch's index: batch `b` holds minterms `64b..64b + 63`, the word a
+/// [`Tt::set_word`] at index `b` stores.
 fn for_each_batch(
     compiled: &CompiledCircuit,
     ev: &mut Evaluator,
-    mut body: impl FnMut(&Evaluator, usize, usize),
+    mut body: impl FnMut(&Evaluator, usize),
 ) {
     let n = compiled.num_inputs();
     assert!(
@@ -23,28 +26,13 @@ fn for_each_batch(
     );
     let total = 1usize << n;
     let mut words = vec![0u64; n];
-    let mut base = 0usize;
-    while base < total {
-        let lanes = (total - base).min(64);
+    for base in (0..total).step_by(64) {
+        let mask = lane_mask((total - base).min(64));
         for (i, w) in words.iter_mut().enumerate() {
-            *w = 0;
-            for lane in 0..lanes {
-                if ((base + lane) >> i) & 1 == 1 {
-                    *w |= 1 << lane;
-                }
-            }
+            *w = exhaustive_word(base, i, mask);
         }
         ev.eval(compiled, &words, &[]);
-        body(ev, base, lanes);
-        base += lanes;
-    }
-}
-
-fn scatter(tt: &mut Tt, word: u64, base: usize, lanes: usize) {
-    for lane in 0..lanes {
-        if (word >> lane) & 1 == 1 {
-            tt.set((base + lane) as u32, true);
-        }
+        body(ev, base / 64);
     }
 }
 
@@ -66,9 +54,9 @@ pub fn output_tables(
     let mut tts = vec![Tt::zero(n); compiled.num_outputs()];
     ev.uninstall();
     ev.install(compiled, overrides);
-    for_each_batch(compiled, ev, |ev, base, lanes| {
+    for_each_batch(compiled, ev, |ev, batch| {
         for (k, tt) in tts.iter_mut().enumerate() {
-            scatter(tt, ev.output(compiled, k), base, lanes);
+            tt.set_word(batch, ev.output(compiled, k));
         }
     });
     ev.uninstall();
@@ -87,9 +75,9 @@ pub fn all_node_tables(compiled: &CompiledCircuit, ev: &mut Evaluator) -> Vec<Tt
     let num_nodes = compiled.num_slots - compiled.const_slots.len();
     let mut tts = vec![Tt::zero(n); num_nodes];
     ev.uninstall();
-    for_each_batch(compiled, ev, |ev, base, lanes| {
+    for_each_batch(compiled, ev, |ev, batch| {
         for (idx, tt) in tts.iter_mut().enumerate() {
-            scatter(tt, ev.raw_slot(idx), base, lanes);
+            tt.set_word(batch, ev.raw_slot(idx));
         }
     });
     tts
@@ -111,8 +99,8 @@ pub fn node_table(
     let mut tt = Tt::zero(n);
     ev.uninstall();
     ev.install(compiled, overrides);
-    for_each_batch(compiled, ev, |ev, base, lanes| {
-        scatter(&mut tt, ev.slot(node), base, lanes);
+    for_each_batch(compiled, ev, |ev, batch| {
+        tt.set_word(batch, ev.slot(node));
     });
     ev.uninstall();
     tt

@@ -172,6 +172,39 @@ impl<const W: usize> Not for Word<W> {
     }
 }
 
+/// Bit `lane` of `LANE_BITS[i]` is bit `i` of `lane`: the pattern input
+/// `i < 6` takes across the 64 lanes of an exhaustive-sweep batch.
+const LANE_BITS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Mask of the valid lanes of a batch of `lanes ≤ 64` patterns.
+pub(crate) fn lane_mask(lanes: usize) -> u64 {
+    if lanes >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << lanes) - 1
+    }
+}
+
+/// Input `i`'s word in the exhaustive-sweep batch whose lane `l` carries
+/// pattern `base + l`: bit `l` is bit `i` of `base + l` on the lanes of
+/// `mask`, and 0 elsewhere. `base` is a multiple of 64, so a pattern's low
+/// six bits are its lane index and its higher bits are `base`'s: the word
+/// is a periodic mask for `i < 6` and all valid lanes or none above.
+pub(crate) fn exhaustive_word(base: usize, i: usize, mask: u64) -> u64 {
+    debug_assert_eq!(base % 64, 0, "batch base {base} is not lane-aligned");
+    match LANE_BITS.get(i) {
+        Some(&bits) => bits & mask,
+        None => 0u64.wrapping_sub(((base >> i) & 1) as u64) & mask,
+    }
+}
+
 /// The widest profitable word width for this machine: 8 with AVX-512, 4
 /// with AVX2, otherwise 1 (including every non-x86 target, where narrower
 /// vectors rarely beat the scalar path on these masked-word kernels).
@@ -256,6 +289,29 @@ mod tests {
         let value = Word::<2>([0x00FF, 0x0000]);
         let mask = Word::<2>([0x0F0F, 0x0001]);
         assert_eq!(orig.blend(value, mask).0, [0xF00F, 0x0000]);
+    }
+
+    /// The closed form equals the per-lane definition `((base + lane) >> i)
+    /// & 1` for every input index a campaign admits, on batch bases with
+    /// high bits set and on the one partial batch of a ≤ 6-input sweep.
+    #[test]
+    fn exhaustive_word_matches_per_lane_definition() {
+        let per_lane = |base: usize, i: usize, lanes: usize| {
+            (0..lanes).fold(0u64, |w, lane| {
+                w | ((((base + lane) >> i) & 1) as u64) << lane
+            })
+        };
+        let full_bases = [0, 64, 0x5A_5A40, 0xFF_FFC0, (1 << 23) | (1 << 17) | 64];
+        let partial = [1, 2, 4, 8, 16, 32].map(|lanes| (0, lanes));
+        for (base, lanes) in full_bases.map(|b| (b, 64)).into_iter().chain(partial) {
+            for i in 0..24 {
+                assert_eq!(
+                    exhaustive_word(base, i, lane_mask(lanes)),
+                    per_lane(base, i, lanes),
+                    "base {base:#x}, input {i}, {lanes} lanes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -305,6 +305,11 @@ impl Kernel for ScalarKernel<'_> {
 
 /// Evaluates output values for every minterm using 64-lane sweeps, invoking
 /// `sink(minterm, output_values)`.
+///
+/// The input words are built lane by lane from the definition (bit `lane`
+/// of input `i`'s word is bit `i` of `base + lane`), not from the engine's
+/// closed-form batch words: this is the oracle the engine's sweeps are
+/// checked against, so a fault in that shared helper cannot hide here.
 fn sweep<F: FnMut(u32, &[bool])>(circuit: &Circuit, overrides: &[Override], n: usize, mut sink: F) {
     let total = 1usize << n;
     let out_nodes: Vec<usize> = circuit.outputs().iter().map(|o| o.node.index()).collect();

@@ -216,6 +216,18 @@ impl Tt {
         }
     }
 
+    /// Stores 64 minterms at once: bit `b` of `word` becomes the value of
+    /// minterm `64 · index + b`. Bits past the table's last minterm (a table
+    /// of fewer than six variables) are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn set_word(&mut self, index: usize, word: u64) {
+        assert!(index < self.words.len(), "word {index} out of range");
+        self.words[index] = word & tail_mask(self.nvars());
+    }
+
     /// `true` iff the function is constant `false`.
     #[must_use]
     pub fn is_zero(&self) -> bool {
@@ -475,6 +487,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn set_word_stores_64_minterms_and_drops_the_tail() {
+        let mut wide = Tt::zero(7);
+        wide.set_word(1, 0x8000_0000_0000_0001);
+        assert_eq!(wide.minterms().collect::<Vec<_>>(), [64, 127]);
+        let mut narrow = Tt::zero(3);
+        narrow.set_word(0, u64::MAX);
+        assert!(narrow.is_one());
+        assert_eq!(narrow.count_ones(), 8);
     }
 
     #[test]

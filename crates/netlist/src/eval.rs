@@ -291,6 +291,11 @@ impl Circuit {
     /// Truth table of a node under forced values — the paper's `F(X, s)`
     /// when the override is a stuck line.
     ///
+    /// Input words and table bits go minterm by minterm, straight from the
+    /// definition: this graph walk is the reference that the engine's
+    /// word-at-a-time tables (`scal_engine::node_table` and friends) are
+    /// tested against, so it shares none of their pattern code.
+    ///
     /// # Panics
     ///
     /// As [`Circuit::node_tt`].

@@ -101,6 +101,40 @@ fn engine_campaign_matches_scalar_on_paper_circuits() {
     );
 }
 
+/// Sweeps of many 64-pair batches against the scalar oracle: ripple adders
+/// of 9 and 13 inputs (4 and 64 batches, up to 8 groups at `W = 8`) under
+/// every word width, both eval modes, and fault packing on and off. The
+/// paper circuits above have at most 8 inputs, so none of their sweeps
+/// fills more than one `W = 8` group.
+#[test]
+fn engine_campaign_matches_scalar_on_wide_adders() {
+    for bits in [4, 6] {
+        let c = paper::ripple_adder(bits);
+        assert_eq!(c.inputs().len(), 2 * bits + 1);
+        let faults = enumerate_faults(&c);
+        let scalar = Campaign::new(&c)
+            .faults(faults.clone())
+            .scalar()
+            .run()
+            .expect("scalar campaign");
+        for mode in EVAL_MODES {
+            for width in WORD_WIDTHS {
+                for packing in [false, true] {
+                    let engine = Campaign::new(&c)
+                        .faults(faults.clone())
+                        .eval_mode(mode)
+                        .word_width(width)
+                        .fault_packing(packing)
+                        .run()
+                        .expect("engine campaign");
+                    let config = format!("adder{bits} ({mode}, W={width}, packing {packing})");
+                    assert_eq!(engine.results, scalar.results, "{config}");
+                }
+            }
+        }
+    }
+}
+
 /// Attaching an observer must not perturb a campaign: under every eval
 /// mode, collapse and packing setting, the observed run's results and
 /// coverage map — annotations included — are bit-identical to the
