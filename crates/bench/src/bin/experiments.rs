@@ -19,7 +19,7 @@ use std::process::ExitCode;
 fn usage() {
     eprintln!(
         "usage: experiments [--trace FILE] [--metrics] [--coverage-out FILE] [--profile] \
-         [--eval-mode full|cone] <id>... | all | list"
+         <id>... | all | list"
     );
     eprintln!("ids:");
     for (id, _) in scal_bench::EXPERIMENTS {
@@ -53,19 +53,6 @@ fn main() -> ExitCode {
                 ctx.set_coverage_out(path);
             }
             "--profile" => ctx.enable_profile(),
-            "--eval-mode" => {
-                let Some(raw) = iter.next() else {
-                    eprintln!("--eval-mode needs an argument (full|cone)");
-                    return ExitCode::FAILURE;
-                };
-                match raw.parse() {
-                    Ok(mode) => ctx.set_eval_mode(mode),
-                    Err(_) => {
-                        eprintln!("bad --eval-mode value {raw:?} (want full|cone)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             other if other.starts_with("--") => {
                 eprintln!("unknown flag {other}");
                 usage();

@@ -16,7 +16,6 @@
 //! Exit codes: `0` clean, `1` usage or I/O error, `2` campaign rejection
 //! (sequential or too-wide circuit).
 
-use scal_engine::EvalMode;
 use scal_netlist::synth::{self, SynthKind};
 use scal_netlist::{Circuit, NetlistFormat};
 use scal_obs::CoverageObserver;
@@ -29,9 +28,8 @@ fn usage() -> ExitCode {
          [--seed S] --out FILE\n\
          \x20 scal_run convert IN OUT\n\
          \x20 scal_run info FILE\n\
-         \x20 scal_run run FILE [--threads N] [--max-faults N] [--eval-mode full|cone]\n\
-         \x20               [--word-width 0|1|4|8] [--fault-packing on|off|auto]\n\
-         \x20               [--fault-collapse on|off|auto]\n\
+         \x20 scal_run run FILE [--threads N] [--max-faults N] [--word-width 0|1|4|8]\n\
+         \x20               [--fault-packing on|off|auto] [--fault-collapse on|off|auto]\n\
          formats are chosen by extension (.v, .bench, .scal/.txt) and sniffed on read"
     );
     ExitCode::FAILURE
@@ -150,7 +148,6 @@ fn run(args: &[String]) -> ExitCode {
     };
     let mut threads = 0usize;
     let mut max_faults = None;
-    let mut eval_mode = EvalMode::default();
     let mut word_width = 0usize;
     // `None` leaves the engine's Auto defaults in charge.
     let mut fault_packing: Option<bool> = None;
@@ -168,10 +165,6 @@ fn run(args: &[String]) -> ExitCode {
             "--max-faults" => match raw.parse::<usize>() {
                 Ok(n) if n > 0 => max_faults = Some(n),
                 _ => return usage(),
-            },
-            "--eval-mode" => match raw.parse() {
-                Ok(m) => eval_mode = m,
-                Err(_) => return usage(),
             },
             "--word-width" => match raw.parse::<usize>() {
                 Ok(w) if w == 0 || scal_engine::WORD_WIDTHS.contains(&w) => word_width = w,
@@ -209,7 +202,6 @@ fn run(args: &[String]) -> ExitCode {
     let mut campaign = scal_faults::Campaign::new(&circuit)
         .faults(faults)
         .threads(threads)
-        .eval_mode(eval_mode)
         .word_width(word_width)
         .coverage(&cov);
     if let Some(pack) = fault_packing {

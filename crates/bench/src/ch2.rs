@@ -27,11 +27,10 @@ pub fn fig2_2(ctx: &crate::ExperimentCtx) -> String {
     );
     let report = Campaign::new(&adder)
         // The experiments tracer narrates per-fault observability (the
-        // requested eval-mode payload, cone stats), so pin the
-        // pattern-major path: auto fault-packing would fold those events
-        // into lane batches and report eval mode "full".
+        // cone eval-mode payload, cone stats), so pin the pattern-major
+        // path: auto fault-packing would fold those events into lane
+        // batches and report eval mode "full".
         .fault_packing(false)
-        .eval_mode(ctx.eval_mode())
         .observer(ctx)
         .coverage(ctx.coverage())
         .run()

@@ -101,7 +101,6 @@ pub fn fig6_2(ctx: &crate::ExperimentCtx) -> String {
         // Pin the pattern-major path: the tracer narrates per-fault cone
         // stats, which auto fault-packing would fold into lane batches.
         .fault_packing(false)
-        .eval_mode(ctx.eval_mode())
         .observer(ctx)
         .coverage(ctx.coverage())
         .run()

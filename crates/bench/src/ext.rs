@@ -162,16 +162,15 @@ pub fn ext_adr_retry(_ctx: &crate::ExperimentCtx) -> String {
 }
 
 /// Compiled-engine fault-campaign throughput ([`scal_engine::EngineStats`])
-/// on the paper's networks, exact mode vs early fault dropping, under the
-/// context's `--eval-mode` (cone-restricted by default).
+/// on the paper's networks, exact mode vs early fault dropping, on the
+/// cone-restricted pattern-major path.
 #[must_use]
 pub fn ext_engine(ctx: &crate::ExperimentCtx) -> String {
     use scal_faults::{enumerate_faults, Campaign};
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "== extension: compiled fault-campaign engine [{} eval] ==",
-        ctx.eval_mode()
+        "== extension: compiled fault-campaign engine [cone eval] =="
     );
     let circuits = [
         ("fig 3.7 network", paper::fig3_7().circuit),
@@ -188,7 +187,6 @@ pub fn ext_engine(ctx: &crate::ExperimentCtx) -> String {
                 // cone stats, which auto fault-packing would fold into lane
                 // batches.
                 .fault_packing(false)
-                .eval_mode(ctx.eval_mode())
                 .observer(ctx)
                 .coverage(ctx.coverage())
                 .run()

@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use scal_engine::EvalMode;
 use scal_obs::{CampaignEvent, CampaignObserver, CoverageObserver, JsonlTrace, Metrics, Profiler};
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -49,7 +48,6 @@ pub struct ExperimentCtx {
     metrics: Option<Metrics>,
     coverage: Option<(PathBuf, CoverageObserver)>,
     profiler: Option<Profiler>,
-    eval_mode: EvalMode,
 }
 
 impl ExperimentCtx {
@@ -91,18 +89,6 @@ impl ExperimentCtx {
     /// Attaches a phase profiler.
     pub fn enable_profile(&mut self) {
         self.profiler = Some(Profiler::new());
-    }
-
-    /// Selects the engine faulty-sweep strategy (`--eval-mode`) experiments
-    /// forward to their campaigns.
-    pub fn set_eval_mode(&mut self, mode: EvalMode) {
-        self.eval_mode = mode;
-    }
-
-    /// The engine faulty-sweep strategy experiments should run with.
-    #[must_use]
-    pub fn eval_mode(&self) -> EvalMode {
-        self.eval_mode
     }
 
     /// The metrics registry, when `--metrics` is on.

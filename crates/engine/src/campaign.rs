@@ -57,11 +57,28 @@ pub const MAX_THREADS: usize = 1024;
 /// cache would not fit runs as [`EvalMode::Full`] instead.
 const GOLDEN_CACHE_BYTES: usize = 256 << 20;
 
-/// How faulty sweeps are evaluated.
-///
-/// Both modes produce bit-identical reports, statistics (except timing),
-/// coverage maps, and fault-ordered trace prefixes; `Full` is kept as the
-/// differential oracle for the cone path.
+/// Share `NUM / DEN` of the schedule past which a fault's cone sweep gives
+/// way to the full one: once a cone group evaluates `e1 + e2 > NUM / DEN ×
+/// 2 × num_ops` ops, the fault's remaining groups run the whole schedule,
+/// whose ops skip the cone's golden seeding, dirtiness check and liveness
+/// count. On the 100k-gate `scal_run gen --kind selfdual --gates 100000
+/// --seed 42` design (`run --threads 1 --max-faults 256`, `W = 8`, 8
+/// groups; 2-vCPU AVX-512 VM, five alternating runs each) eval medians read
+/// 26.4 s at 1/4, 28.3 s at 3/8 and 18.8 s at 1/2, against 20.3 s all-cone
+/// and 29.3 s all-full.
+const FULL_SWITCH_SHARE: (u64, u64) = (1, 2);
+
+/// Whether a cone group's `evaluated` ops (both periods) ran past
+/// [`FULL_SWITCH_SHARE`] of a `num_ops`-op schedule.
+fn cone_too_wide(evaluated: u64, num_ops: usize) -> bool {
+    let (num, den) = FULL_SWITCH_SHARE;
+    evaluated * den > num * 2 * num_ops as u64
+}
+
+/// How a campaign evaluated its faulty sweeps, as the engine chose it and
+/// reported it in the [`CampaignEvent::EvalMode`] event; no input selects
+/// it. Every choice yields bit-identical reports, coverage maps (but for
+/// the cone annotations) and fault-ordered trace prefixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalMode {
     /// Re-evaluate the whole levelized schedule for every fault and batch.
@@ -149,11 +166,6 @@ pub struct EngineConfig {
     /// faults only visible later) may be truncated. The default `false`
     /// keeps exact parity with the scalar reference implementation.
     pub drop_after_detection: bool,
-    /// How faulty sweeps are evaluated; defaults to [`EvalMode::Cone`].
-    /// Cone mode caches every golden slot word (`groups × 2 × num_slots ×
-    /// 8 × W` bytes); a campaign whose cache would exceed 256 MiB runs as
-    /// [`EvalMode::Full`] instead and reports `full` as its mode.
-    pub eval_mode: EvalMode,
     /// Wide-word width `W`: 64-lane sub-words per evaluation word. Valid
     /// values are `1`, `4`, `8`, or `0` = auto (the widest width the
     /// detected CPU features profit from — see
@@ -551,6 +563,10 @@ fn note_death(
 /// Simulates one fault against the whole pair sweep, `W` batches per pass.
 /// Classification stays per 64-pair sub-batch in scalar batch order, so the
 /// report, buffered events and counters are bit-identical at every width.
+/// With a cone scratch, groups run cone-restricted until one proves the cone
+/// too wide ([`cone_too_wide`]), then over the full schedule. Each classified
+/// sub-batch adds its group's evaluated ops to `ops_evaluated`, so
+/// `ops_evaluated + ops_skipped == num_ops × words`.
 /// Returns `None` if the token cancelled the sweep at a group boundary (the
 /// fault's partial work is discarded); the evaluator is left clean either
 /// way.
@@ -576,6 +592,8 @@ fn sim_fault<const W: usize>(
     detected.clear();
     violations.clear();
     let mut fault_cone = cone.as_mut().map(|cs| cs.cone_of(compiled, &fault));
+    let mut cone_sweep = fault_cone.is_some();
+    let num_ops = compiled.num_ops();
     let mut observable = false;
     let mut dropped_at = None;
     let mut pairs = 0u64;
@@ -592,14 +610,11 @@ fn sim_fault<const W: usize>(
         }
         let real = sweep.group_real(g);
         let wide_mask = sweep.group_mask(g);
-        if let Some((fc, expire)) = fault_cone.as_mut() {
+        let group_ops = if let (true, Some((fc, expire))) = (cone_sweep, fault_cone.as_mut()) {
             // Cone path: evaluate only the fault's fanout cone, seeded from
-            // golden slot words, and classify only the reachable outputs —
-            // every other output provably equals golden, contributing
-            // nothing to det/wrong/diff on the masked lanes. Padding
-            // sub-words are masked out of the frontier-death dirtiness
-            // check, so they can neither keep a cone alive nor kill it
-            // early.
+            // golden slot words. Padding sub-words are masked out of the
+            // frontier-death dirtiness check, so they can neither keep a
+            // cone alive nor kill it early.
             let cached = sweep.group_slots(g, 0);
             let e1 = ev.eval_cone_w(compiled, fc, |s| cached[s], wide_mask, expire);
             for &(k, ord) in &fc.outputs {
@@ -612,7 +627,6 @@ fn sim_fault<const W: usize>(
             }
             let cached = sweep.group_slots(g, 1);
             let e2 = ev.eval_cone_w(compiled, fc, |s| cached[s], wide_mask, expire);
-            ops_evaluated += u64::from(e1) + u64::from(e2);
             note_death(&mut died_min, compiled, fc, e1);
             note_death(&mut died_min, compiled, fc, e2);
             for &(k, ord) in &fc.outputs {
@@ -623,6 +637,9 @@ fn sim_fault<const W: usize>(
                     sweep.golden_wide(g, 1, k)
                 };
             }
+            let evaluated = u64::from(e1) + u64::from(e2);
+            cone_sweep = !cone_too_wide(evaluated, num_ops);
+            evaluated
         } else {
             ev.try_eval_w(compiled, sweep.group_words1(g), &[])
                 .expect("sweep arity");
@@ -634,9 +651,13 @@ fn sim_fault<const W: usize>(
             for (k, o) in out2.iter_mut().enumerate() {
                 *o = ev.output_w(compiled, k);
             }
-        }
+            2 * num_ops as u64
+        };
         // Classify per 64-pair sub-batch in scalar batch order: reports,
-        // events and counters are width-invariant.
+        // events and counters are width-invariant. A fault with a cone
+        // classifies only the outputs it reaches, whichever path evaluated
+        // the group: every other output provably equals golden, which
+        // alternates, so it adds nothing to det/wrong/diff on valid lanes.
         for s in 0..real {
             let b = g * W + s;
             let mask = sweep.masks[b];
@@ -654,6 +675,7 @@ fn sim_fault<const W: usize>(
                 None => (0..sweep.n_outputs).for_each(classify),
             }
             words += 2;
+            ops_evaluated += group_ops;
             let batch_pairs = u64::from(mask.count_ones());
             pairs += batch_pairs;
             det &= mask;
@@ -681,10 +703,7 @@ fn sim_fault<const W: usize>(
     ev.uninstall();
     let eval_time = sweep_t.elapsed();
     let cone_ops = fault_cone.as_ref().map(|(fc, _)| fc.ops.len() as u64);
-    // Saturating: a drop mid-group can leave evaluated-but-unclassified
-    // sub-batches out of `words`.
-    let ops_skipped =
-        cone_ops.map(|_| (compiled.num_ops() as u64 * words).saturating_sub(ops_evaluated));
+    let ops_skipped = cone_ops.map(|_| num_ops as u64 * words - ops_evaluated);
     let detected_pairs = PairSet::from_batch_masks(detected);
     let violation_pairs = PairSet::from_batch_masks(violations);
     let summary = FaultSummary {
@@ -952,9 +971,9 @@ pub fn try_run_pair_campaign(
     cancel: Option<&CancelToken>,
 ) -> Result<PairCampaign, EngineError> {
     match resolve_word_width(config.word_width)? {
-        1 => run_campaign::<1>(circuit, faults, config, observer, cancel),
-        4 => run_campaign::<4>(circuit, faults, config, observer, cancel),
-        8 => run_campaign::<8>(circuit, faults, config, observer, cancel),
+        1 => run_campaign::<1>(circuit, faults, config, false, observer, cancel),
+        4 => run_campaign::<4>(circuit, faults, config, false, observer, cancel),
+        8 => run_campaign::<8>(circuit, faults, config, false, observer, cancel),
         other => Err(EngineError::InvalidConfig {
             reason: format!("unsupported word width {other}"),
         }),
@@ -1064,6 +1083,7 @@ fn run_campaign<const W: usize>(
     circuit: &Circuit,
     faults: &[Override],
     config: &EngineConfig,
+    full_only: bool,
     observer: &dyn CampaignObserver,
     cancel: Option<&CancelToken>,
 ) -> Result<PairCampaign, EngineError> {
@@ -1104,19 +1124,19 @@ fn run_campaign<const W: usize>(
             }
         };
         // Fault packing forces full-schedule evaluation: cone restriction
-        // does not compose with 63 distinct fanout cones per word. Cone
-        // mode also falls back to full when its golden slot cache would
-        // not fit the fixed budget.
+        // does not compose with 63 distinct fanout cones per word. The
+        // pattern-major path runs cone-restricted unless its golden slot
+        // cache would not fit the fixed budget.
         let fits = slot_cache_fits(
             sweep_groups::<W>(n),
             compiled.num_slots,
             W,
             GOLDEN_CACHE_BYTES,
         );
-        let mode = if packing || !fits {
+        let mode = if packing || !fits || full_only {
             EvalMode::Full
         } else {
-            config.eval_mode
+            EvalMode::Cone
         };
         Ok(PairKernel::<W> {
             compiled: &compiled,
@@ -1149,9 +1169,37 @@ mod tests {
         faults: &[Override],
         config: &EngineConfig,
     ) -> (Vec<PairReport>, EngineStats) {
-        match try_run_pair_campaign(circuit, faults, config, &NullObserver, None) {
+        run_forced(circuit, faults, config, false)
+    }
+
+    /// [`run_pair_campaign`], with `full_only` forcing every pattern-major
+    /// group onto the full schedule.
+    fn run_forced(
+        circuit: &Circuit,
+        faults: &[Override],
+        config: &EngineConfig,
+        full_only: bool,
+    ) -> (Vec<PairReport>, EngineStats) {
+        match try_run_pairs(circuit, faults, config, full_only, &NullObserver) {
             Ok(c) => (c.reports, c.stats),
             Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`try_run_pair_campaign`] through the test seam: `full_only` makes
+    /// the pattern-major path evaluate every group over the full schedule,
+    /// so the cone path and its per-fault switch can be held against it.
+    fn try_run_pairs(
+        circuit: &Circuit,
+        faults: &[Override],
+        config: &EngineConfig,
+        full_only: bool,
+        observer: &dyn CampaignObserver,
+    ) -> Result<PairCampaign, EngineError> {
+        match resolve_word_width(config.word_width)? {
+            1 => run_campaign::<1>(circuit, faults, config, full_only, observer, None),
+            4 => run_campaign::<4>(circuit, faults, config, full_only, observer, None),
+            _ => run_campaign::<8>(circuit, faults, config, full_only, observer, None),
         }
     }
 
@@ -1368,40 +1416,133 @@ mod tests {
         }
     }
 
-    /// Cone-restricted evaluation must be
-    /// bit-identical to the full-schedule oracle on every report field and
-    /// every work counter, with and without fault dropping.
+    /// Cone-restricted evaluation, with its per-fault switch to the full
+    /// schedule, must be bit-identical to a full-schedule run on every
+    /// report field and every work counter, with and without fault
+    /// dropping.
     #[test]
     fn cone_matches_full_on_every_fault() {
-        for circuit in [xor3(), full_adder()] {
+        for circuit in [xor3(), full_adder(), xor11()] {
             let faults = all_faults(&circuit);
             for drop_after_detection in [false, true] {
-                let full = run_pair_campaign(
-                    &circuit,
-                    &faults,
-                    &EngineConfig {
-                        drop_after_detection,
-                        eval_mode: EvalMode::Full,
-                        // Auto-packing would force full mode on these small
-                        // circuits; pin the pattern path under test.
-                        fault_packing: Toggle::Off,
-                        ..EngineConfig::default()
-                    },
-                );
-                let cone = run_pair_campaign(
-                    &circuit,
-                    &faults,
-                    &EngineConfig {
-                        drop_after_detection,
-                        eval_mode: EvalMode::Cone,
-                        fault_packing: Toggle::Off,
-                        ..EngineConfig::default()
-                    },
-                );
+                let cfg = EngineConfig {
+                    drop_after_detection,
+                    // Auto-packing would force full mode on these small
+                    // circuits; pin the pattern path under test.
+                    fault_packing: Toggle::Off,
+                    word_width: 1,
+                    ..EngineConfig::default()
+                };
+                let full = run_forced(&circuit, &faults, &cfg, true);
+                let cone = run_forced(&circuit, &faults, &cfg, false);
                 assert_eq!(full.0, cone.0);
                 assert_eq!(full.1.pairs_evaluated, cone.1.pairs_evaluated);
                 assert_eq!(full.1.words_evaluated, cone.1.words_evaluated);
                 assert_eq!(full.1.faults_dropped, cone.1.faults_dropped);
+            }
+        }
+    }
+
+    /// The switch rule is exact at its threshold: `NUM / DEN` of both
+    /// periods' ops is still a cone sweep, one op more is not.
+    #[test]
+    fn cone_switch_fires_just_past_the_share() {
+        let (num, den) = FULL_SWITCH_SHARE;
+        let num_ops = 8 * den as usize;
+        let at = num * 2 * num_ops as u64 / den;
+        assert!(!cone_too_wide(at, num_ops));
+        assert!(cone_too_wide(at + 1, num_ops));
+    }
+
+    /// An 11-input parity chain of two-input XORs: 10 ops, 16 batches, and
+    /// a frontier that lives through the chain wherever the faulty line
+    /// depends on the low inputs.
+    fn xor_chain11() -> Circuit {
+        let mut c = Circuit::new();
+        let ins: Vec<_> = (0..11).map(|i| c.input(format!("x{i}"))).collect();
+        let p = ins[1..].iter().fold(ins[0], |acc, &x| c.xor(&[acc, x]));
+        c.mark_output("p", p);
+        c
+    }
+
+    /// Per `ConeStats` event: the fault's `BatchDone` count, `cone_ops`,
+    /// `ops_evaluated`, `ops_skipped` and `frontier_died_at_level`.
+    fn cone_accounting(events: &[CampaignEvent]) -> Vec<(u64, u64, u64, u64, Option<u32>)> {
+        let mut batches = std::collections::HashMap::new();
+        for e in events {
+            if let CampaignEvent::BatchDone { fault, .. } = e {
+                *batches.entry(*fault).or_insert(0u64) += 1;
+            }
+        }
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                CampaignEvent::ConeStats {
+                    fault,
+                    cone_ops,
+                    ops_evaluated,
+                    ops_skipped,
+                    frontier_died_at_level,
+                    ..
+                } => Some((
+                    batches[&fault],
+                    cone_ops,
+                    ops_evaluated,
+                    ops_skipped,
+                    frontier_died_at_level,
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Every fault's skip counters are in one unit, 64-lane sub-word op
+    /// sweeps: `ops_evaluated + ops_skipped` is exactly `num_ops` per period
+    /// of every classified batch, at every width, with and without dropping
+    /// (which can stop mid-group). A fault whose frontier never died ran
+    /// its whole cone per period of each batch of the first group, and of
+    /// every later batch unless the cone was too wide, in which case those
+    /// ran the whole schedule.
+    #[test]
+    fn skip_counters_balance_against_the_schedule() {
+        for circuit in [full_adder(), xor11(), xor_chain11()] {
+            let faults = all_faults(&circuit);
+            let num_ops = CompiledCircuit::compile(&circuit).num_ops() as u64;
+            for drop_after_detection in [false, true] {
+                for word_width in [1, 4, 8] {
+                    let collect = CollectObserver::default();
+                    let cfg = EngineConfig {
+                        threads: 1,
+                        drop_after_detection,
+                        word_width,
+                        fault_packing: Toggle::Off,
+                        fault_collapse: Toggle::Off,
+                    };
+                    let _ = try_run_pair_campaign(&circuit, &faults, &cfg, &collect, None).unwrap();
+                    let stats = cone_accounting(&collect.events());
+                    assert_eq!(stats.len(), faults.len());
+                    let mut exact = 0;
+                    for (fault, (batches, cone_ops, evaluated, skipped, died)) in
+                        stats.into_iter().enumerate()
+                    {
+                        let config =
+                            format!("fault {fault}, W={word_width}, drop {drop_after_detection}");
+                        assert_eq!(evaluated + skipped, num_ops * 2 * batches, "{config}");
+                        assert!(cone_ops <= num_ops, "{config}");
+                        if died.is_none() {
+                            let first = batches.min(word_width as u64);
+                            let later = if cone_too_wide(2 * cone_ops, num_ops as usize) {
+                                num_ops
+                            } else {
+                                cone_ops
+                            };
+                            let expected = 2 * (cone_ops * first + later * (batches - first));
+                            assert_eq!(evaluated, expected, "{config}");
+                            exact += 1;
+                        }
+                    }
+                    assert!(exact > 0, "W={word_width}: no fault ran its whole cone");
+                }
             }
         }
     }
@@ -1445,20 +1586,14 @@ mod tests {
             (0..faults.len()).collect::<Vec<_>>(),
             "cone_stats replayed in fault order"
         );
-        // xor3 is a one-gate schedule: every cone is at most that gate, and
-        // total accounting must balance against the full-schedule cost.
+        // xor3 is a one-gate, one-batch schedule: every cone is at most that
+        // gate, and the two periods' accounting balances against it.
         for &(_, cone_ops, ops_evaluated, ops_skipped) in &stats {
             assert!(cone_ops <= 1);
-            assert!(ops_evaluated + ops_skipped >= ops_evaluated);
+            assert_eq!(ops_evaluated + ops_skipped, 2);
         }
         let full_collect = CollectObserver::default();
-        let full_cfg = EngineConfig {
-            threads: 1,
-            eval_mode: EvalMode::Full,
-            fault_packing: Toggle::Off,
-            ..EngineConfig::default()
-        };
-        let _ = try_run_pair_campaign(&c, &faults, &full_cfg, &full_collect, None).unwrap();
+        let _ = try_run_pairs(&c, &faults, &cfg, true, &full_collect).unwrap();
         let full_events = full_collect.events();
         assert!(
             matches!(
@@ -1737,37 +1872,38 @@ mod tests {
     }
 
     /// Every word width must be bit-identical to `W = 1` on reports and
-    /// work counters, across eval modes and drop settings — single-batch
-    /// circuits, a 4-batch circuit (padding at `W = 8`), and a 16-batch
-    /// circuit (several wide groups per fault).
+    /// work counters, on the engine's own eval choice and on a forced full
+    /// schedule, across drop settings — single-batch circuits, a 4-batch
+    /// circuit (padding at `W = 8`), and a 16-batch circuit (several wide
+    /// groups per fault).
     #[test]
     fn wide_widths_match_scalar_reports() {
         for circuit in [xor3(), full_adder(), xor9(), xor11()] {
             let faults = all_faults(&circuit);
-            for eval_mode in [EvalMode::Full, EvalMode::Cone] {
+            for full_only in [true, false] {
                 for drop_after_detection in [false, true] {
-                    let base = run_pair_campaign(
+                    let base = run_forced(
                         &circuit,
                         &faults,
                         &EngineConfig {
                             word_width: 1,
-                            eval_mode,
                             drop_after_detection,
                             ..EngineConfig::default()
                         },
+                        full_only,
                     );
                     for width in [4, 8] {
-                        let wide = run_pair_campaign(
+                        let wide = run_forced(
                             &circuit,
                             &faults,
                             &EngineConfig {
                                 word_width: width,
-                                eval_mode,
                                 drop_after_detection,
                                 ..EngineConfig::default()
                             },
+                            full_only,
                         );
-                        assert_eq!(base.0, wide.0, "width {width} mode {eval_mode}");
+                        assert_eq!(base.0, wide.0, "width {width} full_only {full_only}");
                         assert_eq!(base.1.pairs_evaluated, wide.1.pairs_evaluated);
                         assert_eq!(base.1.words_evaluated, wide.1.words_evaluated);
                         assert_eq!(base.1.faults_dropped, wide.1.faults_dropped);

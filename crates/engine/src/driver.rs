@@ -76,7 +76,8 @@ pub struct FaultSummary {
     /// Ops in the fault's fanout cone (`None` off the cone path).
     pub cone_ops: Option<u64>,
     /// Op evaluations the cone path skipped relative to full-schedule
-    /// sweeps (`None` off the cone path).
+    /// sweeps, in 64-lane sub-word op sweeps (`num_ops × words` minus the
+    /// ops evaluated; `None` off the cone path).
     pub ops_skipped: Option<u64>,
     /// Lowest level at which the faulty frontier converged back to golden
     /// (`None` when it never did, or off the cone path).

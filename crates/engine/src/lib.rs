@@ -35,13 +35,13 @@
 //!    times, words evaluated, pairs simulated and faults dropped, surfaced by
 //!    `scal-bench`.
 //!
-//! Faulty sweeps default to *cone-restricted* evaluation
-//! ([`EvalMode::Cone`]): compilation extracts each fault's transitive fanout
-//! cone, the golden sweep caches every slot word, and per fault only the
-//! cone ops run — seeded from the cached golden values, classified over the
-//! reachable outputs only, with an early exit as soon as the faulty frontier
-//! converges back to golden. [`EvalMode::Full`] re-evaluates the whole
-//! schedule and is kept as the differential oracle; both modes are
+//! Pattern-major faulty sweeps run *cone-restricted* ([`EvalMode::Cone`]):
+//! per fault only its fanout cone runs, seeded from cached golden slot
+//! values, classified over the reachable outputs, with an early exit once
+//! the faulty frontier converges back to golden. A fault whose cone proves
+//! too wide sweeps its later groups over the whole schedule, and a campaign
+//! that packs faults or whose golden cache would not fit runs
+//! [`EvalMode::Full`]. The engine makes and reports each choice; all are
 //! bit-identical in everything but speed. Sequential campaigns pack up to
 //! `63 × W` faults into the lanes of one wide word ([`WidePackedSeqSim`]):
 //! lane 0 of every 64-bit sub-word replays the golden machine, every other

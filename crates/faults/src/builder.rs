@@ -23,7 +23,7 @@
 
 use crate::campaign::{try_run_scalar, CampaignResult};
 use crate::{enumerate_faults, Fault};
-use scal_engine::{try_run_pair_campaign, EngineConfig, EngineError, EngineStats, EvalMode};
+use scal_engine::{try_run_pair_campaign, EngineConfig, EngineError, EngineStats};
 use scal_netlist::{Circuit, Override};
 use scal_obs::{CampaignObserver, CancelToken, CoverageObserver, NullObserver};
 
@@ -103,17 +103,6 @@ impl<'a> Campaign<'a> {
     #[must_use]
     pub fn drop_after_detection(mut self, on: bool) -> Self {
         self.config.drop_after_detection = on;
-        self
-    }
-
-    /// Selects the faulty-sweep evaluation strategy on the engine backend:
-    /// cone-restricted incremental evaluation ([`EvalMode::Cone`], the
-    /// default) or full-schedule re-evaluation ([`EvalMode::Full`], the
-    /// differential oracle). Both are bit-identical in every report; the
-    /// scalar backend ignores this knob.
-    #[must_use]
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.config.eval_mode = mode;
         self
     }
 
@@ -290,11 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn backends_and_eval_modes_agree() {
+    fn backends_agree() {
         let c = xor3();
         let report = Campaign::new(&c).run().unwrap();
-        let full = Campaign::new(&c).eval_mode(EvalMode::Full).run().unwrap();
-        assert_eq!(report.results, full.results);
+        let pattern = Campaign::new(&c).fault_packing(false).run().unwrap();
+        assert_eq!(report.results, pattern.results);
         let scalar = Campaign::new(&c).scalar().run().unwrap();
         assert_eq!(scalar.results, report.results);
     }

@@ -47,7 +47,7 @@ pub struct FaultRecord {
     /// eval mode or on a scalar backend).
     pub cone_ops: Option<u64>,
     /// Op evaluations the cone path skipped relative to full-schedule
-    /// sweeps (`None` outside cone mode).
+    /// sweeps, in 64-lane sub-word op sweeps (`None` outside cone mode).
     pub ops_skipped: Option<u64>,
     /// Lowest circuit level at which the faulty frontier converged back to
     /// golden and evaluation stopped early (`None` when the fault's effect
@@ -132,8 +132,8 @@ impl CoverageMap {
     }
 
     /// The map with [`FaultRecord::without_annotations`] applied to every
-    /// record — the form differential tests compare across backends,
-    /// eval modes, and collapse settings.
+    /// record — the form differential tests compare across backends, lane
+    /// geometries and collapse settings.
     #[must_use]
     pub fn without_annotations(&self) -> CoverageMap {
         CoverageMap {

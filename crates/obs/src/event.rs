@@ -205,8 +205,10 @@ pub enum CampaignEvent {
         worker: usize,
         /// Ops in the fault's transitive fanout cone (per sweep).
         cone_ops: u64,
-        /// Cone ops actually evaluated across the whole sweep (frontier
-        /// death can stop a batch before the cone is exhausted).
+        /// Ops evaluated across the whole sweep, in 64-lane sub-word op
+        /// sweeps: the cone's ops (frontier death can stop a batch before
+        /// the cone is exhausted), or every schedule op once the fault has
+        /// switched to the full schedule.
         ops_evaluated: u64,
         /// Op evaluations a full-schedule sweep would have run but the cone
         /// path skipped (`schedule_ops × words − ops_evaluated`).

@@ -65,7 +65,7 @@ pub struct Profile {
     pub eval_mode: String,
     /// Faults that reported cone statistics.
     pub cone_faults: u64,
-    /// Cone ops actually evaluated, summed across those faults.
+    /// Ops those faults evaluated (64-lane sub-word op sweeps), summed.
     pub cone_ops_evaluated: u64,
     /// Op evaluations the cone path skipped relative to full-schedule
     /// sweeps, summed across those faults — where a cone-mode speedup comes

@@ -88,7 +88,9 @@ pub fn run_job(
             circuit,
             faults,
             drop_after_detection,
-            eval_mode,
+            // Accepted on the wire and ignored: the engine picks its own
+            // faulty-sweep evaluation.
+            eval_mode: _,
             scalar,
         } => {
             let fault_list = faults.resolve(circuit);
@@ -97,7 +99,6 @@ pub fn run_job(
                 .faults(fault_list)
                 .threads(threads)
                 .drop_after_detection(*drop_after_detection)
-                .eval_mode(*eval_mode)
                 .observer(observer)
                 .coverage(&cov);
             if *scalar {
@@ -254,6 +255,48 @@ mod tests {
         assert!(!out.coverage.records.is_empty());
         assert!((out.coverage.coverage_fraction() - 1.0).abs() < 1e-12);
         scal_obs::json::validate_jsonl(&out.report).expect("valid report");
+    }
+
+    /// The v1 `eval_mode` field is accepted and ignored: `"full"` and
+    /// `"cone"` submits, parsed off the wire, return the same report and
+    /// coverage map. The adder's sweep is pattern-major (cone-restricted).
+    #[test]
+    fn eval_mode_field_does_not_change_results() {
+        use crate::proto::{JobSpec, Request};
+        use scal_netlist::NetlistFormat;
+        let outputs: Vec<JobOutput> = [EvalMode::Full, EvalMode::Cone]
+            .into_iter()
+            .map(|eval_mode| {
+                let spec = JobSpec {
+                    kind: JobKind::Pair {
+                        circuit: scal_core::paper::ripple_adder(4),
+                        faults: FaultSpec::All,
+                        drop_after_detection: false,
+                        eval_mode,
+                        scalar: false,
+                    },
+                    priority: 0,
+                    timeout_ms: None,
+                    threads: 1,
+                    stream: false,
+                    fault_collapse: None,
+                    netlist_format: NetlistFormat::ScalText,
+                };
+                let line = spec.to_request_line();
+                assert!(line.contains(&format!("\"eval_mode\":\"{eval_mode}\"")));
+                let Ok(Request::Submit(parsed)) = Request::parse(&line) else {
+                    panic!("{eval_mode} submit must parse");
+                };
+                run_job(&parsed.kind, 1, None, &NullObserver, None).unwrap()
+            })
+            .collect();
+        assert!(outputs[0]
+            .coverage
+            .records
+            .iter()
+            .any(|r| r.cone_ops.is_some()));
+        assert_eq!(outputs[0].report, outputs[1].report);
+        assert_eq!(outputs[0].coverage, outputs[1].coverage);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * a **request** is one JSON line carrying a netlist (the `scal-netlist`
 //!   text interchange format), a fault spec, and campaign knobs mirroring
-//!   the `Campaign` builders (backend, eval mode, fault dropping, threads);
+//!   the `Campaign` builders (backend, fault dropping, threads);
 //! * the **response** streams typed frames back as JSONL: `accepted`, one
 //!   `event` frame per [`scal_obs::CampaignEvent`], and a terminal `result`
 //!   frame with the deterministic report and

@@ -96,7 +96,10 @@ pub enum JobKind {
         faults: FaultSpec,
         /// Classic fault dropping.
         drop_after_detection: bool,
-        /// Faulty-sweep evaluation strategy (engine backend only).
+        /// The v1 `eval_mode` field (`"full"` or `"cone"`, default
+        /// `"cone"`). Accepted, validated and round-tripped on the wire,
+        /// but ignored by the job: the engine picks its faulty-sweep
+        /// evaluation itself, so both values return the same results.
         eval_mode: EvalMode,
         /// Run on the scalar differential oracle instead of the packed
         /// engine.
@@ -1014,6 +1017,10 @@ mod tests {
             ),
             (
                 "{\"cmd\":\"submit\",\"kind\":\"cpu\",\"unit\":\"logic\",\"fault_collapse\":\"yes\"}",
+                "bad_request",
+            ),
+            (
+                "{\"cmd\":\"submit\",\"kind\":\"pair\",\"netlist\":\"scal-netlist v1\\ninput n0 a\\ngate n1 not n0\\noutput f n1\\n\",\"eval_mode\":\"both\"}",
                 "bad_request",
             ),
         ];

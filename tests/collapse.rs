@@ -3,12 +3,12 @@
 //! coverage map must stay one-record-per-original-fault and bit-identical
 //! (modulo the class annotations themselves) to the uncollapsed sweep — on
 //! the paper fixtures, on random self-dual networks across every engine
-//! configuration axis (threads × dropping × eval mode × word width), and
-//! on a 100k-gate synthetic design.
+//! configuration axis (threads × dropping × word width), and on a
+//! 100k-gate synthetic design. The random networks' collapsed maps are
+//! also held against the scalar oracle's.
 
 use proptest::prelude::*;
 use scal::core::paper;
-use scal::engine::EvalMode;
 use scal::faults::{enumerate_faults, Campaign};
 use scal::netlist::synth::{self, random_selfdual, SynthKind};
 use scal::netlist::Circuit;
@@ -22,7 +22,6 @@ fn run_map(
     max_faults: Option<usize>,
     threads: usize,
     drop: bool,
-    mode: EvalMode,
     width: usize,
     collapse: bool,
 ) -> CoverageMap {
@@ -35,7 +34,6 @@ fn run_map(
         .faults(faults)
         .threads(threads)
         .drop_after_detection(drop)
-        .eval_mode(mode)
         .word_width(width)
         .fault_collapse(collapse)
         .coverage(&cov)
@@ -55,8 +53,8 @@ fn paper_fixtures_collapse_to_identical_maps() {
     ];
     for (name, circuit) in &fixtures {
         for drop in [false, true] {
-            let collapsed = run_map(circuit, None, 1, drop, EvalMode::Cone, 0, true);
-            let plain = run_map(circuit, None, 1, drop, EvalMode::Cone, 0, false);
+            let collapsed = run_map(circuit, None, 1, drop, 0, true);
+            let plain = run_map(circuit, None, 1, drop, 0, false);
             assert_eq!(collapsed.records.len(), plain.records.len(), "{name}");
             assert_eq!(
                 collapsed.without_annotations(),
@@ -73,7 +71,7 @@ fn paper_fixtures_collapse_to_identical_maps() {
 #[test]
 fn adder_collapse_annotates_classes() {
     let adder = paper::ripple_adder(4);
-    let collapsed = run_map(&adder, None, 1, false, EvalMode::Cone, 0, true);
+    let collapsed = run_map(&adder, None, 1, false, 0, true);
     let members: Vec<_> = collapsed
         .records
         .iter()
@@ -85,7 +83,7 @@ fn adder_collapse_annotates_classes() {
         assert!(rep < collapsed.records.len());
     }
     // The uncollapsed sweep never annotates.
-    let plain = run_map(&adder, None, 1, false, EvalMode::Cone, 0, false);
+    let plain = run_map(&adder, None, 1, false, 0, false);
     assert!(plain
         .records
         .iter()
@@ -96,11 +94,14 @@ fn adder_collapse_annotates_classes() {
 /// collapses to the identical truncated-universe coverage map.
 #[test]
 fn hundred_k_selfdual_collapse_identity() {
-    // 48 faults keep both sides inside one packed 63-lane batch, so the
-    // debug-build test stays compile-dominated rather than sim-dominated.
+    // 48 faults of a 13-input design: auto packing picks pattern-major
+    // (⌈48/63⌉·4096 = 4096 pair sweeps packed vs 48·64 = 3072 unpacked), so
+    // both sides run cone-restricted over a golden slot cache of about
+    // 100 MB, and faults with wide cones switch their later groups to the
+    // full schedule.
     let circuit = synth::generate(SynthKind::RandomSelfDual, 100_000, 42);
-    let collapsed = run_map(&circuit, Some(48), 2, false, EvalMode::Cone, 0, true);
-    let plain = run_map(&circuit, Some(48), 2, false, EvalMode::Cone, 0, false);
+    let collapsed = run_map(&circuit, Some(48), 2, false, 0, true);
+    let plain = run_map(&circuit, Some(48), 2, false, 0, false);
     assert_eq!(collapsed.without_annotations(), plain.without_annotations());
 }
 
@@ -108,8 +109,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Collapsed and uncollapsed campaigns agree on random self-dual
-    /// networks across the full engine configuration grid. The builder
-    /// pins the toggle explicitly.
+    /// networks across the full engine configuration grid, and without
+    /// dropping (which the oracle does not model) the collapsed map equals
+    /// the scalar oracle's. The builder pins the toggle explicitly.
     #[test]
     fn random_selfdual_collapse_identity(
         seed in any::<u64>(),
@@ -117,14 +119,28 @@ proptest! {
         core_gates in 16usize..64,
         threads in 1usize..4,
         drop in any::<bool>(),
-        full_mode in any::<bool>(),
         width_idx in 0usize..4,
     ) {
         let width = [0usize, 1, 4, 8][width_idx];
-        let mode = if full_mode { EvalMode::Full } else { EvalMode::Cone };
         let circuit = random_selfdual(inputs, core_gates, seed);
-        let collapsed = run_map(&circuit, Some(64), threads, drop, mode, width, true);
-        let plain = run_map(&circuit, Some(64), threads, drop, mode, width, false);
+        let collapsed = run_map(&circuit, Some(64), threads, drop, width, true);
+        let plain = run_map(&circuit, Some(64), threads, drop, width, false);
         prop_assert_eq!(collapsed.without_annotations(), plain.without_annotations());
+        if !drop {
+            let mut faults = enumerate_faults(&circuit);
+            faults.truncate(64);
+            let cov = CoverageObserver::new();
+            Campaign::new(&circuit)
+                .faults(faults)
+                .scalar()
+                .coverage(&cov)
+                .run()
+                .expect("scalar campaign");
+            let oracle = cov.latest().expect("finished map");
+            prop_assert_eq!(
+                collapsed.without_annotations().records,
+                oracle.without_annotations().records
+            );
+        }
     }
 }

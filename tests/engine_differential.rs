@@ -2,16 +2,19 @@
 //! campaign must be bit-identical — same pairs, same order, same flags — to
 //! the original graph-walking scalar campaign on every canonical circuit of
 //! the reproduction, and on randomly generated alternating networks, under
-//! every eval mode, word width and fault-collapse setting. Cone-restricted
-//! evaluation (`EvalMode::Cone`) is held to the same bar against full
-//! evaluation across thread counts, fault dropping and cancellation, and
-//! the packed sequential backend against the graph oracle.
+//! both lane geometries (pattern-major, which runs cone-restricted, and
+//! fault-packed, which runs the full schedule), every word width and every
+//! fault-collapse setting. The pattern-major path is held to the same bar
+//! across thread counts, fault dropping, cancellation and its per-fault
+//! switch to the full schedule, and the packed sequential backend against
+//! the graph oracle.
 
 use proptest::prelude::*;
 use scal::core::{dualize_synthesized, paper};
-use scal::engine::{CompiledCircuit, EvalMode, WidePackedSeqSim};
-use scal::faults::{enumerate_faults, Campaign};
+use scal::engine::{CompiledCircuit, WidePackedSeqSim};
+use scal::faults::{enumerate_faults, Campaign, CampaignResult};
 use scal::netlist::{Circuit, Override, Sim};
+use scal::obs::{CampaignEvent, CampaignObserver, CancelToken};
 
 fn all_paper_circuits() -> Vec<(&'static str, Circuit)> {
     vec![
@@ -37,24 +40,55 @@ fn is_alternating(c: &Circuit) -> bool {
     c.output_tts().iter().all(scal::logic::Tt::is_self_dual)
 }
 
-/// Both faulty-sweep strategies of the pair engine.
-const EVAL_MODES: [EvalMode; 2] = [EvalMode::Full, EvalMode::Cone];
+/// Observer that cancels `token` once `after` units have completed.
+struct CancelAfter<'a> {
+    token: &'a CancelToken,
+    after: usize,
+}
+
+impl CampaignObserver for CancelAfter<'_> {
+    fn on_event(&self, event: &CampaignEvent) {
+        if let CampaignEvent::Progress { done, .. } = event {
+            if *done >= self.after {
+                self.token.cancel();
+            }
+        }
+    }
+}
 
 /// Every supported evaluation word width.
 const WORD_WIDTHS: [usize; 3] = [1, 4, 8];
 
-/// Every engine configuration the pair differentials cover: eval mode ×
-/// word width × fault collapse.
-fn engine_configs() -> Vec<(EvalMode, usize, bool)> {
+/// Every engine configuration the pair differentials cover: fault packing
+/// (off: pattern-major, cone-restricted; on: fault-packed, full schedule)
+/// × word width × fault collapse.
+fn engine_configs() -> Vec<(bool, usize, bool)> {
     let mut configs = Vec::new();
-    for mode in EVAL_MODES {
+    for packing in [false, true] {
         for width in WORD_WIDTHS {
             for collapse in [false, true] {
-                configs.push((mode, width, collapse));
+                configs.push((packing, width, collapse));
             }
         }
     }
     configs
+}
+
+/// The scalar oracle's result as a drop-mode engine run reports it: the
+/// oracle never drops, and the engine stops a fault at the end of the
+/// 64-pair batch of its first detection, so only pairs below that batch's
+/// end survive. A detected fault is observable either way.
+fn truncated_at_drop(oracle: &CampaignResult) -> CampaignResult {
+    let Some(first) = oracle.detected_pairs.first() else {
+        return oracle.clone();
+    };
+    let end = (first / 64 + 1) * 64;
+    let below = |set: &scal::engine::PairSet| set.iter().filter(|&m| m < end).collect();
+    CampaignResult {
+        detected_pairs: below(&oracle.detected_pairs),
+        violation_pairs: below(&oracle.violation_pairs),
+        ..oracle.clone()
+    }
 }
 
 /// Every combinational alternating paper circuit: full collapsed fault
@@ -74,16 +108,16 @@ fn engine_campaign_matches_scalar_on_paper_circuits() {
             .run()
             .expect("scalar campaign")
             .results;
-        for (mode, width, collapse) in engine_configs() {
+        for (packing, width, collapse) in engine_configs() {
             let engine = Campaign::new(&c)
                 .faults(faults.clone())
-                .eval_mode(mode)
+                .fault_packing(packing)
                 .word_width(width)
                 .fault_collapse(collapse)
                 .run()
                 .expect("engine campaign")
                 .results;
-            let config = format!("{mode}, W={width}, collapse {collapse}");
+            let config = format!("packing {packing}, W={width}, collapse {collapse}");
             assert_eq!(
                 engine.len(),
                 scalar.len(),
@@ -103,9 +137,9 @@ fn engine_campaign_matches_scalar_on_paper_circuits() {
 
 /// Sweeps of many 64-pair batches against the scalar oracle: ripple adders
 /// of 9 and 13 inputs (4 and 64 batches, up to 8 groups at `W = 8`) under
-/// every word width, both eval modes, and fault packing on and off. The
-/// paper circuits above have at most 8 inputs, so none of their sweeps
-/// fills more than one `W = 8` group.
+/// every word width and fault packing on and off. The paper circuits above
+/// have at most 8 inputs, so none of their sweeps fills more than one
+/// `W = 8` group.
 #[test]
 fn engine_campaign_matches_scalar_on_wide_adders() {
     for bits in [4, 6] {
@@ -117,33 +151,30 @@ fn engine_campaign_matches_scalar_on_wide_adders() {
             .scalar()
             .run()
             .expect("scalar campaign");
-        for mode in EVAL_MODES {
-            for width in WORD_WIDTHS {
-                for packing in [false, true] {
-                    let engine = Campaign::new(&c)
-                        .faults(faults.clone())
-                        .eval_mode(mode)
-                        .word_width(width)
-                        .fault_packing(packing)
-                        .run()
-                        .expect("engine campaign");
-                    let config = format!("adder{bits} ({mode}, W={width}, packing {packing})");
-                    assert_eq!(engine.results, scalar.results, "{config}");
-                }
+        for width in WORD_WIDTHS {
+            for packing in [false, true] {
+                let engine = Campaign::new(&c)
+                    .faults(faults.clone())
+                    .word_width(width)
+                    .fault_packing(packing)
+                    .run()
+                    .expect("engine campaign");
+                let config = format!("adder{bits} (W={width}, packing {packing})");
+                assert_eq!(engine.results, scalar.results, "{config}");
             }
         }
     }
 }
 
-/// Attaching an observer must not perturb a campaign: under every eval
-/// mode, collapse and packing setting, the observed run's results and
+/// Attaching an observer must not perturb a campaign: under every
+/// collapse and packing setting, the observed run's results and
 /// coverage map — annotations included — are bit-identical to the
 /// unobserved run's on every eligible circuit. Events flow only to the
 /// attached observer, and the map's cone statistics (gathered from the
 /// verdict table) are exactly the ones its `ConeStats` events carry.
 #[test]
 fn observed_campaign_is_bit_identical_to_unobserved() {
-    use scal::obs::{CampaignEvent, CollectObserver, CoverageMap, CoverageObserver};
+    use scal::obs::{CollectObserver, CoverageMap, CoverageObserver};
     /// `(fault, cone_ops, ops_skipped, frontier_died_at_level)` per record
     /// or event that carries cone statistics.
     type Cone = (usize, u64, u64, Option<u32>);
@@ -180,39 +211,36 @@ fn observed_campaign_is_bit_identical_to_unobserved() {
             continue;
         }
         let faults = enumerate_faults(&c);
-        for mode in EVAL_MODES {
-            for collapse in [false, true] {
-                for packing in [false, true] {
-                    let config = format!("{name} ({mode}, collapse {collapse}, packing {packing})");
-                    let mut runs = Vec::new();
-                    for observed in [false, true] {
-                        let collect = CollectObserver::default();
-                        let cov = CoverageObserver::new();
-                        let mut campaign = Campaign::new(&c)
-                            .faults(faults.clone())
-                            .eval_mode(mode)
-                            .fault_collapse(collapse)
-                            .fault_packing(packing)
-                            .coverage(&cov);
-                        if observed {
-                            campaign = campaign.observer(&collect);
-                        }
-                        let results = campaign.run().expect("campaign").results;
-                        let map = cov.latest().expect("coverage map");
-                        if observed {
-                            let events = collect.events();
-                            assert!(!events.is_empty(), "{config}: no events flowed");
-                            assert_eq!(
-                                map_cones(&map),
-                                event_cones(&events),
-                                "{config}: cone statistics"
-                            );
-                        }
-                        runs.push((results, map));
+        for collapse in [false, true] {
+            for packing in [false, true] {
+                let config = format!("{name} (collapse {collapse}, packing {packing})");
+                let mut runs = Vec::new();
+                for observed in [false, true] {
+                    let collect = CollectObserver::default();
+                    let cov = CoverageObserver::new();
+                    let mut campaign = Campaign::new(&c)
+                        .faults(faults.clone())
+                        .fault_collapse(collapse)
+                        .fault_packing(packing)
+                        .coverage(&cov);
+                    if observed {
+                        campaign = campaign.observer(&collect);
                     }
-                    assert_eq!(runs[0].0, runs[1].0, "{config}: observer changed results");
-                    assert_eq!(runs[0].1, runs[1].1, "{config}: observer changed the map");
+                    let results = campaign.run().expect("campaign").results;
+                    let map = cov.latest().expect("coverage map");
+                    if observed {
+                        let events = collect.events();
+                        assert!(!events.is_empty(), "{config}: no events flowed");
+                        assert_eq!(
+                            map_cones(&map),
+                            event_cones(&events),
+                            "{config}: cone statistics"
+                        );
+                    }
+                    runs.push((results, map));
                 }
+                assert_eq!(runs[0].0, runs[1].0, "{config}: observer changed results");
+                assert_eq!(runs[0].1, runs[1].1, "{config}: observer changed the map");
             }
         }
     }
@@ -288,34 +316,36 @@ fn packed_seq_sim_matches_graph_sim_on_paper_circuits() {
 }
 
 /// Cone-restricted evaluation is a pure optimisation: on every
-/// campaign-eligible paper circuit it is bit-identical to full evaluation
-/// across thread counts and fault dropping.
+/// campaign-eligible paper circuit the pattern-major path is bit-identical
+/// to the scalar oracle across thread counts and fault dropping (a dropped
+/// fault keeps the oracle's pairs up to the end of its detecting batch).
 #[test]
-fn cone_eval_matches_full_on_paper_circuits() {
+fn cone_eval_matches_scalar_on_paper_circuits() {
     let mut checked = 0;
     for (name, c) in all_paper_circuits() {
         if c.is_sequential() || c.inputs().len() > 12 || !is_alternating(&c) {
             continue;
         }
         let faults = enumerate_faults(&c);
+        let scalar = Campaign::new(&c)
+            .faults(faults.clone())
+            .scalar()
+            .run()
+            .expect("scalar campaign")
+            .results;
+        let dropped: Vec<CampaignResult> = scalar.iter().map(truncated_at_drop).collect();
         for threads in [1, 2, 4] {
             for drop in [false, true] {
-                let full = Campaign::new(&c)
-                    .faults(faults.clone())
-                    .threads(threads)
-                    .drop_after_detection(drop)
-                    .eval_mode(EvalMode::Full)
-                    .run()
-                    .expect("full campaign")
-                    .results;
                 let cone = Campaign::new(&c)
                     .faults(faults.clone())
                     .threads(threads)
                     .drop_after_detection(drop)
+                    .fault_packing(false)
                     .run()
                     .expect("cone campaign")
                     .results;
-                assert_eq!(full, cone, "{name}: threads {threads}, drop {drop}");
+                let oracle = if drop { &dropped } else { &scalar };
+                assert_eq!(&cone, oracle, "{name}: threads {threads}, drop {drop}");
             }
         }
         checked += 1;
@@ -328,8 +358,8 @@ fn cone_eval_matches_full_on_paper_circuits() {
 
 /// Wide evaluation words are a pure optimisation: every width is
 /// bit-identical to the scalar `u64` path on every campaign-eligible paper
-/// circuit, across thread counts, fault dropping, and both eval modes —
-/// results, aggregate pair counts, and drop totals alike.
+/// circuit, across thread counts, fault dropping, and both lane geometries
+/// — results, aggregate pair counts, and drop totals alike.
 #[test]
 fn wide_word_widths_match_scalar_on_paper_circuits() {
     let mut checked = 0;
@@ -338,14 +368,14 @@ fn wide_word_widths_match_scalar_on_paper_circuits() {
             continue;
         }
         let faults = enumerate_faults(&c);
-        for mode in EVAL_MODES {
+        for packing in [false, true] {
             for threads in [1, 4] {
                 for drop in [false, true] {
                     let scalar = Campaign::new(&c)
                         .faults(faults.clone())
                         .threads(threads)
                         .drop_after_detection(drop)
-                        .eval_mode(mode)
+                        .fault_packing(packing)
                         .word_width(1)
                         .run()
                         .expect("scalar-width campaign");
@@ -354,11 +384,12 @@ fn wide_word_widths_match_scalar_on_paper_circuits() {
                             .faults(faults.clone())
                             .threads(threads)
                             .drop_after_detection(drop)
-                            .eval_mode(mode)
+                            .fault_packing(packing)
                             .word_width(width)
                             .run()
                             .expect("wide campaign");
-                        let config = format!("{mode}, W={width}, threads {threads}, drop {drop}");
+                        let config =
+                            format!("packing {packing}, W={width}, threads {threads}, drop {drop}");
                         assert_eq!(scalar.results, wide.results, "{name}: {config}");
                         assert_eq!(
                             scalar.stats.pairs_evaluated, wide.stats.pairs_evaluated,
@@ -435,20 +466,6 @@ fn fault_packed_campaign_matches_unpacked_on_paper_circuits() {
 /// unpacked run.
 #[test]
 fn cancelled_fault_packed_prefix_matches_unpacked_run() {
-    use scal::obs::{CampaignEvent, CampaignObserver, CancelToken};
-    struct CancelAfter<'a> {
-        token: &'a CancelToken,
-        after: usize,
-    }
-    impl CampaignObserver for CancelAfter<'_> {
-        fn on_event(&self, event: &CampaignEvent) {
-            if let CampaignEvent::Progress { done, .. } = event {
-                if *done >= self.after {
-                    self.token.cancel();
-                }
-            }
-        }
-    }
     let c = paper::ripple_adder(4);
     let faults = enumerate_faults(&c);
     assert!(faults.len() > 63, "want multiple chunks: {}", faults.len());
@@ -585,20 +602,6 @@ fn seq_packed_matches_scalar_backend() {
 /// lands on a whole-batch boundary.
 #[test]
 fn cancelled_packed_seq_prefix_matches_scalar_run() {
-    use scal::obs::{CampaignEvent, CampaignObserver, CancelToken};
-    struct CancelAfter<'a> {
-        token: &'a CancelToken,
-        after: usize,
-    }
-    impl CampaignObserver for CancelAfter<'_> {
-        fn on_event(&self, event: &CampaignEvent) {
-            if let CampaignEvent::Progress { done, .. } = event {
-                if *done >= self.after {
-                    self.token.cancel();
-                }
-            }
-        }
-    }
     let m = scal::seq::kohavi::kohavi_0101();
     let machine = scal::seq::code_conversion_machine(&m);
     let words = seq_drive(machine.circuit.inputs().len() - 1);
@@ -637,33 +640,22 @@ fn cancelled_packed_seq_prefix_matches_scalar_run() {
 }
 
 /// A cancelled cone campaign's fault-ordered prefix is bit-identical to the
-/// same prefix of an uncancelled *full*-mode run — cancellation and eval
-/// mode compose without perturbing results.
+/// same prefix of the scalar oracle's run, truncated at each fault's drop
+/// batch — cancellation and cone evaluation compose without perturbing
+/// results.
 #[test]
-fn cancelled_cone_prefix_matches_full_run() {
-    use scal::obs::{CampaignEvent, CampaignObserver, CancelToken};
-    struct CancelAfter<'a> {
-        token: &'a CancelToken,
-        after: usize,
-    }
-    impl CampaignObserver for CancelAfter<'_> {
-        fn on_event(&self, event: &CampaignEvent) {
-            if let CampaignEvent::Progress { done, .. } = event {
-                if *done >= self.after {
-                    self.token.cancel();
-                }
-            }
-        }
-    }
+fn cancelled_cone_prefix_matches_scalar_run() {
     let c = paper::ripple_adder(4);
     let faults = enumerate_faults(&c);
-    let full = Campaign::new(&c)
+    let full: Vec<CampaignResult> = Campaign::new(&c)
         .faults(faults.clone())
-        .drop_after_detection(true)
-        .eval_mode(EvalMode::Full)
+        .scalar()
         .run()
-        .expect("full campaign")
-        .results;
+        .expect("scalar campaign")
+        .results
+        .iter()
+        .map(truncated_at_drop)
+        .collect();
     let token = CancelToken::new();
     let observer = CancelAfter {
         token: &token,
@@ -672,6 +664,7 @@ fn cancelled_cone_prefix_matches_full_run() {
     let partial = Campaign::new(&c)
         .faults(faults)
         .drop_after_detection(true)
+        .fault_packing(false)
         .observer(&observer)
         .cancel(&token)
         .run()
@@ -682,8 +675,53 @@ fn cancelled_cone_prefix_matches_full_run() {
     assert_eq!(
         partial.results[..],
         full[..k],
-        "cone prefix must match the full-mode run"
+        "cone prefix must match the scalar run"
     );
+}
+
+/// A parity chain never lets a cone frontier die, so a fault whose cone
+/// covers more than the engine's switch share of the schedule sweeps its
+/// later groups over the full schedule. The chain's 11 inputs make 16
+/// batches: 16 groups at `W = 1`, 4 at `W = 4`. Results match the scalar
+/// oracle, and some fault's `ops_evaluated` exceeds what its cone alone
+/// can account for (`2 × cone_ops` per batch).
+#[test]
+fn cone_to_full_switch_matches_scalar_on_a_parity_chain() {
+    use scal::obs::CollectObserver;
+    let mut c = Circuit::new();
+    let ins: Vec<_> = (0..11).map(|i| c.input(format!("x{i}"))).collect();
+    let parity = ins[1..].iter().fold(ins[0], |acc, &x| c.xor(&[acc, x]));
+    c.mark_output("p", parity);
+    let faults = enumerate_faults(&c);
+    let scalar = Campaign::new(&c)
+        .faults(faults.clone())
+        .scalar()
+        .run()
+        .expect("scalar campaign")
+        .results;
+    for width in [1, 4] {
+        let collect = CollectObserver::default();
+        let engine = Campaign::new(&c)
+            .faults(faults.clone())
+            .word_width(width)
+            .fault_packing(false)
+            .observer(&collect)
+            .run()
+            .expect("engine campaign");
+        assert_eq!(engine.results, scalar, "W={width}");
+        let switched = collect
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(e, CampaignEvent::ConeStats { cone_ops, ops_evaluated, .. }
+                    if *ops_evaluated > cone_ops * 2 * 16)
+            })
+            .count();
+        assert!(
+            switched > 0,
+            "W={width}: no fault switched to the full schedule"
+        );
+    }
 }
 
 /// Builds a random combinational circuit from a gate recipe, then makes it
@@ -730,16 +768,16 @@ proptest! {
             .run()
             .expect("scalar campaign")
             .results;
-        for (mode, width, collapse) in engine_configs() {
+        for (packing, width, collapse) in engine_configs() {
             let engine = Campaign::new(&alt)
                 .faults(faults.clone())
-                .eval_mode(mode)
+                .fault_packing(packing)
                 .word_width(width)
                 .fault_collapse(collapse)
                 .run()
                 .expect("engine campaign")
                 .results;
-            prop_assert_eq!(&engine, &scalar, "{}, W={}, collapse {}", mode, width, collapse);
+            prop_assert_eq!(&engine, &scalar, "packing {}, W={}, collapse {}", packing, width, collapse);
         }
     }
 

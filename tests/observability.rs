@@ -1,8 +1,8 @@
 //! Observability-layer integration: the event stream is deterministic and
 //! golden-file-stable, every campaign kind keeps one event contract,
 //! cancellation yields a fault-ordered prefix that is bit-identical to the
-//! uncancelled run, and the `Campaign` builder's backends and eval modes
-//! all agree.
+//! uncancelled run, and the `Campaign` builder's backends and lane
+//! geometries all agree.
 
 use scal::core::paper;
 use scal::engine::EngineError;
@@ -137,26 +137,28 @@ fn cancelled_campaign_returns_bit_identical_prefix() {
     );
 }
 
-/// Every path through the builder — packed engine in cone and full eval
-/// modes, plus the scalar oracle — produces bit-identical results.
+/// Every path through the builder — the packed engine's pattern-major
+/// (cone-restricted) and fault-packed (full-schedule) geometries — produces
+/// results bit-identical to the scalar oracle.
 #[test]
-fn builder_backends_and_eval_modes_agree() {
-    use scal::engine::EvalMode;
+fn builder_backends_agree() {
     let c = paper::fig3_7().circuit;
-    let cone = Campaign::new(&c).run().expect("cone campaign");
-    let full = Campaign::new(&c)
-        .eval_mode(EvalMode::Full)
-        .run()
-        .expect("full campaign");
-    assert_eq!(cone.results, full.results, "cone vs full eval");
-
     let faults = enumerate_faults(&c);
     let scalar = Campaign::new(&c)
         .faults(faults)
         .scalar()
         .run()
         .expect("scalar builder campaign");
-    assert_eq!(cone.results, scalar.results, "engine vs scalar oracle");
+    for packing in [false, true] {
+        let engine = Campaign::new(&c)
+            .fault_packing(packing)
+            .run()
+            .expect("engine campaign");
+        assert_eq!(
+            engine.results, scalar.results,
+            "packing {packing} vs scalar oracle"
+        );
+    }
 }
 
 /// Runs one campaign of kind `kind` with `observer` and `cancel` attached.
