@@ -28,7 +28,7 @@ fn usage() -> ExitCode {
          [--seed S] --out FILE\n\
          \x20 scal_run convert IN OUT\n\
          \x20 scal_run info FILE\n\
-         \x20 scal_run run FILE [--threads N] [--max-faults N] [--word-width 0|1|4|8]\n\
+         \x20 scal_run run FILE [--threads N] [--max-faults N]\n\
          \x20               [--fault-packing on|off|auto] [--fault-collapse on|off|auto]\n\
          formats are chosen by extension (.v, .bench, .scal/.txt) and sniffed on read"
     );
@@ -148,7 +148,6 @@ fn run(args: &[String]) -> ExitCode {
     };
     let mut threads = 0usize;
     let mut max_faults = None;
-    let mut word_width = 0usize;
     // `None` leaves the engine's Auto defaults in charge.
     let mut fault_packing: Option<bool> = None;
     let mut fault_collapse: Option<bool> = None;
@@ -164,10 +163,6 @@ fn run(args: &[String]) -> ExitCode {
             },
             "--max-faults" => match raw.parse::<usize>() {
                 Ok(n) if n > 0 => max_faults = Some(n),
-                _ => return usage(),
-            },
-            "--word-width" => match raw.parse::<usize>() {
-                Ok(w) if w == 0 || scal_engine::WORD_WIDTHS.contains(&w) => word_width = w,
                 _ => return usage(),
             },
             "--fault-packing" => match raw.as_str() {
@@ -202,7 +197,6 @@ fn run(args: &[String]) -> ExitCode {
     let mut campaign = scal_faults::Campaign::new(&circuit)
         .faults(faults)
         .threads(threads)
-        .word_width(word_width)
         .coverage(&cov);
     if let Some(pack) = fault_packing {
         campaign = campaign.fault_packing(pack);

@@ -93,23 +93,21 @@ fn verilog_bench_verilog_round_trip_is_byte_identical() {
 }
 
 #[test]
-fn word_widths_print_identical_coverage_and_pairs() {
-    let dir = scratch_dir("word_width");
+fn default_run_prints_pinned_coverage_and_pairs() {
+    let dir = scratch_dir("default_run");
     let v = gen(&dir, "selfdual", "2000", "d.v");
-    let scalar = run_line(&v, &["--word-width", "1"]);
-    let wide = run_line(&v, &["--word-width", "0"]);
+    let line = run_line(&v, &[]);
     // Pinned counters: the pairs field is the campaign's own
     // `pairs_evaluated`, and collapsing leaves 126 of the 128 faults.
     assert!(
-        fields(&scalar, 3)
+        fields(&line, 3)
             .ends_with(": 128/11356 faults swept, 114 detected (89.1% of swept), 516096 pairs"),
-        "{scalar}"
+        "{line}"
     );
     assert!(
-        scalar.trim_end().ends_with(", collapse 1.02x (126 reps)"),
-        "{scalar}"
+        line.trim_end().ends_with(", collapse 1.02x (126 reps)"),
+        "{line}"
     );
-    assert_eq!(fields(&scalar, 3), fields(&wide, 3));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -218,20 +218,7 @@ impl<const W: usize> WideEvaluator<W> {
         inputs: &[Word<W>],
         state: &[Word<W>],
     ) -> Result<(), EngineError> {
-        if inputs.len() != compiled.num_inputs() {
-            return Err(EngineError::ArityMismatch {
-                what: "input",
-                expected: compiled.num_inputs(),
-                got: inputs.len(),
-            });
-        }
-        if state.len() != compiled.num_dffs() {
-            return Err(EngineError::ArityMismatch {
-                what: "state",
-                expected: compiled.num_dffs(),
-                got: state.len(),
-            });
-        }
+        check_arity(compiled, inputs.len(), state.len())?;
         self.eval_impl(compiled, |i| inputs[i], |i| state[i]);
         Ok(())
     }
@@ -446,20 +433,7 @@ impl Evaluator {
         inputs: &[u64],
         state: &[u64],
     ) -> Result<(), EngineError> {
-        if inputs.len() != compiled.num_inputs() {
-            return Err(EngineError::ArityMismatch {
-                what: "input",
-                expected: compiled.num_inputs(),
-                got: inputs.len(),
-            });
-        }
-        if state.len() != compiled.num_dffs() {
-            return Err(EngineError::ArityMismatch {
-                what: "state",
-                expected: compiled.num_dffs(),
-                got: state.len(),
-            });
-        }
+        check_arity(compiled, inputs.len(), state.len())?;
         self.eval_impl(
             compiled,
             |i| Word::from_u64(inputs[i]),
@@ -485,6 +459,24 @@ impl Evaluator {
     pub(crate) fn raw_slot(&self, idx: usize) -> u64 {
         self.slots[idx].first()
     }
+}
+
+/// Checks `inputs` input words and `state` state words against
+/// `compiled`'s primary inputs and flip-flops.
+fn check_arity(compiled: &CompiledCircuit, inputs: usize, state: usize) -> Result<(), EngineError> {
+    for (what, expected, got) in [
+        ("input", compiled.num_inputs(), inputs),
+        ("state", compiled.num_dffs(), state),
+    ] {
+        if got != expected {
+            return Err(EngineError::ArityMismatch {
+                what,
+                expected,
+                got,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// One packed gate evaluation over the given fanin slots.

@@ -1,19 +1,19 @@
 //! The wide-word abstraction behind 2-D packed evaluation: a `Word<W>` is
-//! `W` independent 64-lane sub-words evaluated simultaneously, written as
-//! plain safe array loops that LLVM autovectorizes to AVX2 (`W = 4`) or
-//! AVX-512 (`W = 8`) registers when the target supports them.
+//! `W` independent 64-lane sub-words evaluated together, written as plain
+//! safe array loops. The workspace builds for the baseline target, so a
+//! wide word is a batch size, not a vector register: it amortizes the
+//! per-op schedule walk over `W` sub-words.
 //!
-//! Width selection is runtime-configurable: [`resolve_word_width`] combines
-//! the `EngineConfig::word_width` knob with [`auto_word_width`] CPU-feature
-//! detection. Campaign drivers
-//! monomorphize their hot loops per supported width and dispatch once per
-//! run, so the inner sweeps stay branch-free.
+//! The width follows the workload, not the host: [`word_width_for`] picks
+//! the narrowest width whose one word holds a campaign's whole workload, so
+//! a small campaign does not sweep a mostly empty wide word, and every
+//! result is a function of the circuit and fault list alone. Campaigns monomorphize their hot loops per
+//! supported width and dispatch once per run, so the inner sweeps stay
+//! branch-free.
 
-use crate::error::EngineError;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
 
-/// The word widths the engine monomorphizes: scalar, AVX2-sized (4 × u64 =
-/// 256 bits), and AVX-512-sized (8 × u64 = 512 bits).
+/// The word widths the engine monomorphizes, narrowest first.
 pub const WORD_WIDTHS: [usize; 3] = [1, 4, 8];
 
 /// A wide evaluation word: `W` independent 64-lane sub-words.
@@ -29,13 +29,6 @@ pub struct Word<const W: usize>(pub(crate) [u64; W]);
 impl<const W: usize> Word<W> {
     /// The all-zeros word.
     pub const ZERO: Word<W> = Word([0; W]);
-
-    /// The all-zeros word.
-    #[inline]
-    #[must_use]
-    pub fn zero() -> Self {
-        Self::ZERO
-    }
 
     /// The all-ones word.
     #[inline]
@@ -205,37 +198,28 @@ pub(crate) fn exhaustive_word(base: usize, i: usize, mask: u64) -> u64 {
     }
 }
 
-/// The widest profitable word width for this machine: 8 with AVX-512, 4
-/// with AVX2, otherwise 1 (including every non-x86 target, where narrower
-/// vectors rarely beat the scalar path on these masked-word kernels).
+/// The word width a workload runs at: the narrowest of [`WORD_WIDTHS`] whose
+/// one word holds all `items` when each 64-lane sub-word carries
+/// `per_sub_word` of them, else the widest. A sub-word carries one 64-pair
+/// batch on the pattern-major pair path, one pattern on the fault-packed
+/// pair path and 63 faults on the packed sequential path.
 #[must_use]
-pub fn auto_word_width() -> usize {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return 8;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return 4;
-        }
-    }
-    1
+pub fn word_width_for(items: usize, per_sub_word: usize) -> usize {
+    WORD_WIDTHS
+        .into_iter()
+        .find(|&w| w * per_sub_word >= items)
+        .unwrap_or(WORD_WIDTHS[WORD_WIDTHS.len() - 1])
 }
 
-/// Resolves the effective word width: the `requested` config value, or
-/// [`auto_word_width`] detection when it is `0`.
-///
-/// # Errors
-///
-/// Returns [`EngineError::InvalidConfig`] when the requested value is
-/// neither `0` nor one of [`WORD_WIDTHS`].
-pub fn resolve_word_width(requested: usize) -> Result<usize, EngineError> {
-    match requested {
-        0 => Ok(auto_word_width()),
-        w if WORD_WIDTHS.contains(&w) => Ok(w),
-        w => Err(EngineError::InvalidConfig {
-            reason: format!("configured word width must be one of {WORD_WIDTHS:?}, got {w}"),
-        }),
+/// The word width of an `inputs`-input pair campaign: its `2^(inputs-1)`
+/// canonical pairs fill one sub-word per 64-pair batch pattern-major, or one
+/// per pair when `packing` faults into the lanes.
+pub(crate) fn pair_word_width(inputs: usize, packing: bool) -> usize {
+    let pairs = 1usize << (inputs - 1);
+    if packing {
+        word_width_for(pairs, 1)
+    } else {
+        word_width_for(pairs.div_ceil(64), 1)
     }
 }
 
@@ -314,18 +298,49 @@ mod tests {
         }
     }
 
+    /// The rule's choice for each benchmark workload kind: pattern-major
+    /// adder4 (9 inputs, 4 batches) and adder8 (17 inputs, 1,024 batches),
+    /// fault-packed fig3_4 (3 inputs, 4 patterns), and the packed
+    /// sequential Kohavi dual-flip-flop machine (56 representatives), its
+    /// code-conversion machine (99) and the 256-word Reynolds drive (56).
     #[test]
-    fn resolve_prefers_config_then_auto() {
-        // Explicit config values validate and win.
-        assert_eq!(resolve_word_width(1).unwrap(), 1);
-        assert_eq!(resolve_word_width(4).unwrap(), 4);
-        assert_eq!(resolve_word_width(8).unwrap(), 8);
-        match resolve_word_width(3) {
-            Err(EngineError::InvalidConfig { reason }) => assert!(reason.contains("3")),
-            other => panic!("expected InvalidConfig, got {other:?}"),
+    fn width_rule_follows_the_workload() {
+        assert_eq!(pair_word_width(9, false), 4, "adder4");
+        assert_eq!(pair_word_width(17, false), 8, "adder8_drop");
+        assert_eq!(pair_word_width(3, true), 4, "fig3_4 fault-packed");
+        for (kind, reps, width) in [
+            ("kohavi_dualff", 56, 1),
+            ("kohavi_codeconv", 99, 4),
+            ("reynolds256", 56, 1),
+        ] {
+            assert_eq!(word_width_for(reps, 63), width, "{kind}");
         }
-        // Auto always lands on a supported width.
-        assert!(WORD_WIDTHS.contains(&auto_word_width()));
-        assert_eq!(resolve_word_width(0).unwrap(), auto_word_width());
+    }
+
+    /// Each width holds exactly its capacity; one item more takes the next
+    /// width, and past the widest word the widest stays.
+    #[test]
+    fn width_rule_is_exact_at_each_capacity() {
+        assert_eq!(word_width_for(0, 63), 1);
+        for (items, width) in [(1, 1), (2, 4), (4, 4), (5, 8), (8, 8), (9, 8), (1 << 23, 8)] {
+            assert_eq!(word_width_for(items, 1), width, "{items} items");
+        }
+        for (reps, width) in [(63, 1), (64, 4), (252, 4), (253, 8), (504, 8), (505, 8)] {
+            assert_eq!(word_width_for(reps, 63), width, "{reps} representatives");
+        }
+        // Pattern-major: up to 7 inputs is one batch; 8 and 9 inputs two and
+        // four batches; 10 inputs and up fill W = 8. Fault-packed: 1 input is
+        // one pattern, 2 and 3 inputs two and four.
+        for (inputs, pattern, packed) in [(1, 1, 1), (2, 1, 4), (3, 1, 4), (4, 1, 8), (7, 1, 8)] {
+            assert_eq!(pair_word_width(inputs, false), pattern, "{inputs} inputs");
+            assert_eq!(
+                pair_word_width(inputs, true),
+                packed,
+                "{inputs} inputs packed"
+            );
+        }
+        for (inputs, width) in [(8, 4), (9, 4), (10, 8), (24, 8)] {
+            assert_eq!(pair_word_width(inputs, false), width, "{inputs} inputs");
+        }
     }
 }

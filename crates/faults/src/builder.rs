@@ -106,16 +106,6 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Evaluation word width in 64-bit sub-words (`1`, `4` or `8`); `0`
-    /// (the default) picks it by CPU-feature detection. Shorthand for the
-    /// corresponding [`EngineConfig`] field; all widths are bit-identical
-    /// in every report. The scalar backend ignores this knob.
-    #[must_use]
-    pub fn word_width(mut self, width: usize) -> Self {
-        self.config.word_width = width;
-        self
-    }
-
     /// Forces 2-D fault-lane packing on or off (see
     /// [`EngineConfig::fault_packing`]): one sweep then classifies
     /// `63 × W` (fault, pattern) cells at once. Left untouched, the engine
@@ -288,22 +278,53 @@ mod tests {
         assert_eq!(scalar.results, report.results);
     }
 
+    /// An odd-input XOR: self-dual, so every fault's pairs alternate.
+    fn xor_n(n: usize) -> Circuit {
+        let mut c = Circuit::new();
+        let ins: Vec<_> = (0..n).map(|i| c.input(format!("x{i}"))).collect();
+        let x = c.gate(GateKind::Xor, &ins);
+        c.mark_output("f", x);
+        c
+    }
+
+    /// Both lane geometries agree with the scalar oracle on circuits whose
+    /// workloads land on every word width: pattern-major, one, four and
+    /// sixteen 64-pair batches; fault-packed, one, four and sixteen
+    /// patterns.
     #[test]
-    fn word_width_and_fault_packing_agree_with_defaults() {
-        let c = xor3();
-        let base = Campaign::new(&c).word_width(1).run().unwrap();
-        for width in [4, 8] {
-            let wide = Campaign::new(&c).word_width(width).run().unwrap();
-            assert_eq!(base.results, wide.results, "W={width}");
-        }
-        for width in [1, 8] {
-            let packed = Campaign::new(&c)
-                .word_width(width)
-                .fault_packing(true)
-                .run()
-                .unwrap();
-            assert_eq!(base.results, packed.results, "packed W={width}");
-            assert_eq!(base.stats.pairs_evaluated, packed.stats.pairs_evaluated);
+    fn lane_geometries_agree_with_the_oracle_at_every_width() {
+        let mut not = Circuit::new();
+        let a = not.input("a");
+        let na = not.not(a);
+        not.mark_output("f", na);
+        // (circuit, pattern-major width, fault-packed width)
+        for (c, pattern_w, packed_w) in [
+            (not, 1, 1),
+            (xor3(), 1, 4),
+            (xor_n(5), 1, 8),
+            (xor_n(9), 4, 8),
+            (xor_n(11), 8, 8),
+        ] {
+            let inputs = c.inputs().len();
+            let oracle = Campaign::new(&c).scalar().run().unwrap();
+            let mut pairs = Vec::new();
+            for (packing, want) in [(false, pattern_w), (true, packed_w)] {
+                let collect = CollectObserver::default();
+                let engine = Campaign::new(&c)
+                    .fault_packing(packing)
+                    .observer(&collect)
+                    .run()
+                    .unwrap();
+                let width = collect.events().iter().find_map(|e| match e {
+                    CampaignEvent::LaneGeometry { width, .. } => Some(*width),
+                    _ => None,
+                });
+                let config = format!("{inputs} inputs, packing {packing}");
+                assert_eq!(width, Some(want), "{config}");
+                assert_eq!(engine.results, oracle.results, "{config}");
+                pairs.push(engine.stats.pairs_evaluated);
+            }
+            assert_eq!(pairs[0], pairs[1], "{inputs} inputs");
         }
     }
 

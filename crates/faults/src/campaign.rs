@@ -6,8 +6,8 @@
 
 use crate::Fault;
 use scal_engine::{
-    drive, duration_micros, EngineError, EngineStats, FaultSummary, Kernel, PairSet, Setup, Toggle,
-    Unit, UnitResult, VerdictTable,
+    drive, duration_micros, EngineError, EngineStats, FaultSummary, Kernel, PairSet, Setup, Unit,
+    UnitResult, VerdictTable,
 };
 use scal_netlist::{Circuit, Override};
 use scal_obs::{CampaignEvent, CampaignObserver, CancelToken};
@@ -163,19 +163,17 @@ pub(crate) fn try_run_scalar(
         outputs: circuit.outputs().len(),
         threads: 1,
         faults: &overrides,
-        compiled: None,
-        collapse: Toggle::Off,
+        collapsed: None,
         observer,
         cancel,
         started: Instant::now(),
     };
-    let driven = drive(setup, |_| {
-        Ok(ScalarKernel {
-            circuit,
-            inputs: n,
-            normal: Vec::new(),
-        })
-    })?;
+    let kernel = ScalarKernel {
+        circuit,
+        inputs: n,
+        normal: Vec::new(),
+    };
+    let driven = drive(setup, kernel)?;
     // Uncollapsed: `verdicts[i]` answers fault `i`.
     Ok((driven.verdicts, driven.stats, driven.table))
 }

@@ -419,9 +419,9 @@ fn parse_submit(obj: &JsonValue) -> Result<JobSpec, ProtoError> {
                 ));
             }
             let words: Vec<Vec<bool>> = words_v.iter().map(parse_word).collect::<Result<_, _>>()?;
-            // The campaign would reject a word-width mismatch too, but only
-            // once the job runs; checking here answers with the `bad_words`
-            // code at submit time.
+            // The campaign would reject a driven word of the wrong arity
+            // too, but only once the job runs; checking here answers with
+            // the `bad_words` code at submit time.
             if let Some(w) = words.iter().find(|w| w.len() != inputs - 1) {
                 return Err(ProtoError::new(
                     "bad_words",
@@ -1033,7 +1033,7 @@ mod tests {
     }
 
     #[test]
-    fn word_width_mismatches_are_rejected_not_panicked() {
+    fn driven_word_arity_mismatches_are_rejected_not_panicked() {
         let machine = scal_seq::kohavi::reynolds_circuit();
         let spec = JobSpec {
             kind: JobKind::Seq {

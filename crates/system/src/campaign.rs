@@ -13,8 +13,8 @@
 use crate::cpu::{Cpu, CpuMode, Program};
 use crate::programs::{checksum, popcount, ARG0, RESULT};
 use scal_engine::{
-    drive, CollapseCounts, CompiledCircuit, EngineError, FaultSummary, Kernel, Setup, Toggle, Unit,
-    UnitResult,
+    collapse_overrides, drive, CollapseCounts, CompiledCircuit, EngineError, FaultSummary, Kernel,
+    Setup, Unit, UnitResult,
 };
 use scal_faults::{enumerate_faults, Fault};
 use scal_netlist::Override;
@@ -117,7 +117,7 @@ pub struct Campaign<'a> {
     observer: &'a dyn CampaignObserver,
     coverage: Option<&'a CoverageObserver>,
     cancel: Option<&'a CancelToken>,
-    fault_collapse: Toggle,
+    fault_collapse: bool,
 }
 
 impl std::fmt::Debug for Campaign<'_> {
@@ -144,7 +144,7 @@ impl<'a> Campaign<'a> {
             observer: &NullObserver,
             coverage: None,
             cancel: None,
-            fault_collapse: Toggle::default(),
+            fault_collapse: true,
         }
     }
 
@@ -154,7 +154,7 @@ impl<'a> Campaign<'a> {
     /// campaign driver expands their verdicts over every original fault.
     #[must_use]
     pub fn fault_collapse(mut self, on: bool) -> Self {
-        self.fault_collapse = on.into();
+        self.fault_collapse = on;
         self
     }
 
@@ -217,9 +217,13 @@ impl<'a> Campaign<'a> {
         };
         let faults = enumerate_faults(&unit_circuit);
         let overrides: Vec<Override> = faults.iter().map(|f| f.to_override()).collect();
-        // The driver collapses over the compiled unit netlist; were it ever
-        // not engine-compatible, the campaign would run uncollapsed.
-        let compiled = CompiledCircuit::try_compile(&unit_circuit).ok();
+        // Collapsing runs over the compiled unit netlist; were it ever not
+        // engine-compatible, the campaign would run uncollapsed.
+        let collapsed = self
+            .fault_collapse
+            .then(|| CompiledCircuit::try_compile(&unit_circuit).ok())
+            .flatten()
+            .map(|compiled| collapse_overrides(&compiled, &overrides));
         let setup = Setup {
             campaign: match self.unit {
                 CpuUnit::Adder => "cpu_adder",
@@ -229,19 +233,17 @@ impl<'a> Campaign<'a> {
             outputs: unit_circuit.outputs().len(),
             threads: 1,
             faults: &overrides,
-            compiled: compiled.as_ref(),
-            collapse: self.fault_collapse,
+            collapsed,
             observer: self.observer,
             cancel: self.cancel,
             started,
         };
-        let driven = drive(setup, |_| {
-            Ok(CpuKernel {
-                unit: self.unit,
-                workloads: &self.workloads,
-                budget: self.budget,
-            })
-        })?;
+        let kernel = CpuKernel {
+            unit: self.unit,
+            workloads: &self.workloads,
+            budget: self.budget,
+        };
+        let driven = drive(setup, kernel)?;
         let (periods, collapse) = (driven.stats.words_evaluated, driven.stats.collapse);
         let (verdicts, table) = driven.into_expanded();
         if let Some(cov) = self.coverage {

@@ -3,8 +3,9 @@
 //! coverage map must stay one-record-per-original-fault and bit-identical
 //! (modulo the class annotations themselves) to the uncollapsed sweep — on
 //! the paper fixtures, on random self-dual networks across every engine
-//! configuration axis (threads × dropping × word width), and on a
-//! 100k-gate synthetic design. The random networks' collapsed maps are
+//! configuration axis (threads × dropping × lane geometry, which with the
+//! input count lands on every word width), and on a 100k-gate synthetic
+//! design. The random networks' collapsed maps are
 //! also held against the scalar oracle's.
 
 use proptest::prelude::*;
@@ -16,13 +17,14 @@ use scal::obs::{CoverageMap, CoverageObserver};
 
 /// Runs one pair campaign and returns its coverage map. `max_faults`
 /// truncates the enumerated universe (same prefix on both sides of a
-/// differential pair, so identity still holds fault-for-fault).
+/// differential pair, so identity still holds fault-for-fault); `packing`
+/// forces the lane geometry, `None` leaving it to the engine.
 fn run_map(
     circuit: &Circuit,
     max_faults: Option<usize>,
     threads: usize,
     drop: bool,
-    width: usize,
+    packing: Option<bool>,
     collapse: bool,
 ) -> CoverageMap {
     let mut faults = enumerate_faults(circuit);
@@ -30,15 +32,16 @@ fn run_map(
         faults.truncate(n);
     }
     let cov = CoverageObserver::new();
-    Campaign::new(circuit)
+    let mut campaign = Campaign::new(circuit)
         .faults(faults)
         .threads(threads)
         .drop_after_detection(drop)
-        .word_width(width)
         .fault_collapse(collapse)
-        .coverage(&cov)
-        .run()
-        .expect("campaign");
+        .coverage(&cov);
+    if let Some(packing) = packing {
+        campaign = campaign.fault_packing(packing);
+    }
+    campaign.run().expect("campaign");
     cov.latest().expect("finished map")
 }
 
@@ -53,8 +56,8 @@ fn paper_fixtures_collapse_to_identical_maps() {
     ];
     for (name, circuit) in &fixtures {
         for drop in [false, true] {
-            let collapsed = run_map(circuit, None, 1, drop, 0, true);
-            let plain = run_map(circuit, None, 1, drop, 0, false);
+            let collapsed = run_map(circuit, None, 1, drop, None, true);
+            let plain = run_map(circuit, None, 1, drop, None, false);
             assert_eq!(collapsed.records.len(), plain.records.len(), "{name}");
             assert_eq!(
                 collapsed.without_annotations(),
@@ -71,7 +74,7 @@ fn paper_fixtures_collapse_to_identical_maps() {
 #[test]
 fn adder_collapse_annotates_classes() {
     let adder = paper::ripple_adder(4);
-    let collapsed = run_map(&adder, None, 1, false, 0, true);
+    let collapsed = run_map(&adder, None, 1, false, None, true);
     let members: Vec<_> = collapsed
         .records
         .iter()
@@ -83,7 +86,7 @@ fn adder_collapse_annotates_classes() {
         assert!(rep < collapsed.records.len());
     }
     // The uncollapsed sweep never annotates.
-    let plain = run_map(&adder, None, 1, false, 0, false);
+    let plain = run_map(&adder, None, 1, false, None, false);
     assert!(plain
         .records
         .iter()
@@ -100,8 +103,8 @@ fn hundred_k_selfdual_collapse_identity() {
     // 100 MB, and faults with wide cones switch their later groups to the
     // full schedule.
     let circuit = synth::generate(SynthKind::RandomSelfDual, 100_000, 42);
-    let collapsed = run_map(&circuit, Some(48), 2, false, 0, true);
-    let plain = run_map(&circuit, Some(48), 2, false, 0, false);
+    let collapsed = run_map(&circuit, Some(48), 2, false, None, true);
+    let plain = run_map(&circuit, Some(48), 2, false, None, false);
     assert_eq!(collapsed.without_annotations(), plain.without_annotations());
 }
 
@@ -119,12 +122,14 @@ proptest! {
         core_gates in 16usize..64,
         threads in 1usize..4,
         drop in any::<bool>(),
-        width_idx in 0usize..4,
+        packing_idx in 0usize..3,
     ) {
-        let width = [0usize, 1, 4, 8][width_idx];
+        let packing = [None, Some(false), Some(true)][packing_idx];
+        // Pattern-major, 5–7 inputs are one 64-pair batch (W = 1) and 8
+        // inputs two (W = 4); fault-packed, 16–128 patterns fill W = 8.
         let circuit = random_selfdual(inputs, core_gates, seed);
-        let collapsed = run_map(&circuit, Some(64), threads, drop, width, true);
-        let plain = run_map(&circuit, Some(64), threads, drop, width, false);
+        let collapsed = run_map(&circuit, Some(64), threads, drop, packing, true);
+        let plain = run_map(&circuit, Some(64), threads, drop, packing, false);
         prop_assert_eq!(collapsed.without_annotations(), plain.without_annotations());
         if !drop {
             let mut faults = enumerate_faults(&circuit);

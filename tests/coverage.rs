@@ -82,14 +82,10 @@ fn assert_matches_golden(map: &CoverageMap, file: &str, want: &str) {
 /// The 4-bit ripple adder's map under default knobs is pinned byte for
 /// byte: collapsing is on, so class members carry `class_rep`/`class_size`
 /// (never their own index), and the cone path annotates representatives.
-/// The word width is pinned to 4: the cone annotations `ops_skipped` and
-/// `frontier_died_at_level` depend on it, and the auto width follows the
-/// host's CPU features (the golden holds at widths 4 and 8, not at 1).
 #[test]
 fn adder4_default_coverage_map_matches_golden_file() {
     let cov = CoverageObserver::new();
     Campaign::new(&paper::ripple_adder(4))
-        .word_width(4)
         .coverage(&cov)
         .run()
         .expect("adder campaign");

@@ -29,14 +29,11 @@ fn zero_micros(line: &str) -> String {
 fn normalized_fig3_4_trace() -> String {
     let fig = paper::fig3_4();
     let trace = JsonlTrace::new(Vec::new());
-    // Width 1 pins the lane_geometry payload; the auto width is
-    // CPU-feature-dependent and would vary the golden machine-to-machine.
-    // Packing and collapsing are pinned off for the same reason: the golden
-    // pins the pattern-major per-fault cone trace, and collapsed traces are
+    // Packing and collapsing are pinned off: the golden pins the
+    // pattern-major per-fault cone trace, and collapsed traces are
     // differentially asserted identical in tests/collapse.rs.
     let report = Campaign::new(&fig.circuit)
         .threads(1)
-        .word_width(1)
         .fault_packing(false)
         .fault_collapse(false)
         .observer(&trace)
